@@ -15,6 +15,13 @@ Grammar (whitespace insensitive)::
     rational := "-"? int ("/" posint)?
     player   := name or 1-based position of a player in the game
 
+A formula may nest at most ``MAX_DEPTH`` levels: the height of its parse
+tree, where each operator and each parenthesized group is one level and an
+atom is one.  A chain ``a & b & c`` nests left (``(a & b) & c``), so each
+``&`` adds a level.  Deeper input is refused with a ParseError at the token
+or operator that first goes past the limit, so neither the parser nor the
+code that walks the tree recurses past the interpreter's stack.
+
 The identifiers ``pl``, ``rec``, ``EB`` and ``CB`` and the prefixes ``B_``,
 ``pr_``, ``rat_`` and ``opt_`` are reserved; generic atoms may not use them.
 Player and action names are always validated against the game; signal and
@@ -54,6 +61,11 @@ _TOKEN_RE = re.compile(
 _RESERVED = ("pl", "rec", "EB", "CB")
 _RESERVED_PREFIXES = ("B_", "pr_", "rat_", "opt_")
 
+# The parser spends up to 7 stack frames a level (a pr_ term) and the printer
+# and evaluator fewer, so at this depth all of them stay well inside the
+# interpreter's default recursion limit of 1000 frames.
+MAX_DEPTH = 100
+
 
 class ParseError(ValueError):
     """Syntax or vocabulary error, carrying a 0-based character position."""
@@ -85,6 +97,10 @@ class _Token:
         self.pos = pos
 
 
+def _too_deep(position: int) -> ParseError:
+    return ParseError(f"formula nested more than {MAX_DEPTH} levels deep", position)
+
+
 def _tokenize(text: str) -> list[_Token]:
     out = []
     pos = 0
@@ -107,6 +123,7 @@ class _Parser:
         self.atoms = None if atoms is None else frozenset(atoms)
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0  # levels above the sub-formula being parsed
 
     # token plumbing
 
@@ -153,35 +170,67 @@ class _Parser:
             raise UnknownIdentifierError("atom", name, pos)
         return name
 
-    # grammar
+    # nesting depth
 
-    def formula(self) -> Formula:
-        left = self.conj()
+    def down(self) -> None:
+        """Step one level down; refuse before recursing past MAX_DEPTH.
+
+        The caller steps back up (`self.depth -= 1`) after the sub-formula.
+        """
+        self.depth += 1
+        if self.depth >= MAX_DEPTH:
+            raise _too_deep(self.peek().pos)
+
+    def joined(self, node: Formula, height: int, op: _Token) -> tuple[Formula, int]:
+        """A binary node whose left operand was parsed a level too high."""
+        if self.depth + height > MAX_DEPTH:
+            raise _too_deep(op.pos)
+        return node, height
+
+    # grammar: each production returns (formula, height of its parse tree)
+
+    def formula(self) -> tuple[Formula, int]:
+        left, h = self.conj()
         if self.peek().text == "->":
-            self.advance()
-            return Implies(left, self.formula())
-        return left
+            op = self.advance()
+            self.down()
+            right, hr = self.formula()
+            self.depth -= 1
+            return self.joined(Implies(left, right), max(h, hr) + 1, op)
+        return left, h
 
-    def conj(self) -> Formula:
-        out = self.neg()
+    def conj(self) -> tuple[Formula, int]:
+        out, h = self.neg()
         while self.peek().text == "&":
-            self.advance()
-            out = And(out, self.neg())
-        return out
+            op = self.advance()
+            self.down()
+            right, hr = self.neg()
+            self.depth -= 1
+            out, h = self.joined(And(out, right), max(h, hr) + 1, op)
+        return out, h
 
-    def neg(self) -> Formula:
+    def neg(self) -> tuple[Formula, int]:
         if self.peek().text == "!":
             self.advance()
-            return Not(self.neg())
+            self.down()
+            arg, h = self.neg()
+            self.depth -= 1
+            return Not(arg), h + 1
         return self.atom()
 
-    def atom(self) -> Formula:
+    def group(self) -> tuple[Formula, int]:
+        """ "(" formula ")", one level below the caller."""
+        self.expect("(")
+        self.down()
+        inner, h = self.formula()
+        self.depth -= 1
+        self.expect(")")
+        return inner, h + 1
+
+    def atom(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok.text == "(":
-            self.advance()
-            inner = self.formula()
-            self.expect(")")
-            return inner
+            return self.group()
         if tok.kind == "int" or tok.text == "-":
             return self.prob()
         if tok.kind != "ident":
@@ -196,7 +245,7 @@ class _Parser:
             atok = self.ident_token("an action name")
             action = self.check_action(player, atok.text, atok.pos)
             self.expect(")")
-            return Play(player, action)
+            return Play(player, action), 1
         if name == "rec":
             self.advance()
             self.expect("(")
@@ -205,13 +254,11 @@ class _Parser:
             stok = self.ident_token("a signal name")
             signal = self.check_signal(stok.text, stok.pos)
             self.expect(")")
-            return Receive(player, signal)
+            return Receive(player, signal), 1
         if name == "CB":
             self.advance()
-            self.expect("(")
-            inner = self.formula()
-            self.expect(")")
-            return CommonBelief(inner)
+            inner, h = self.group()
+            return CommonBelief(inner), h
         if name == "EB":
             self.advance()
             order = 1
@@ -222,21 +269,17 @@ class _Parser:
                     raise ParseError("mutual-belief order must be a positive integer", otok.pos)
                 self.advance()
                 order = int(otok.text)
-            self.expect("(")
-            inner = self.formula()
-            self.expect(")")
-            return MutualBelief(order, inner)
+            inner, h = self.group()
+            return MutualBelief(order, inner), h
         if name.startswith("B_"):
             self.advance()
             player = self.resolve_player(name[2:], tok.pos + 2) if name[2:] else self._missing_player(tok)
-            self.expect("(")
-            inner = self.formula()
-            self.expect(")")
-            return Belief(player, inner)
+            inner, h = self.group()
+            return Belief(player, inner), h
         if name.startswith("rat_"):
             self.advance()
             player = self.resolve_player(name[4:], tok.pos + 4) if name[4:] else self._missing_player(tok)
-            return Rationality(player)
+            return Rationality(player), 1
         if name.startswith("opt_"):
             self.advance()
             player = self.resolve_player(name[4:], tok.pos + 4) if name[4:] else self._missing_player(tok)
@@ -244,11 +287,11 @@ class _Parser:
             atok = self.ident_token("an action name")
             action = self.check_action(player, atok.text, atok.pos)
             self.expect(")")
-            return Optimal(player, action)
+            return Optimal(player, action), 1
         if name.startswith("pr_"):
             return self.prob()
         self.advance()
-        return Prim(self.check_atom(name, tok.pos))
+        return Prim(self.check_atom(name, tok.pos)), 1
 
     @staticmethod
     def _missing_player(tok: _Token) -> str:
@@ -269,19 +312,20 @@ class _Parser:
             raise ParseError(f"found {got!r}", tok.pos, expected=(what,))
         return self.advance()
 
-    def prob(self) -> Formula:
+    def prob(self) -> tuple[Formula, int]:
         terms = [self.pterm(Fraction(1))]
         while self.peek().text in ("+", "-"):
             sign = Fraction(1) if self.advance().text == "+" else Fraction(-1)
             terms.append(self.pterm(sign))
         self.expect(">=")
         bound = self.rational()
-        for owner, _, _, pos in terms[1:]:
+        for owner, _, _, pos, _ in terms[1:]:
             if owner != terms[0][0]:
                 raise ParseError("all terms of a probability inequality must share one owner", pos)
-        return ProbGe(terms[0][0], tuple((coef, sub) for _, coef, sub, _ in terms), bound)
+        formula = ProbGe(terms[0][0], tuple((coef, sub) for _, coef, sub, _, _ in terms), bound)
+        return formula, max(h for *_, h in terms)
 
-    def pterm(self, sign: Fraction) -> tuple[str, Fraction, Formula, int]:
+    def pterm(self, sign: Fraction) -> tuple[str, Fraction, Formula, int, int]:
         coef = Fraction(1)
         tok = self.peek()
         if tok.kind == "int" or tok.text == "-":
@@ -293,10 +337,8 @@ class _Parser:
             raise ParseError(f"found {got!r}", tok.pos, expected=("pr_<player>",))
         self.advance()
         owner = self.resolve_player(tok.text[3:], tok.pos + 3) if tok.text[3:] else self._missing_player(tok)
-        self.expect("(")
-        sub = self.formula()
-        self.expect(")")
-        return owner, sign * coef, sub, tok.pos
+        sub, h = self.group()
+        return owner, sign * coef, sub, tok.pos, h
 
     def rational(self) -> Fraction:
         sign = 1
@@ -333,7 +375,7 @@ def parse_formula(
     `signals`/`atoms` close the respective vocabularies; None leaves them open.
     """
     p = _Parser(text, game, signals, atoms)
-    out = p.formula()
+    out, _ = p.formula()
     tok = p.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos, expected=("end of input",))

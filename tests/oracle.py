@@ -13,6 +13,7 @@ received-signal rows here.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from ambicoord.formulas import (
@@ -213,3 +214,78 @@ def naive_is_subjective_ce(game, dists) -> bool:
         for a in game.actions_of(p)
         for b in game.actions_of(p)
     )
+
+
+# ------------------------------------------------------------------- small LPs
+
+
+def naive_lp(c, eq_rows=(), ge_rows=()):
+    """Brute-force max c.x over eq rows, ge rows and x >= 0, for tiny LPs.
+
+    Returns ("optimal", value), ("infeasible",) or ("unbounded",).  Every
+    vertex is found by solving each n-subset of the constraint hyperplanes
+    (x_j = 0 among them) by exact Gauss elimination.  A nonempty polyhedron
+    in x >= 0 has a vertex, and it is unbounded in c exactly when some
+    direction d >= 0 with A_eq d = 0, A_ge d >= 0 and sum d = 1 (a polytope,
+    enumerated the same way) has c.d > 0.
+    """
+    n = len(c)
+    assert n <= 4 and len(eq_rows) + len(ge_rows) <= 4, "oracle is exponential"
+    eq = [([Fraction(v) for v in a], Fraction(b)) for a, b in eq_rows]
+    ge = [([Fraction(v) for v in a], Fraction(b)) for a, b in ge_rows]
+    ge += [([Fraction(int(i == j)) for i in range(n)], Fraction(0)) for j in range(n)]
+    points = _vertices(n, eq, ge)
+    if not points:
+        return ("infeasible",)
+    zero = Fraction(0)
+    cone = [(a, zero) for a, _ in eq] + [([Fraction(1)] * n, Fraction(1))]
+    directions = _vertices(n, cone, [(a, zero) for a, _ in ge])
+    if any(_dot(c, d) > 0 for d in directions):
+        return ("unbounded",)
+    return ("optimal", max(_dot(c, x) for x in points))
+
+
+def _vertices(n, eq, ge) -> list:
+    """Points meeting eq and ge rows where n independent rows hold tight."""
+    out = []
+    for chosen in itertools.combinations(eq + ge, n):
+        x = _solve_square([a for a, _ in chosen], [b for _, b in chosen])
+        if x is None:
+            continue
+        if all(_dot(a, x) == b for a, b in eq) and all(_dot(a, x) >= b for a, b in ge):
+            out.append(x)
+    return out
+
+
+def _solve_square(rows, rhs):
+    """The unique solution of rows.x == rhs, or None if the matrix is singular."""
+    n = len(rows)
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col] / m[col][col]
+                m[i] = [u - f * v for u, v in zip(m[i], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def _dot(a, x) -> Fraction:
+    return sum((u * v for u, v in zip(a, x)), Fraction(0))
+
+
+def naive_certificate_holds(c, eq_rows, ge_rows, x, y) -> bool:
+    """Weak duality met with equality: x is feasible, y is dual feasible
+    (y <= 0 on ge rows, free on eq rows, A^T y >= c) and b.y == c.x."""
+    rows = list(eq_rows) + list(ge_rows)
+    primal = all(v >= 0 for v in x) and all(
+        _dot(a, x) == b if k < len(eq_rows) else _dot(a, x) >= b
+        for k, (a, b) in enumerate(rows)
+    )
+    dual = all(v <= 0 for v in y[len(eq_rows):]) and all(
+        _dot([a[j] for a, _ in rows], y) >= c[j] for j in range(len(c))
+    )
+    return primal and dual and _dot([b for _, b in rows], y) == _dot(c, x)

@@ -14,6 +14,7 @@ import pytest
 
 import ambicoord
 from ambicoord.cli import main
+from ambicoord.parser import MAX_DEPTH
 from conftest import FIXTURES
 
 WG = str(FIXTURES / "weather_game.json")
@@ -70,6 +71,44 @@ class TestCheck:
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "true"
+
+    @pytest.mark.parametrize(
+        "text, same",
+        [
+            ("!" * (MAX_DEPTH - 1) + "p", "!p"),
+            ("(" * (MAX_DEPTH - 1) + "p" + ")" * (MAX_DEPTH - 1), "p"),
+            ("p -> " * (MAX_DEPTH - 1) + "p", "p -> p"),
+            ("p & " * (MAX_DEPTH - 1) + "p", "p"),
+            # A's probability of an event A's own cell decides is 0 or 1
+            ("pr_A(" * (MAX_DEPTH - 1) + "p" + ") >= 1/2" * (MAX_DEPTH - 1), "pr_A(p) >= 1/2"),
+        ],
+        ids=["not", "parens", "implies", "and", "prob"],
+    )
+    def test_formula_at_the_nesting_limit_evaluates(self, capsys, text, same):
+        argv = ["check", "--game", WG, "--structure", WS, "--player", "A", "--state"]
+        for state in ("w1", "w3"):
+            code = main(argv + [state, text])
+            out = capsys.readouterr().out
+            assert (code, out) == (main(argv + [state, same]), capsys.readouterr().out)
+            assert out == ("true\n" if code == 0 else "false\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "!" * 2000 + "pl(1,stay)",
+            "(" * 600 + "p" + ")" * 600,
+            "p -> " * 3000 + "p",
+            "p & " * 3000 + "p",
+        ],
+        ids=["not", "parens", "implies", "and"],
+    )
+    def test_formula_over_the_nesting_limit_exits_2(self, capsys, text):
+        argv = ["check", "--game", WG, "--structure", WS, "--state", "w1", "--player", "A"]
+        assert main(argv + [text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"parse error: formula nested more than {MAX_DEPTH} levels")
 
     def test_unknown_state_is_an_input_error(self):
         code = main(

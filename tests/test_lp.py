@@ -4,8 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ambicoord.lp import Infeasible, Unbounded, maximize
+from ambicoord import lp, solve_ce
+from ambicoord.lp import CertificateError, Infeasible, Unbounded, check_certificate, maximize
+from helpers import random_game, random_objective
+from oracle import naive_certificate_holds, naive_lp
 
 F = Fraction
 
@@ -55,6 +59,17 @@ def test_degenerate_vertex_terminates():
     )
     assert value == 0
     assert x == [F(0), F(0)]
+    # Beale (1955): the largest-coefficient rule cycles on it from the origin
+    value, x = maximize(
+        [F(3, 4), F(-20), F(1, 2), F(-6)],
+        ge_rows=[
+            ([F(-1, 4), F(8), F(1), F(-9)], F(0)),
+            ([F(-1, 2), F(12), F(1, 2), F(-3)], F(0)),
+            ([F(0), F(0), F(-1), F(0)], F(-1)),
+        ],
+    )
+    assert value == F(5, 4)
+    assert x == [F(1), F(0), F(1), F(0)]
 
 
 def test_fractional_data_stays_exact():
@@ -72,16 +87,21 @@ def test_row_length_mismatch_is_rejected():
         maximize([F(1)], eq_rows=[([F(1), F(1)], F(1))])
 
 
-def test_solutions_satisfy_their_constraints_exactly():
-    rng = random.Random(4242)
-    for _ in range(40):
+def _probability_lps(rng, count):
+    """Random LPs over a probability simplex with extra >= rows."""
+    for _ in range(count):
         n = rng.randint(1, 4)
         c = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-        eq = [([F(1)] * n, F(1))]  # probability-style normalization
+        eq = [([F(1)] * n, F(1))]
         ge = [
             ([F(rng.randint(-2, 2)) for _ in range(n)], F(rng.randint(-3, 0)))
             for _ in range(rng.randint(0, 3))
         ]
+        yield c, eq, ge
+
+
+def test_solutions_satisfy_their_constraints_exactly():
+    for c, eq, ge in _probability_lps(random.Random(4242), 40):
         try:
             value, x = maximize(c, eq_rows=eq, ge_rows=ge)
         except Infeasible:
@@ -91,3 +111,101 @@ def test_solutions_satisfy_their_constraints_exactly():
         for a, b in ge:
             assert sum(ai * xi for ai, xi in zip(a, x)) >= b
         assert sum(ci * xi for ci, xi in zip(c, x)) == value
+
+
+def test_duals_are_read_off_exactly():
+    # max 2x+3y s.t. x+2y <= 4, 3x+y <= 6: both rows bind at (8/5, 6/5)
+    c = [F(2), F(3)]
+    ge = [([F(-1), F(-2)], F(-4)), ([F(-3), F(-1)], F(-6))]
+    x, y = lp._simplex(c, (), ge)
+    assert x == [F(8, 5), F(6, 5)]
+    assert y == [F(-7, 5), F(-1, 5)]
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ([F(0), F(2)], [F(-7, 5), F(-1, 5)], "objective values differ"),
+        ([F(8, 5), F(7, 5)], [F(-7, 5), F(-1, 5)], "violates row 0"),
+        ([F(-1), F(2)], [F(-7, 5), F(-1, 5)], "negative entry"),
+        ([F(8, 5), F(6, 5)], [F(-7, 5), F(1, 5)], "positive on a >= row"),
+        ([F(8, 5), F(6, 5)], [F(-7, 5), F(0)], "violates column 0"),
+        ([F(8, 5), F(6, 5)], [F(-7, 5)], "wrong shape"),
+    ],
+)
+def test_corrupted_certificates_are_rejected(x, y, message):
+    c = [F(2), F(3)]
+    ge = [([F(-1), F(-2)], F(-4)), ([F(-3), F(-1)], F(-6))]
+    assert check_certificate(c, (), ge, [F(8, 5), F(6, 5)], [F(-7, 5), F(-1, 5)]) == F(34, 5)
+    with pytest.raises(CertificateError, match=message):
+        check_certificate(c, (), ge, x, y)
+
+
+def test_certificate_holds_on_random_instances(monkeypatch):
+    rng = random.Random(2024)
+    problems = list(_probability_lps(rng, 60))
+    real = lp.maximize
+
+    def recording(c, eq_rows, ge_rows):
+        problems.append((c, eq_rows, ge_rows))
+        return real(c, eq_rows, ge_rows)
+
+    monkeypatch.setattr(lp, "maximize", recording)
+    for _ in range(40):
+        game = random_game(rng)
+        solve_ce(game, random_objective(rng, game))
+    assert len(problems) == 100
+    for c, eq, ge in problems:
+        try:
+            x, y = lp._simplex(c, eq, ge)
+        except Infeasible:
+            continue
+        assert naive_certificate_holds(c, eq, ge, x, y)
+
+
+_RATIONALS = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def _small_lps(draw):
+    """At most 4 variables and 4 rows, fractional data, >= rows of either
+    sign and equalities that may repeat an earlier one scaled (possibly by a
+    negative factor) or add two earlier ones, so some are redundant."""
+    n = draw(st.integers(0, 4))
+    row = st.lists(_RATIONALS, min_size=n, max_size=n)
+    eq = draw(st.lists(st.tuples(row, _RATIONALS), max_size=3))
+    ge = draw(st.lists(st.tuples(row, _RATIONALS), max_size=4 - len(eq)))
+    if eq and len(eq) + len(ge) < 4:
+        (a, b), (a2, b2) = draw(st.sampled_from(eq)), draw(st.sampled_from(eq))
+        k = draw(_RATIONALS.filter(bool))
+        eq.append(
+            draw(
+                st.sampled_from(
+                    [([k * v for v in a], k * b), ([u + v for u, v in zip(a, a2)], b + b2)]
+                )
+            )
+        )
+    eq = draw(st.permutations(eq))
+    return draw(row), eq, ge
+
+
+def _outcome(c, eq, ge):
+    try:
+        value, x = maximize(c, eq, ge)
+    except Infeasible:
+        return ("infeasible",)
+    except Unbounded:
+        return ("unbounded",)
+    x, y = lp._simplex(c, eq, ge)
+    assert naive_certificate_holds(c, eq, ge, x, y)
+    return ("optimal", value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_lps())
+# zero-level artificials left after phase 1: one is driven out by a negative
+# pivot, and the other's row is then redundant and deleted
+@example(([F(1), F(0)], [([F(1), F(-1)], F(0)), ([F(-1), F(1)], F(0))], [([F(-1), F(0)], F(-3))]))
+def test_maximize_agrees_with_the_vertex_oracle(problem):
+    c, eq, ge = problem
+    assert _outcome(c, eq, ge) == naive_lp(c, eq, ge)

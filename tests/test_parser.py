@@ -24,6 +24,7 @@ from ambicoord import (
     parse_formula,
     parse_instance,
 )
+from ambicoord.parser import MAX_DEPTH
 
 GAME = Game(
     ["A", "B"],
@@ -125,6 +126,27 @@ class TestDiagnostics:
             parse(text)
         assert err.value.kind == kind
         assert err.value.position == pos
+
+    @pytest.mark.parametrize(
+        "shape, over",
+        [
+            # the token at level MAX_DEPTH + 1: the leaf, or the 101st "!"
+            (lambda k: "!" * (k - 1) + "p", lambda k: k - 1),
+            (lambda k: "(" * (k - 1) + "p" + ")" * (k - 1), lambda k: k - 1),
+            (lambda k: "p -> " * (k - 1) + "p", lambda k: 5 * (k - 1)),
+            # a left-nested chain: the "&" that makes it one level too deep
+            (lambda k: "p & " * (k - 1) + "p", lambda k: 4 * (k - 2) + 2),
+            (lambda k: "pr_A(" * (k - 1) + "p" + ") >= 1" * (k - 1), lambda k: 5 * (k - 1)),
+        ],
+        ids=["not", "parens", "implies", "and", "prob"],
+    )
+    def test_nesting_is_bounded(self, shape, over):
+        at_limit = parse(shape(MAX_DEPTH))
+        assert parse(str(at_limit)) == at_limit
+        with pytest.raises(ParseError) as err:
+            parse(shape(MAX_DEPTH + 1))
+        assert err.value.position == over(MAX_DEPTH + 1)
+        assert f"nested more than {MAX_DEPTH} levels" in str(err.value)
 
     def test_expected_hints_are_attached(self):
         with pytest.raises(ParseError) as err:
