@@ -10,6 +10,7 @@ profiles a viewer sees across states.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -18,7 +19,6 @@ from .errors import PreconditionError, SchemaError
 from .formulas import Formula, Implies, Optimal, Play, Receive
 from .games import Distribution, Game, check_objective_ce, check_subjective_ce
 from .reports import Report
-from .semantics import holds
 from .structures import (
     EpistemicStructure,
     check_action_uniqueness,
@@ -26,7 +26,11 @@ from .structures import (
     check_partition_consistency,
     check_rationality,
     check_signal_uniqueness,
+    fold,
     is_common_interpretation,
+    low_state,
+    mask_mass,
+    states_in,
 )
 
 
@@ -101,9 +105,8 @@ def check_strategy_valid(m: EpistemicStructure, c: CoordinationStrategy) -> Repo
     for f in as_formulas(c):
         for viewer in m.game.players:
             mask = ev.intension_mask(viewer, f)
-            if mask != ev.full:
-                for state in ev.states_of(ev.full ^ mask):
-                    failures.append(ValidityIssue(f, viewer, state))
+            for k in states_in(m, ev.full ^ mask):
+                failures.append(ValidityIssue(f, viewer, m.states[k]))
     return Report(not failures, tuple(failures))
 
 
@@ -120,19 +123,42 @@ class EnforcementIssue:
 
 def check_self_enforcing(m: EpistemicStructure, c: CoordinationStrategy) -> Report:
     """At each state every player follows her recommendation and deems it optimal."""
+    ev = None
     failures = []
     for p in m.game.players:
-        for state in m.states:
-            try:
-                signal = m.received_signal(p, state)
-            except PreconditionError:
+        rows = {s: m.masks[p].get(Receive(p, s), 0) for s in m.signals}
+        seen, dup = fold(rows.values())
+        unique = seen & ~dup
+        regions = {s: row & unique for s, row in rows.items()}
+        # Look up each signal's action, its plays mask and its optimality
+        # mask at the first state that needs them, so that whatever raises
+        # first, state by state, raises here too.
+        action, plays, optimal = {}, {}, {}
+        steps = [(low_state(r), 0, s) for s, r in regions.items() if r]
+        heapq.heapify(steps)
+        while steps:
+            _, step, s = heapq.heappop(steps)
+            if step == 0:
+                action[s] = c.action(p, s)
+                if ev is None:
+                    ev = m.evaluator()
+                plays[s] = ev.intension_mask(p, Play(p, action[s]))
+                if regions[s] & plays[s]:
+                    heapq.heappush(steps, (low_state(regions[s] & plays[s]), 1, s))
+            else:
+                optimal[s] = ev.intension_mask(p, Optimal(p, action[s]))
+        bad = m.full ^ unique
+        for s in action:
+            bad |= regions[s] & ~(plays[s] & optimal.get(s, 0))
+        for k in states_in(m, bad):
+            state = m.states[k]
+            s = next((s for s in action if (regions[s] >> k) & 1), None)
+            if s is None:
                 failures.append(EnforcementIssue(p, state, None, None, "signal"))
-                continue
-            action = c.action(p, signal)
-            if not holds(m, state, p, Play(p, action)):
-                failures.append(EnforcementIssue(p, state, signal, action, "plays"))
-            elif not holds(m, state, p, Optimal(p, action)):
-                failures.append(EnforcementIssue(p, state, signal, action, "optimal"))
+            elif not (plays[s] >> k) & 1:
+                failures.append(EnforcementIssue(p, state, s, action[s], "plays"))
+            else:
+                failures.append(EnforcementIssue(p, state, s, action[s], "optimal"))
     return Report(not failures, tuple(failures))
 
 
@@ -142,11 +168,30 @@ def induce(m: EpistemicStructure, viewer: str) -> Distribution:
     Each state contributes its prior mass to the unique profile the viewer
     sees there; a state with no unique seen profile is an error.
     """
-    weights: dict[tuple[str, ...], Fraction] = {}
-    for state in m.states:
-        profile = m.seen_profile(viewer, state)
-        weights[profile] = weights.get(profile, Fraction(0)) + m.prior_of(state)
-    return Distribution(weights)
+    m.game.player_index(viewer)  # an unknown viewer raises KeyError
+    table = m.masks[viewer]
+    players = m.game.players
+    rows = [[(a, table.get(Play(p, a), 0)) for a in m.game.actions_of(p)] for p in players]
+    folds = [fold(mask for _, mask in row) for row in rows]
+    bad = 0
+    for seen, dup in folds:
+        bad |= dup | (m.full ^ seen)
+    if bad:  # raises: some player plays zero or several actions there
+        m.seen_profile(viewer, m.states[low_state(bad)])
+    # one action per player at every state: intersect the action masks
+    # along the profiles, keeping the nonempty ones in first-state order
+    seen_at = [((), m.full)]
+    for row in rows:
+        seen_at = [
+            (profile + (a,), both)
+            for profile, mask in seen_at
+            for a, action_mask in row
+            if (both := mask & action_mask)
+        ]
+    seen_at.sort(key=lambda item: low_state(item[1]))
+    return Distribution(
+        {profile: Fraction(mask_mass(m.prior_num, mask), m.prior_denom) for profile, mask in seen_at}
+    )
 
 
 @dataclass(frozen=True)

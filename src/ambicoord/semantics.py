@@ -1,8 +1,10 @@
 """Satisfaction checking on epistemic structures.
 
-The evaluator compiles a structure once: states become bit positions, events
-become int bitmasks, and the prior becomes integer numerators over a common
-denominator, so every comparison is exact integer/Fraction arithmetic.
+The evaluator works on a structure's compiled form: states are bit
+positions, events are int bitmasks, leaf propositions read their masks off
+the structure's interpretation tables, and the prior is integer numerators
+over a common denominator, so every comparison is exact integer/Fraction
+arithmetic.
 
 Probability inequalities are evaluated per information cell of their owner
 (their truth is constant on each cell and independent of the viewer), then
@@ -13,8 +15,8 @@ intersect the orbit, stopping when a set repeats.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable
 
 from .errors import PreconditionError
@@ -35,53 +37,45 @@ from .formulas import (
     conj,
     optimality_core,
 )
+from .structures import flags, mask_mass
 
 # node kinds whose truth cannot depend on who evaluates them
 _VIEWER_FREE = (ProbGe, Belief, MutualBelief, CommonBelief, Optimal)
 
 
 class Evaluator:
-    """Compiled, memoizing model checker for one structure."""
+    """Compiled, memoizing model checker for one structure.
+
+    It keeps the structure's compiled tables, not the structure: a structure
+    caches its evaluator, so a reference back would make a cycle that only
+    the cyclic garbage collector frees.
+    """
 
     def __init__(self, m):
-        self.m = m
         self.game = m.game
-        self.nstates = len(m.states)
-        self.full = (1 << self.nstates) - 1
-        denom = math.lcm(*(m.prior[s].denominator for s in m.states))
-        self.denom = denom
-        self.num = [int(m.prior[s] * denom) for s in m.states]
-        partitions = m.partitions()
-        self.cells: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for p in self.game.players:
-            masks = []
-            for c in partitions[p]:
-                mask = 0
-                for s in c:
-                    mask |= 1 << m.state_index(s)
-                masks.append(mask)
-            self.cells[p] = (tuple(masks), tuple(self._mass_num(mk) for mk in masks))
+        self.states = m.states
+        self.atoms = m.atoms
+        self.signals = m.signals
+        self.tables = m.masks
+        self.full = m.full
+        self.num = m.prior_num
+        self.cells: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {
+            p: (masks, tuple(mask_mass(self.num, mk) for mk in masks))
+            for p, masks in m.cell_masks().items()
+        }
         self._memo: dict = {}
         self._cores: dict = {}
 
     # -- plumbing -------------------------------------------------------------
 
-    def _mass_num(self, mask: int) -> int:
-        total = 0
-        while mask:
-            low = mask & -mask
-            total += self.num[low.bit_length() - 1]
-            mask ^= low
-        return total
-
     def states_of(self, mask: int) -> frozenset[str]:
-        return frozenset(s for k, s in enumerate(self.m.states) if (mask >> k) & 1)
+        return frozenset(compress(self.states, flags(mask)))
 
-    def mask_of(self, event: Iterable[str]) -> int:
-        mask = 0
-        for s in event:
-            mask |= 1 << self.m.state_index(s)
-        return mask
+    def _leaf(self, viewer: str, f: Formula) -> int:
+        table = self.tables.get(viewer)
+        if table is None:
+            raise KeyError(f"unknown player {viewer!r}")
+        return table.get(f, 0)
 
     # -- intensions -----------------------------------------------------------
 
@@ -98,18 +92,18 @@ class Evaluator:
 
     def _compute(self, viewer: str, f: Formula) -> int:
         if isinstance(f, Prim):
-            if f.name not in self.m.atoms:
+            if f.name not in self.atoms:
                 raise PreconditionError(f"formula references undeclared atom {f.name!r}")
-            return self.mask_of(self.m.true_set(viewer, f))
+            return self._leaf(viewer, f)
         if isinstance(f, Play):
             if f.action not in self.game.actions_of(f.player):
                 raise PreconditionError(f"{f.action!r} is not an action of player {f.player!r}")
-            return self.mask_of(self.m.true_set(viewer, f))
+            return self._leaf(viewer, f)
         if isinstance(f, Receive):
             self.game.player_index(f.player)
-            if f.signal not in self.m.signals:
+            if f.signal not in self.signals:
                 raise PreconditionError(f"formula references undeclared signal {f.signal!r}")
-            return self.mask_of(self.m.true_set(viewer, f))
+            return self._leaf(viewer, f)
         if isinstance(f, Not):
             return self.full ^ self._mask(viewer, f.arg)
         if isinstance(f, And):
@@ -158,7 +152,7 @@ class Evaluator:
                 if coef != 0:
                     inter = emask & cmask
                     if inter:
-                        lhs += coef * self._mass_num(inter)
+                        lhs += coef * mask_mass(self.num, inter)
             if lhs >= f.bound * csum:
                 out |= cmask
         return out
@@ -178,7 +172,7 @@ class Evaluator:
                 raise PreconditionError(
                     f"zero-mass information cell of player {player!r}; posterior undefined"
                 )
-            if self._mass_num(emask & cmask) == csum:
+            if mask_mass(self.num, emask & cmask) == csum:
                 out |= cmask
         return out
 

@@ -6,19 +6,27 @@ own truth assignment for every primitive proposition (generic atoms, "j plays
 a", "j received sigma").  Information partitions are either stored explicitly
 or derived from each player's own received-signal atoms.
 
-Structures are treated as immutable once built; derived data (partitions,
+Structures are immutable once built.  The constructor compiles the
+interpretation to bitmasks, which are the one stored form: state k is bit k,
+each player's table maps a primitive proposition to the int mask of the
+states where she deems it true, stored partitions are tuples of cell masks,
+and the prior is integer numerators over one common denominator.  The audits
+below are whole-mask folds over these tables; per-state work is left only
+to name offending states, always in state order.  Derived data (partitions,
 the compiled evaluator) is cached on first use.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping, Optional
 
 from .errors import PreconditionError, SchemaError
-from .formulas import And, Formula, Implies, Not, Optimal, Play, Prim, Rationality, Receive, conj
+from .formulas import And, Formula, Implies, Not, Optimal, Play, Prim, Rationality, Receive
 from .games import Game
 from .parser import ParseError, parse_formula, parse_instance
 from .rationals import format_rational, parse_rational
@@ -36,7 +44,59 @@ def _usable_name(name: str) -> bool:
     return not name.startswith(_RESERVED_PREFIXES)
 
 
+_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def flags(mask: int) -> bytes:
+    """One byte per state, lowest state first: 1 where the mask has the state.
+
+    `itertools.compress` over these flags picks a mask's states, indices or
+    prior numerators in state order.
+    """
+    return bin(mask)[:1:-1].encode().translate(_FLAG)
+
+
+def low_state(mask: int) -> int:
+    """Index of the first state in a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def mask_mass(num: Iterable[int], mask: int) -> int:
+    """Prior mass of a mask, in numerator units."""
+    return sum(compress(num, flags(mask)))
+
+
+def fold(masks: Iterable[int]) -> tuple[int, int]:
+    """(seen, duplicate): states in at least one mask, and in at least two."""
+    seen = dup = 0
+    for mask in masks:
+        dup |= seen & mask
+        seen |= mask
+    return seen, dup
+
+
+def _compile(bit: Mapping[str, int], states: Iterable[str]) -> Optional[int]:
+    """The mask of the named states, or None if one is not a state."""
+    mask = 0
+    for s in states:
+        b = bit.get(s)
+        if b is None:
+            return None
+        mask |= b
+    return mask
+
+
 class EpistemicStructure:
+    """A game, a finite state space with a common prior, and one compiled
+    interpretation table per player.
+
+    Compiled form (see the module docstring): `masks[player][node]` is the
+    mask of the states where `player` deems the primitive proposition `node`
+    true (absent nodes are false everywhere), `stored_cells[player]` is the
+    tuple of stored cell masks or None when cells are derived, and the prior
+    of state k is `prior_num[k] / prior_denom`.
+    """
+
     def __init__(
         self,
         game: Game,
@@ -55,19 +115,22 @@ class EpistemicStructure:
         if len(set(self.states)) != len(self.states):
             raise SchemaError("structure: duplicate state names")
         self._state_index = {s: k for k, s in enumerate(self.states)}
+        self.full = (1 << len(self.states)) - 1
+        bit = {s: 1 << k for k, s in enumerate(self.states)}
 
-        self.prior: dict[str, Fraction] = {}
+        weights: dict[str, Fraction] = {}
         for s, w in prior.items():
             if s not in self._state_index:
                 raise SchemaError(f"structure: prior names unknown state {s!r}")
-            self.prior[s] = Fraction(w)
-        for s in self.states:
-            self.prior.setdefault(s, Fraction(0))
-        if any(w < 0 for w in self.prior.values()):
+            weights[s] = Fraction(w)
+        if any(w < 0 for w in weights.values()):
             raise SchemaError("structure: negative prior weight")
-        total = sum(self.prior.values(), Fraction(0))
+        total = sum(weights.values(), Fraction(0))
         if total != 1:
             raise SchemaError(f"structure: prior sums to {total}, not 1")
+        self.prior_denom = math.lcm(*(w.denominator for w in weights.values()))
+        scaled = {s: w.numerator * (self.prior_denom // w.denominator) for s, w in weights.items()}
+        self.prior_num = tuple(scaled.get(s, 0) for s in self.states)
 
         self.signals = tuple(signals)
         if len(set(self.signals)) != len(self.signals):
@@ -79,34 +142,36 @@ class EpistemicStructure:
             if not _usable_name(name):
                 raise SchemaError(f"structure: {name!r} is not a usable signal/atom name")
 
-        self.truth: dict[str, dict[Formula, frozenset[str]]] = {p: {} for p in game.players}
+        self.masks: dict[str, dict[Formula, int]] = {p: {} for p in game.players}
         for p, table in (truth or {}).items():
-            if p not in self.truth:
+            if p not in self.masks:
                 raise SchemaError(f"structure: interpretation for unknown player {p!r}")
             for node, where in table.items():
                 self._check_instance(node)
-                cell = frozenset(where)
-                bad = cell - set(self.states)
-                if bad:
-                    raise SchemaError(f"structure: unknown states {sorted(bad)} for {node}")
-                self.truth[p][node] = cell
+                mask = _compile(bit, where)
+                if mask is None:
+                    bad = sorted({s for s in where if s not in bit})
+                    raise SchemaError(f"structure: unknown states {bad} for {node}")
+                self.masks[p][node] = mask
 
-        self.stored_partitions: Optional[dict[str, tuple[frozenset[str], ...]]] = None
+        self.stored_cells: Optional[dict[str, tuple[int, ...]]] = None
         if partitions is not None:
             stored = {}
             for p, cells in partitions.items():
-                if p not in self.truth:
+                if p not in self.masks:
                     raise SchemaError(f"structure: partition for unknown player {p!r}")
-                stored[p] = tuple(frozenset(c) for c in cells)
+                stored[p] = [list(c) for c in cells]
             if set(stored) != set(game.players):
                 raise SchemaError("structure: partitions must cover every player")
+            self.stored_cells = {}
             for p, cells in stored.items():
-                flat = [s for c in cells for s in c]
                 if any(not c for c in cells):
                     raise SchemaError(f"structure: empty partition cell for player {p!r}")
-                if len(flat) != len(set(flat)) or set(flat) != set(self.states):
+                masks = tuple(_compile(bit, c) for c in cells)
+                seen, dup = fold(mk or 0 for mk in masks)
+                if None in masks or dup or seen != self.full:
                     raise SchemaError(f"structure: cells of player {p!r} do not partition the states")
-            self.stored_partitions = stored
+                self.stored_cells[p] = masks
 
         self.signal_defs: dict[str, Optional[Formula]] = {s: None for s in self.signals}
         for sig, df in (signal_defs or {}).items():
@@ -116,7 +181,7 @@ class EpistemicStructure:
                 self._check_signal_def(df)
             self.signal_defs[sig] = df
 
-        self._derived_partitions: Optional[dict[str, tuple[frozenset[str], ...]]] = None
+        self._derived_cells: Optional[dict[str, tuple[int, ...]]] = None
         self._cells: dict[str, dict[str, frozenset[str]]] = {}
         self._evaluator = None
 
@@ -155,27 +220,37 @@ class EpistemicStructure:
             raise KeyError(f"unknown state {state!r}") from None
 
     def prior_of(self, state: str) -> Fraction:
-        self.state_index(state)
-        return self.prior[state]
+        return Fraction(self.prior_num[self.state_index(state)], self.prior_denom)
 
     def mass(self, event: Iterable[str]) -> Fraction:
-        return sum((self.prior_of(s) for s in event), Fraction(0))
+        return Fraction(sum(self.prior_num[self.state_index(s)] for s in event), self.prior_denom)
+
+    def states_of(self, mask: int) -> frozenset[str]:
+        """The states in a mask."""
+        return frozenset(compress(self.states, flags(mask)))
+
+    def _names(self, mask: int) -> tuple[str, ...]:
+        """The states in a mask, in state order."""
+        return tuple(compress(self.states, flags(mask)))
+
+    def _table(self, viewer: str) -> dict[Formula, int]:
+        try:
+            return self.masks[viewer]
+        except KeyError:
+            raise KeyError(f"unknown player {viewer!r}") from None
 
     def true_set(self, viewer: str, node: Formula) -> frozenset[str]:
         """States where `viewer` deems the primitive proposition true."""
-        try:
-            table = self.truth[viewer]
-        except KeyError:
-            raise KeyError(f"unknown player {viewer!r}") from None
-        return table.get(node, frozenset())
+        return self.states_of(self._table(viewer).get(node, 0))
 
     def atom_true(self, viewer: str, node: Formula, state: str) -> bool:
-        return state in self.true_set(viewer, node)
+        k = self._state_index.get(state)
+        return k is not None and (self._table(viewer).get(node, 0) >> k) & 1 == 1
 
     def signals_received(self, viewer: str, receiver: str, state: str) -> tuple[str, ...]:
         """All signals `viewer` thinks `receiver` got at `state`, in alphabet order."""
         return tuple(
-            s for s in self.signals if state in self.true_set(viewer, Receive(receiver, s))
+            s for s in self.signals if self.atom_true(viewer, Receive(receiver, s), state)
         )
 
     def received_signal(self, player: str, state: str) -> str:
@@ -189,27 +264,52 @@ class EpistemicStructure:
 
     # -- partitions -----------------------------------------------------------
 
+    def _derived(self) -> dict[str, tuple[int, ...]]:
+        """Each player's cell masks, grouped by her own received signal.
+
+        Fails at the first player, and her first state, with zero or
+        several signals; cells are ordered by their first state.
+        """
+        if self._derived_cells is None:
+            out = {}
+            for p in self.game.players:
+                table = self.masks[p]
+                rows = [table.get(Receive(p, s), 0) for s in self.signals]
+                seen, dup = fold(rows)
+                bad = dup | (self.full ^ seen)
+                if bad:  # raises: zero or several signals at that state
+                    self.received_signal(p, self.states[low_state(bad)])
+                out[p] = tuple(sorted(filter(None, rows), key=low_state))
+            self._derived_cells = out
+        return self._derived_cells
+
+    def cell_masks(self) -> dict[str, tuple[int, ...]]:
+        """Stored cell masks when present, otherwise the derived ones."""
+        if self.stored_cells is not None:
+            return self.stored_cells
+        return self._derived()
+
+    def _cell_sets(self, cells: Mapping[str, tuple[int, ...]]) -> dict[str, tuple[frozenset[str], ...]]:
+        return {p: tuple(map(self.states_of, masks)) for p, masks in cells.items()}
+
+    @property
+    def stored_partitions(self) -> Optional[dict[str, tuple[frozenset[str], ...]]]:
+        """The stored information cells as state sets, or None."""
+        if self.stored_cells is None:
+            return None
+        return self._cell_sets(self.stored_cells)
+
     def derive_partitions(self) -> dict[str, tuple[frozenset[str], ...]]:
         """Group states by each player's own received signal.
 
         Fails if any state gives a player zero or several signals; cells are
         ordered by first appearance in the state list.
         """
-        if self._derived_partitions is None:
-            out = {}
-            for p in self.game.players:
-                cells: dict[str, list[str]] = {}
-                for s in self.states:
-                    cells.setdefault(self.received_signal(p, s), []).append(s)
-                out[p] = tuple(frozenset(c) for c in cells.values())
-            self._derived_partitions = out
-        return self._derived_partitions
+        return self._cell_sets(self._derived())
 
     def partitions(self) -> dict[str, tuple[frozenset[str], ...]]:
         """Stored partitions when present, otherwise the derived ones."""
-        if self.stored_partitions is not None:
-            return self.stored_partitions
-        return self.derive_partitions()
+        return self._cell_sets(self.cell_masks())
 
     def cell(self, player: str, state: str) -> frozenset[str]:
         """The player's information cell containing the state."""
@@ -227,9 +327,7 @@ class EpistemicStructure:
         """The full action profile `viewer` sees at `state`; errors unless unique."""
         out = []
         for p in self.game.players:
-            acts = [
-                a for a in self.game.actions_of(p) if state in self.true_set(viewer, Play(p, a))
-            ]
+            acts = [a for a in self.game.actions_of(p) if self.atom_true(viewer, Play(p, a), state)]
             if len(acts) != 1:
                 raise PreconditionError(
                     f"viewer {viewer!r} sees {len(acts)} actions for player {p!r} at state {state!r}"
@@ -288,7 +386,7 @@ class EpistemicStructure:
         interp_raw = data.get("interpretation")
         if not isinstance(interp_raw, dict):
             raise SchemaError("structure: 'interpretation' must be an object")
-        truth: dict[str, dict[Formula, frozenset[str]]] = {}
+        truth: dict[str, dict[Formula, list[str]]] = {}
         for p, table in interp_raw.items():
             if not isinstance(table, dict):
                 raise SchemaError(f"structure: interpretation of player {p!r} must be an object")
@@ -300,7 +398,7 @@ class EpistemicStructure:
                     raise SchemaError(f"structure: instance key {key!r}: {exc}") from None
                 if not isinstance(where, list) or not all(isinstance(s, str) for s in where):
                     raise SchemaError(f"structure: value of {key!r} must be a list of states")
-                entries[node] = frozenset(where)
+                entries[node] = where
             truth[p] = entries
 
         partitions_raw = data.get("partitions")
@@ -312,7 +410,7 @@ class EpistemicStructure:
             for p, cells in partitions_raw.items():
                 if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
                     raise SchemaError(f"structure: partition of player {p!r} must be a list of lists")
-                partitions[p] = [frozenset(c) for c in cells]
+                partitions[p] = cells
 
         return cls(
             game,
@@ -328,22 +426,23 @@ class EpistemicStructure:
     def to_dict(self) -> dict:
         interp = {}
         for p in self.game.players:
-            table = self.truth[p]
-            entries = {}
-            for node in self._instance_order():
-                where = table.get(node)
-                if where:
-                    entries[str(node)] = self._ordered(where)
-            interp[p] = entries
+            table = self.masks[p]
+            interp[p] = {
+                str(node): list(self._names(table[node]))
+                for node in self._instance_order()
+                if table.get(node)
+            }
         partitions = None
-        if self.stored_partitions is not None:
+        if self.stored_cells is not None:
             partitions = {
-                p: [self._ordered(c) for c in cells]
-                for p, cells in self.stored_partitions.items()
+                p: [list(self._names(c)) for c in cells] for p, cells in self.stored_cells.items()
             }
         return {
             "states": list(self.states),
-            "prior": {s: format_rational(self.prior[s]) for s in self.states},
+            "prior": {
+                s: format_rational(Fraction(w, self.prior_denom))
+                for s, w in zip(self.states, self.prior_num)
+            },
             "signals": {
                 s: (str(df) if df is not None else None) for s, df in self.signal_defs.items()
             },
@@ -359,9 +458,6 @@ class EpistemicStructure:
         for p in self.game.players:
             out.extend(Play(p, a) for a in self.game.actions_of(p))
         return out
-
-    def _ordered(self, states: Iterable[str]) -> list[str]:
-        return sorted(states, key=self.state_index)
 
 
 # ------------------------------------------------------------------- checks
@@ -420,6 +516,15 @@ class RationalityIssue:
     gap: Fraction
 
 
+def states_in(m: EpistemicStructure, mask: int) -> Iterable[int]:
+    """Indices of the states in a mask, in state order."""
+    return compress(range(len(m.states)), flags(mask))
+
+
+def _cell_at(cells: Iterable[int], k: int) -> int:
+    return next(c for c in cells if (c >> k) & 1)
+
+
 def check_signal_uniqueness(m: EpistemicStructure) -> Report:
     """Every viewer sees exactly one received signal per receiver and state.
 
@@ -428,37 +533,38 @@ def check_signal_uniqueness(m: EpistemicStructure) -> Report:
     """
     failures = []
     for receiver in m.game.players:
+        keys = [Receive(receiver, s) for s in m.signals]
         for viewer in m.game.players:
-            for state in m.states:
-                got = m.signals_received(viewer, receiver, state)
-                if len(got) != 1:
-                    failures.append(SignalIssue(receiver, viewer, state, got))
+            table = m.masks[viewer]
+            rows = [table.get(key, 0) for key in keys]
+            seen, dup = fold(rows)
+            for k in states_in(m, dup | (m.full ^ seen)):
+                got = tuple(s for s, row in zip(m.signals, rows) if (row >> k) & 1)
+                failures.append(SignalIssue(receiver, viewer, m.states[k], got))
     return Report(not failures, tuple(failures))
 
 
 def check_partition_consistency(m: EpistemicStructure) -> Report:
     """Stored information partitions match the signal-derived ones cell for cell."""
-    if m.stored_partitions is None:
+    if m.stored_cells is None:
         return Report(True, notes=("no stored partitions; derived partitions are in effect",))
     try:
-        derived = m.derive_partitions()
+        derived = m._derived()
     except PreconditionError as exc:
         return Report(False, notes=(f"cannot derive partitions: {exc}",))
     failures = []
     for p in m.game.players:
-        derived_of = {}
-        for c in derived[p]:
-            for s in c:
-                derived_of[s] = c
-        stored_of = {}
-        for c in m.stored_partitions[p]:
-            for s in c:
-                stored_of[s] = c
-        for s in m.states:
-            if stored_of[s] != derived_of[s]:
-                failures.append(
-                    PartitionIssue(p, s, tuple(m._ordered(stored_of[s])), tuple(m._ordered(derived_of[s])))
+        stored = m.stored_cells[p]
+        # a state's two cells differ exactly when its stored cell is not derived
+        bad = 0
+        for c in set(stored).difference(derived[p]):
+            bad |= c
+        for k in states_in(m, bad):
+            failures.append(
+                PartitionIssue(
+                    p, m.states[k], m._names(_cell_at(stored, k)), m._names(_cell_at(derived[p], k))
                 )
+            )
     return Report(not failures, tuple(failures))
 
 
@@ -468,17 +574,27 @@ def check_action_uniqueness(m: EpistemicStructure) -> Report:
     States where a viewer sees no action at all are legal (play may be
     unmodeled there); they are listed in the notes for visibility.
     """
+    players = m.game.players
+    keys = {p: [Play(p, a) for a in m.game.actions_of(p)] for p in players}
     failures = []
     notes = []
-    for viewer in m.game.players:
-        for state in m.states:
-            for p in m.game.players:
-                acts = tuple(
-                    a for a in m.game.actions_of(p) if state in m.true_set(viewer, Play(p, a))
-                )
-                if len(acts) > 1:
+    for viewer in players:
+        table = m.masks[viewer]
+        rows = {p: [table.get(key, 0) for key in keys[p]] for p in players}
+        folds = {p: fold(rows[p]) for p in players}
+        bad = 0
+        for seen, dup in folds.values():
+            bad |= dup | (m.full ^ seen)
+        for k in states_in(m, bad):
+            state = m.states[k]
+            for p in players:
+                seen, dup = folds[p]
+                if (dup >> k) & 1:
+                    acts = tuple(
+                        a for a, row in zip(m.game.actions_of(p), rows[p]) if (row >> k) & 1
+                    )
                     failures.append(ActionIssue(viewer, state, p, acts))
-                elif not acts:
+                elif not (seen >> k) & 1:
                     notes.append(f"viewer {viewer!r} sees no action for player {p!r} at {state!r}")
     return Report(not failures, tuple(failures), tuple(notes))
 
@@ -486,14 +602,15 @@ def check_action_uniqueness(m: EpistemicStructure) -> Report:
 def check_cell_positivity(m: EpistemicStructure) -> Report:
     """Every information cell carries positive prior mass, so posteriors exist."""
     try:
-        partitions = m.partitions()
+        cells = m.cell_masks()
     except PreconditionError as exc:
         return Report(False, notes=(f"cannot derive partitions: {exc}",))
-    failures = []
-    for p in m.game.players:
-        for c in partitions[p]:
-            if m.mass(c) == 0:
-                failures.append(CellIssue(p, tuple(m._ordered(c))))
+    failures = [
+        CellIssue(p, m._names(c))
+        for p in m.game.players
+        for c in cells[p]
+        if mask_mass(m.prior_num, c) == 0
+    ]
     return Report(not failures, tuple(failures))
 
 
@@ -504,8 +621,6 @@ def check_signal_definitions(m: EpistemicStructure) -> Report:
     deems herself to have received the signal must equal i's intension of d.
     Signals without definitions are skipped.
     """
-    from .semantics import intension
-
     failures = []
     notes = []
     for sig in m.signals:
@@ -514,25 +629,22 @@ def check_signal_definitions(m: EpistemicStructure) -> Report:
             notes.append(f"signal {sig!r} has no definition; skipped")
             continue
         for p in m.game.players:
-            expected = intension(m, p, df)
-            actual = m.true_set(p, Receive(p, sig))
+            expected = m.evaluator().intension_mask(p, df)
+            actual = m.masks[p].get(Receive(p, sig), 0)
             if expected != actual:
-                failures.append(
-                    SignalDefIssue(p, sig, tuple(m._ordered(expected)), tuple(m._ordered(actual)))
-                )
+                failures.append(SignalDefIssue(p, sig, m._names(expected), m._names(actual)))
     return Report(not failures, tuple(failures), tuple(notes))
 
 
 def is_common_interpretation(m: EpistemicStructure) -> bool:
     """True when all players' interpretation tables agree everywhere."""
     players = m.game.players
-    keys = set()
-    for p in players:
-        keys.update(m.truth[p])
-    first = players[0]
-    return all(
-        m.true_set(p, node) == m.true_set(first, node) for p in players[1:] for node in keys
-    )
+    first = m.masks[players[0]]
+    for p in players[1:]:
+        table = m.masks[p]
+        if any(table.get(node, 0) != first.get(node, 0) for node in table.keys() | first.keys()):
+            return False
+    return True
 
 
 def check_rationality(m: EpistemicStructure) -> Report:
@@ -541,36 +653,49 @@ def check_rationality(m: EpistemicStructure) -> Report:
     Assumes signal uniqueness, partition consistency, action uniqueness and
     cell positivity already hold; may raise PreconditionError otherwise.
     """
-    from .semantics import holds
-
+    ev = m.evaluator()
     failures = []
     for p in m.game.players:
-        for state in m.states:
-            if holds(m, state, p, Rationality(p)):
-                continue
-            played = [
-                a for a in m.game.actions_of(p) if state in m.true_set(p, Play(p, a))
-            ]
-            for a in played:
-                if holds(m, state, p, Optimal(p, a)):
-                    continue
-                utilities = {b: _expected_payoff(m, p, b, state) for b in m.game.actions_of(p)}
-                better = max(utilities, key=lambda b: (utilities[b], b))
-                failures.append(
-                    RationalityIssue(p, state, a, better, utilities[better] - utilities[a])
-                )
+        bad = ev.full ^ ev.intension_mask(p, Rationality(p))
+        if not bad:
+            continue
+        acts = m.game.actions_of(p)
+        plays = [m.masks[p].get(Play(p, a), 0) for a in acts]
+        optimal = [ev.intension_mask(p, Optimal(p, a)) for a in acts]
+        for k in states_in(m, bad):
+            utilities = _expected_payoffs(ev, p, k)
+            better = max(utilities, key=lambda b: (utilities[b], b))
+            for a, play, opt in zip(acts, plays, optimal):
+                if (play >> k) & 1 and not (opt >> k) & 1:
+                    failures.append(
+                        RationalityIssue(p, m.states[k], a, better, utilities[better] - utilities[a])
+                    )
     return Report(not failures, tuple(failures))
 
 
-def _expected_payoff(m: EpistemicStructure, player: str, action: str, state: str) -> Fraction:
-    """Expected payoff of an action under the player's posterior at a state."""
-    from .semantics import intension, posterior
+def _expected_payoffs(ev, player: str, k: int) -> dict[str, Fraction]:
+    """Each action's expected payoff under the player's posterior at state k.
 
-    others = [j for j in m.game.players if j != player]
-    out = Fraction(0)
-    for combo in m.game.opponent_profiles(player):
-        event = intension(m, player, conj(Play(j, b) for j, b in zip(others, combo)))
-        weight = posterior(m, player, event, state)
-        if weight != 0:
-            out += weight * m.game.payoff(player, m.game.profile_with(player, action, combo))
-    return out
+    The posterior of an opponent profile is the integer mass of its event
+    within the player's cell at k over the cell's mass.
+    """
+    game = ev.game
+    cells, sums = ev.cells[player]
+    cell, cell_mass = next((c, w) for c, w in zip(cells, sums) if (c >> k) & 1)
+    others = [j for j in game.players if j != player]
+    weighted = []
+    for combo in game.opponent_profiles(player):
+        event = cell
+        for j, b in zip(others, combo):
+            event &= ev.intension_mask(player, Play(j, b))
+        w = mask_mass(ev.num, event)
+        if w:
+            weighted.append((w, combo))
+    return {
+        a: sum(
+            (w * game.payoff(player, game.profile_with(player, a, combo)) for w, combo in weighted),
+            Fraction(0),
+        )
+        / cell_mass
+        for a in game.actions_of(player)
+    }

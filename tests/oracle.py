@@ -9,6 +9,13 @@ package internals.
 Only valid on structures whose stored partitions (if any) agree with the
 signal-derived ones: cells are always regrouped from the owner's own
 received-signal rows here.
+
+The `naive_*` audits further down are the package's structural audits,
+self-enforcement, `induce` and `verify_induced_equilibrium` as per-state
+scans over `true_set`: one state at a time, in state order.  They are the
+reference the package's whole-mask versions must match exactly, failures,
+notes, order and exceptions included.  They evaluate formulas with the
+package's `holds`, so they check the audit layer, not the evaluator.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from ambicoord.coordination import EnforcementIssue, ValidityIssue, VerifyResult, as_formulas
+from ambicoord.errors import PreconditionError
 from ambicoord.formulas import (
     And,
     Belief,
@@ -30,6 +39,17 @@ from ambicoord.formulas import (
     ProbGe,
     Rationality,
     Receive,
+    conj,
+)
+from ambicoord.games import Distribution, check_objective_ce, check_subjective_ce
+from ambicoord.reports import Report
+from ambicoord.semantics import holds, intension, posterior
+from ambicoord.structures import (
+    ActionIssue,
+    CellIssue,
+    PartitionIssue,
+    RationalityIssue,
+    SignalIssue,
 )
 
 
@@ -289,3 +309,228 @@ def naive_certificate_holds(c, eq_rows, ge_rows, x, y) -> bool:
         _dot([a[j] for a, _ in rows], y) >= c[j] for j in range(len(c))
     )
     return primal and dual and _dot([b for _, b in rows], y) == _dot(c, x)
+
+
+# ------------------------------------------------------------ per-state audits
+
+
+def _ordered(m, states) -> list:
+    return sorted(states, key=m.states.index)
+
+
+def naive_signals_received(m, viewer, receiver, state) -> tuple:
+    return tuple(s for s in m.signals if state in m.true_set(viewer, Receive(receiver, s)))
+
+
+def naive_received_signal(m, player, state) -> str:
+    got = naive_signals_received(m, player, player, state)
+    if len(got) != 1:
+        raise PreconditionError(f"player {player!r} receives {len(got)} signals at state {state!r}")
+    return got[0]
+
+
+def naive_derive_partitions(m) -> dict:
+    out = {}
+    for p in m.game.players:
+        cells: dict = {}
+        for s in m.states:
+            cells.setdefault(naive_received_signal(m, p, s), []).append(s)
+        out[p] = tuple(frozenset(c) for c in cells.values())
+    return out
+
+
+def naive_partitions(m) -> dict:
+    if m.stored_partitions is not None:
+        return m.stored_partitions
+    return naive_derive_partitions(m)
+
+
+def naive_seen_profile(m, viewer, state) -> tuple:
+    out = []
+    for p in m.game.players:
+        acts = [a for a in m.game.actions_of(p) if state in m.true_set(viewer, Play(p, a))]
+        if len(acts) != 1:
+            raise PreconditionError(
+                f"viewer {viewer!r} sees {len(acts)} actions for player {p!r} at state {state!r}"
+            )
+        out.append(acts[0])
+    return tuple(out)
+
+
+def naive_check_signal_uniqueness(m) -> Report:
+    failures = []
+    for receiver in m.game.players:
+        for viewer in m.game.players:
+            for state in m.states:
+                got = naive_signals_received(m, viewer, receiver, state)
+                if len(got) != 1:
+                    failures.append(SignalIssue(receiver, viewer, state, got))
+    return Report(not failures, tuple(failures))
+
+
+def naive_check_partition_consistency(m) -> Report:
+    if m.stored_partitions is None:
+        return Report(True, notes=("no stored partitions; derived partitions are in effect",))
+    try:
+        derived = naive_derive_partitions(m)
+    except PreconditionError as exc:
+        return Report(False, notes=(f"cannot derive partitions: {exc}",))
+    failures = []
+    for p in m.game.players:
+        derived_of = {s: c for c in derived[p] for s in c}
+        stored_of = {s: c for c in m.stored_partitions[p] for s in c}
+        for s in m.states:
+            if stored_of[s] != derived_of[s]:
+                failures.append(
+                    PartitionIssue(
+                        p, s, tuple(_ordered(m, stored_of[s])), tuple(_ordered(m, derived_of[s]))
+                    )
+                )
+    return Report(not failures, tuple(failures))
+
+
+def naive_check_action_uniqueness(m) -> Report:
+    failures = []
+    notes = []
+    for viewer in m.game.players:
+        for state in m.states:
+            for p in m.game.players:
+                acts = tuple(
+                    a for a in m.game.actions_of(p) if state in m.true_set(viewer, Play(p, a))
+                )
+                if len(acts) > 1:
+                    failures.append(ActionIssue(viewer, state, p, acts))
+                elif not acts:
+                    notes.append(f"viewer {viewer!r} sees no action for player {p!r} at {state!r}")
+    return Report(not failures, tuple(failures), tuple(notes))
+
+
+def naive_check_cell_positivity(m) -> Report:
+    try:
+        partitions = naive_partitions(m)
+    except PreconditionError as exc:
+        return Report(False, notes=(f"cannot derive partitions: {exc}",))
+    failures = []
+    for p in m.game.players:
+        for c in partitions[p]:
+            if m.mass(c) == 0:
+                failures.append(CellIssue(p, tuple(_ordered(m, c))))
+    return Report(not failures, tuple(failures))
+
+
+def naive_expected_payoff(m, player, action, state) -> Fraction:
+    """One intension and one posterior per opponent profile."""
+    others = [j for j in m.game.players if j != player]
+    out = Fraction(0)
+    for combo in m.game.opponent_profiles(player):
+        event = intension(m, player, conj(Play(j, b) for j, b in zip(others, combo)))
+        weight = posterior(m, player, event, state)
+        if weight != 0:
+            out += weight * m.game.payoff(player, m.game.profile_with(player, action, combo))
+    return out
+
+
+def naive_check_rationality(m) -> Report:
+    failures = []
+    for p in m.game.players:
+        for state in m.states:
+            if holds(m, state, p, Rationality(p)):
+                continue
+            played = [a for a in m.game.actions_of(p) if state in m.true_set(p, Play(p, a))]
+            for a in played:
+                if holds(m, state, p, Optimal(p, a)):
+                    continue
+                utilities = {
+                    b: naive_expected_payoff(m, p, b, state) for b in m.game.actions_of(p)
+                }
+                better = max(utilities, key=lambda b: (utilities[b], b))
+                failures.append(
+                    RationalityIssue(p, state, a, better, utilities[better] - utilities[a])
+                )
+    return Report(not failures, tuple(failures))
+
+
+def naive_check_strategy_valid(m, c) -> Report:
+    failures = []
+    for f in as_formulas(c):
+        for viewer in m.game.players:
+            for state in m.states:
+                if not holds(m, state, viewer, f):
+                    failures.append(ValidityIssue(f, viewer, state))
+    return Report(not failures, tuple(failures))
+
+
+def naive_check_self_enforcing(m, c) -> Report:
+    failures = []
+    for p in m.game.players:
+        for state in m.states:
+            try:
+                signal = naive_received_signal(m, p, state)
+            except PreconditionError:
+                failures.append(EnforcementIssue(p, state, None, None, "signal"))
+                continue
+            action = c.action(p, signal)
+            if not holds(m, state, p, Play(p, action)):
+                failures.append(EnforcementIssue(p, state, signal, action, "plays"))
+            elif not holds(m, state, p, Optimal(p, action)):
+                failures.append(EnforcementIssue(p, state, signal, action, "optimal"))
+    return Report(not failures, tuple(failures))
+
+
+def naive_induce(m, viewer) -> Distribution:
+    weights: dict = {}
+    for state in m.states:
+        profile = naive_seen_profile(m, viewer, state)
+        weights[profile] = weights.get(profile, Fraction(0)) + m.prior_of(state)
+    return Distribution(weights)
+
+
+def naive_is_common_interpretation(m) -> bool:
+    players = m.game.players
+    nodes = [Prim(a) for a in m.atoms]
+    nodes += [Receive(j, s) for j in players for s in m.signals]
+    nodes += [Play(j, a) for j in players for a in m.game.actions_of(j)]
+    return all(m.true_set(p, node) == m.true_set(players[0], node) for p in players for node in nodes)
+
+
+def naive_verify_induced_equilibrium(m, c) -> VerifyResult:
+    problems = []
+    named_checks = (
+        ("signal uniqueness", naive_check_signal_uniqueness),
+        ("partition consistency", naive_check_partition_consistency),
+        ("action uniqueness", naive_check_action_uniqueness),
+        ("cell positivity", naive_check_cell_positivity),
+    )
+    clean = True
+    for label, check in named_checks:
+        report = check(m)
+        if not report.ok:
+            clean = False
+            problems.append(f"{label} fails ({len(report.failures) or 1} issue(s))")
+    if clean:
+        rat = naive_check_rationality(m)
+        if not rat.ok:
+            problems.append(f"rationality fails ({len(rat.failures)} issue(s))")
+        strat = naive_check_strategy_valid(m, c)
+        if not strat.ok:
+            problems.append(f"strategy validity fails ({len(strat.failures)} issue(s))")
+    else:
+        problems.append("rationality and strategy checks skipped")
+
+    try:
+        distributions = {p: naive_induce(m, p) for p in m.game.players}
+    except PreconditionError as exc:
+        problems.append(str(exc))
+        return VerifyResult(False, None, None, {}, tuple(problems), None)
+
+    if naive_is_common_interpretation(m):
+        kind = "objective"
+        first = distributions[m.game.players[0]]
+        if any(d != first for d in distributions.values()):
+            raise RuntimeError("common interpretation must induce one shared distribution")
+        ce_report = check_objective_ce(m.game, first)
+    else:
+        kind = "subjective"
+        ce_report = check_subjective_ce(m.game, [distributions[p] for p in m.game.players])
+    ok = ce_report.ok and not problems
+    return VerifyResult(ok, ce_report.ok, kind, distributions, tuple(problems), ce_report)

@@ -150,6 +150,24 @@ class TestValidate:
         assert "rationality: skipped" in captured.out
         assert captured.err  # the offending triple is named
 
+    def test_failures_are_listed_in_the_same_order_under_any_hash_seed(self, tmp_path):
+        # every recommendation shifted by one action: each instruction fails
+        # at several states, named in state order whatever the string hashes
+        actions = json.loads(Path(CG).read_text())["actions"]
+        table = json.loads(Path(CST).read_text())
+        shifted = {
+            p: {s: actions[p][(actions[p].index(a) + 1) % len(actions[p])] for s, a in row.items()}
+            for p, row in table.items()
+        }
+        strategy = tmp_path / "shifted.json"
+        strategy.write_text(json.dumps(shifted))
+        main_ep = importlib.metadata.EntryPoint("ambicoord", "ambicoord.cli:main", "console_scripts")
+        args = ("validate", "--game", CG, "--structure", CS, "--strategy", str(strategy))
+        runs = [_run_entry_point(main_ep, *args, hash_seed=seed) for seed in ("1", "2")]
+        assert [run.returncode for run in runs] == [1, 1]
+        assert runs[0].stderr.count("strategy-validity: ValidityIssue") > 2
+        assert runs[0].stderr == runs[1].stderr
+
     def test_malformed_json_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
@@ -318,16 +336,21 @@ def _declared_console_script() -> importlib.metadata.EntryPoint:
     return importlib.metadata.EntryPoint("ambicoord", scripts["ambicoord"], "console_scripts")
 
 
-def _run_entry_point(ep: importlib.metadata.EntryPoint, *args: str) -> subprocess.CompletedProcess:
+def _run_entry_point(
+    ep: importlib.metadata.EntryPoint, *args: str, hash_seed: str | None = None
+) -> subprocess.CompletedProcess:
     """Run `ep` the way a generated console script does, against the package under test."""
     code = f"import sys; from {ep.module} import {ep.attr}; sys.exit({ep.attr}())"
     src = str(Path(ambicoord.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
     )
 
 

@@ -1,5 +1,7 @@
 """Coordination strategies: validity, self-enforcement, induced play."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from ambicoord import (
     as_formulas,
     check_self_enforcing,
     check_strategy_valid,
+    from_objective_ce,
     induce,
     verify_induced_equilibrium,
 )
@@ -201,6 +204,20 @@ class TestVerify:
         assert result.kind == "subjective"
         assert result.ce_ok is True
         assert result.distributions["2"] == Distribution({("U", "L"): F(1)})
+
+    def test_an_audited_structure_is_freed_by_reference_counting(self, cycle_game, cycle_ce):
+        # the structure caches its evaluator, which must not point back at it
+        built = from_objective_ce(cycle_game, cycle_ce)
+        m, strategy = built.structure, built.strategy
+        del built
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            assert verify_induced_equilibrium(m, strategy).ok
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_structural_damage_is_reported_not_raised(self, coord_game):
         m, c = coord_variant(coord_game)
