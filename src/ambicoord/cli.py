@@ -15,26 +15,22 @@ from pathlib import Path
 
 from .construct import from_objective_ce, from_subjective_ce
 from .coordination import (
+    STRUCTURAL,
     CoordinationStrategy,
-    check_self_enforcing,
-    check_strategy_valid,
     induce,
+    run_audits,
     verify_induced_equilibrium,
 )
 from .errors import PreconditionError, SchemaError
-from .formulas import expand
+from .formulas import expand, expanded_length
 from .games import Distribution, Game, load_objective, solve_ce, validate_game
 from .parser import ParseError, parse_formula
+from .reports import Report
 from .semantics import holds
-from .structures import (
-    EpistemicStructure,
-    check_action_uniqueness,
-    check_cell_positivity,
-    check_partition_consistency,
-    check_rationality,
-    check_signal_definitions,
-    check_signal_uniqueness,
-)
+from .structures import EpistemicStructure
+
+# `parse` refuses a formula whose expansion would print more characters
+MAX_EXPANDED = 1_000_000
 
 
 def _read_json(path: str):
@@ -93,6 +89,8 @@ def _cmd_parse(args) -> int:
         m = _load_structure(args.structure, game)
         signals, atoms = m.signals, m.atoms
     f = parse_formula(args.formula, game, signals, atoms)
+    if expanded_length(f, game, MAX_EXPANDED) > MAX_EXPANDED:
+        raise PreconditionError(f"the expanded formula would print more than {MAX_EXPANDED} characters")
     print(f"canonical: {f}")
     print(f"expanded: {expand(f, game)}")
     return 0
@@ -114,74 +112,39 @@ def _cmd_validate(args) -> int:
     m = _load_structure(args.structure, game)
     strategy = _load_strategy(args.strategy, game, m.signals) if args.strategy else None
 
-    rows: list[tuple[str, object]] = []
-    basic_ok = True
-    for label, check in (
-        ("signal-uniqueness", check_signal_uniqueness),
-        ("partition-consistency", check_partition_consistency),
-        ("action-uniqueness", check_action_uniqueness),
-        ("cell-positivity", check_cell_positivity),
-    ):
-        report = check(m)
-        basic_ok = basic_ok and report.ok
-        rows.append((label, report))
+    labels = STRUCTURAL + ("rationality",)
     if any(df is not None for df in m.signal_defs.values()):
-        rows.append(("signal-definitions", _guarded(check_signal_definitions, m)))
-    if basic_ok:
-        rows.append(("rationality", _guarded(check_rationality, m)))
-    else:
-        rows.append(("rationality", "skipped (structural checks failed)"))
+        labels += ("signal definitions",)
     if strategy is not None:
-        if basic_ok:
-            rows.append(("strategy-validity", _guarded(check_strategy_valid, m, strategy)))
-            rows.append(("self-enforcement", _guarded(check_self_enforcing, m, strategy)))
-        else:
-            rows.append(("strategy-validity", "skipped (structural checks failed)"))
-            rows.append(("self-enforcement", "skipped (structural checks failed)"))
-
+        labels += ("strategy validity", "self-enforcement")
     all_ok = True
-    for label, outcome in rows:
-        if isinstance(outcome, str):
-            print(f"{label}: {outcome}")
-            all_ok = False
+    for label, outcome in run_audits(m, strategy, labels):
+        label = label.replace(" ", "-")
+        ok = isinstance(outcome, Report) and outcome.ok
+        all_ok = all_ok and ok
+        if not isinstance(outcome, Report):
+            reason = "structural checks failed" if outcome is None else outcome
+            print(f"{label}: skipped ({reason})")
             continue
-        print(f"{label}: {'pass' if outcome.ok else 'fail'}")
-        if not outcome.ok:
-            all_ok = False
-            for issue in outcome.failures:
-                print(f"  {label}: {issue}", file=sys.stderr)
-            for note in outcome.notes:
-                print(f"  {label}: {note}", file=sys.stderr)
+        print(f"{label}: {'pass' if ok else 'fail'}")
+        if not ok:
+            for line in (*outcome.failures, *outcome.notes):
+                print(f"  {label}: {line}", file=sys.stderr)
     return 0 if all_ok else 1
-
-
-def _guarded(check, *args):
-    """Run a dependent check, reporting precondition blowups as a skip."""
-    try:
-        return check(*args)
-    except PreconditionError as exc:
-        return f"skipped ({exc})"
-
-
-def _gate_preconditions(m: EpistemicStructure, strategy: CoordinationStrategy) -> None:
-    """Shared gate for induce/verify-style commands: A-checks + strategy validity."""
-    for label, report in (
-        ("signal uniqueness", check_signal_uniqueness(m)),
-        ("partition consistency", check_partition_consistency(m)),
-        ("action uniqueness", check_action_uniqueness(m)),
-    ):
-        if not report.ok:
-            raise PreconditionError(label)
-    report = check_strategy_valid(m, strategy)
-    if not report.ok:
-        raise PreconditionError("strategy validity")
 
 
 def _cmd_induce(args) -> int:
     game = _load_game(args.game)
     m = _load_structure(args.structure, game)
     strategy = _load_strategy(args.strategy, game, m.signals)
-    _gate_preconditions(m, strategy)
+    # the audits that make play well defined, then strategy validity; the
+    # first failure is refused, named by its label
+    gate = ("signal uniqueness", "partition consistency", "action uniqueness", "strategy validity")
+    for label, outcome in run_audits(m, strategy, gate):
+        if isinstance(outcome, PreconditionError):
+            raise outcome
+        if not outcome.ok:
+            raise PreconditionError(label)
     if args.player:
         player = _resolve_player(game, args.player)
         print(json.dumps(induce(m, player).to_dict(game), indent=2))

@@ -29,14 +29,7 @@ from typing import Sequence
 from .coordination import CoordinationStrategy
 from .errors import PreconditionError
 from .formulas import Formula, Play, Receive
-from .games import (
-    Distribution,
-    Game,
-    check_objective_ce,
-    check_subjective_ce,
-    profile_key,
-    validate_game,
-)
+from .games import Distribution, Game, check_subjective_ce, profile_key, require_valid_game
 from .structures import EpistemicStructure
 
 
@@ -54,30 +47,30 @@ def _signal_scheme(game: Game):
     """Shared alphabet sig1..sigK plus per-player action<->signal tables."""
     width = max(len(game.actions_of(p)) for p in game.players)
     signals = tuple(f"sig{k + 1}" for k in range(width))
-    to_signal = {
-        p: {a: signals[k] for k, a in enumerate(game.actions_of(p))} for p in game.players
+    to_signal = {p: dict(zip(game.actions_of(p), signals)) for p in game.players}
+    # signals past a player's actions fall back to her first action
+    strategy_table = {
+        p: dict(zip(signals, game.actions_of(p) + (game.actions_of(p)[0],) * width)) for p in game.players
     }
-    strategy_table = {}
-    for p in game.players:
-        acts = game.actions_of(p)
-        strategy_table[p] = {
-            signals[k]: (acts[k] if k < len(acts) else acts[0]) for k in range(width)
-        }
     return signals, to_signal, strategy_table
 
 
-def _require_usable(game: Game, dist: Distribution, label: str) -> None:
-    problems = validate_game(game)
-    if not problems.ok:
-        raise PreconditionError("game is not valid: " + "; ".join(map(str, problems.failures)))
-    actions = {p: set(game.actions_of(p)) for p in game.players}
-    for profile in dist.support():
-        if len(profile) != game.n or any(
-            a not in actions[p] for p, a in zip(game.players, profile)
-        ):
-            raise PreconditionError(f"{label} is not over this game's profiles")
-    if any(w < 0 for w in dist.weights.values()) or dist.total() != 1:
-        raise PreconditionError(f"{label} is not a probability distribution")
+def _require_ce(game: Game, dists: Sequence[Distribution], kind: str) -> None:
+    """Refuse, with PreconditionError, an invalid game, weights that are not
+    a probability distribution, or distributions that are not a `kind`
+    correlated equilibrium (one per player; an objective CE repeats one)."""
+    require_valid_game(game)
+    for d in dists:
+        if any(w < 0 for w in d.weights.values()) or d.total() != 1:
+            raise PreconditionError("distribution is not a probability distribution")
+    verdict = check_subjective_ce(game, dists)
+    if not verdict.ok:
+        worst = verdict.failures[0]
+        raise PreconditionError(
+            f"not {kind} correlated equilibrium: e.g. player "
+            f"{worst.player!r} gains by deviating {worst.action!r}->{worst.deviation!r} "
+            f"(slack {worst.slack})"
+        )
 
 
 def from_objective_ce(game: Game, dist: Distribution) -> ConstructionResult:
@@ -86,37 +79,9 @@ def from_objective_ce(game: Game, dist: Distribution) -> ConstructionResult:
     States are named by their support profile's key; each player receives the
     signal encoding her own recommended action and plays it.
     """
-    _require_usable(game, dist, "distribution")
-    verdict = check_objective_ce(game, dist)
-    if not verdict.ok:
-        worst = verdict.failures[0]
-        raise PreconditionError(
-            "not an objective correlated equilibrium: e.g. player "
-            f"{worst.player!r} gains by deviating {worst.action!r}->{worst.deviation!r} "
-            f"(slack {worst.slack})"
-        )
-
-    signals, to_signal, strategy_table = _signal_scheme(game)
+    _require_ce(game, [dist] * game.n, "an objective")
     support = [a for a in game.profiles() if dist.weight(a) > 0]
-    states = [profile_key(a) for a in support]
-    prior = {profile_key(a): dist.weight(a) for a in support}
-
-    table: dict[Formula, set[str]] = {}
-    for a in support:
-        state = profile_key(a)
-        for p, action in zip(game.players, a):
-            table.setdefault(Receive(p, to_signal[p][action]), set()).add(state)
-            table.setdefault(Play(p, action), set()).add(state)
-    truth = {p: {node: frozenset(ss) for node, ss in table.items()} for p in game.players}
-
-    partitions = {
-        p: _grouped(states, support, lambda a, k=game.player_index(p): a[k]) for p in game.players
-    }
-    structure = EpistemicStructure(
-        game, states, prior, signals, (), truth, partitions, None
-    )
-    strategy = CoordinationStrategy(game.players, signals, strategy_table)
-    return ConstructionResult(structure, strategy, to_signal)
+    return _device(game, [(profile_key(a), dist.weight(a), (a,) * game.n) for a in support])
 
 
 def from_subjective_ce(game: Game, dists: Sequence[Distribution]) -> ConstructionResult:
@@ -129,60 +94,36 @@ def from_subjective_ce(game: Game, dists: Sequence[Distribution]) -> Constructio
     has positive mass.
     """
     dists = list(dists)
-    if len(dists) != game.n:
-        raise PreconditionError(f"need one distribution per player, got {len(dists)} for {game.n}")
-    for d in dists:
-        _require_usable(game, d, "distribution")
-    verdict = check_subjective_ce(game, dists)
-    if not verdict.ok:
-        worst = verdict.failures[0]
-        raise PreconditionError(
-            "not a subjective correlated equilibrium: e.g. player "
-            f"{worst.player!r} gains by deviating {worst.action!r}->{worst.deviation!r} "
-            f"(slack {worst.slack})"
-        )
-
-    signals, to_signal, strategy_table = _signal_scheme(game)
+    _require_ce(game, dists, "a subjective")
     supports = [[a for a in game.profiles() if d.weight(a) > 0] for d in dists]
-    assignments = list(product(*supports))
-
-    def name(assignment) -> str:
-        return "|".join(profile_key(a) for a in assignment)
-
-    states = [name(w) for w in assignments]
-    prior = {}
-    for w in assignments:
+    states = []
+    for w in product(*supports):
         weight = Fraction(1)
         for d, a in zip(dists, w):
             weight *= d.weight(a)
-        prior[name(w)] = weight
+        states.append(("|".join(map(profile_key, w)), weight, w))
+    return _device(game, states)
 
+
+def _device(game: Game, states: Sequence[tuple[str, Fraction, tuple]]) -> ConstructionResult:
+    """The device for (name, prior, views) states: player i reads signals and
+    play off the profile views[i], and her cells group the states by her own
+    action there, in order of first appearance."""
+    signals, to_signal, strategy_table = _signal_scheme(game)
     truth: dict[str, dict[Formula, frozenset[str]]] = {}
+    partitions = {}
     for i, p in enumerate(game.players):
         table: dict[Formula, set[str]] = {}
-        for w in assignments:
-            state = name(w)
-            mine = w[i]
+        cells: dict[str, list[str]] = {}
+        for state, _, views in states:
+            mine = views[i]
             for q, action in zip(game.players, mine):
                 table.setdefault(Receive(q, to_signal[q][action]), set()).add(state)
                 table.setdefault(Play(q, action), set()).add(state)
+            cells.setdefault(mine[i], []).append(state)
         truth[p] = {node: frozenset(ss) for node, ss in table.items()}
-
-    partitions = {}
-    for i, p in enumerate(game.players):
-        k = game.player_index(p)
-        partitions[p] = _grouped(states, assignments, lambda w: w[i][k])
-
-    structure = EpistemicStructure(
-        game, states, prior, signals, (), truth, partitions, None
-    )
+        partitions[p] = [frozenset(c) for c in cells.values()]
+    prior = {state: weight for state, weight, _ in states}
+    structure = EpistemicStructure(game, [s for s, _, _ in states], prior, signals, (), truth, partitions, None)
     strategy = CoordinationStrategy(game.players, signals, strategy_table)
     return ConstructionResult(structure, strategy, to_signal)
-
-
-def _grouped(states, tagged, tag_of):
-    """Partition cells grouped by a tag, ordered by first appearance."""
-    cells: dict[object, list[str]] = {}
-    for state, item in zip(states, tagged):
-        cells.setdefault(tag_of(item), []).append(state)
-    return [frozenset(c) for c in cells.values()]

@@ -13,11 +13,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, SchemaError
 from .formulas import Formula, Implies, Optimal, Play, Receive
-from .games import Distribution, Game, check_objective_ce, check_subjective_ce
+from .games import Distribution, Game, check_subjective_ce
 from .reports import Report
 from .structures import (
     EpistemicStructure,
@@ -25,6 +25,7 @@ from .structures import (
     check_cell_positivity,
     check_partition_consistency,
     check_rationality,
+    check_signal_definitions,
     check_signal_uniqueness,
     fold,
     is_common_interpretation,
@@ -194,6 +195,59 @@ def induce(m: EpistemicStructure, viewer: str) -> Distribution:
     )
 
 
+# ------------------------------------------------------------------ audits
+
+
+@dataclass(frozen=True)
+class AuditStep:
+    """One audit of a structure (and strategy): its label, its check, and
+    the labels of the earlier steps that must pass for it to run."""
+
+    label: str
+    check: Callable[[EpistemicStructure, Optional[CoordinationStrategy]], Report]
+    needs: tuple[str, ...] = ()
+
+
+STRUCTURAL = ("signal uniqueness", "partition consistency", "action uniqueness", "cell positivity")
+
+# The audit order, declared once: `validate`, the `induce` gate and
+# `verify_induced_equilibrium` pick their steps from it by label.
+AUDITS = (
+    AuditStep("signal uniqueness", lambda m, c: check_signal_uniqueness(m)),
+    AuditStep("partition consistency", lambda m, c: check_partition_consistency(m)),
+    AuditStep("action uniqueness", lambda m, c: check_action_uniqueness(m)),
+    AuditStep("cell positivity", lambda m, c: check_cell_positivity(m)),
+    AuditStep("signal definitions", lambda m, c: check_signal_definitions(m)),
+    AuditStep("rationality", lambda m, c: check_rationality(m), STRUCTURAL),
+    AuditStep("strategy validity", check_strategy_valid, STRUCTURAL),
+    AuditStep("self-enforcement", check_self_enforcing, STRUCTURAL),
+)
+
+AuditOutcome = Report | PreconditionError | None
+
+
+def run_audits(
+    m: EpistemicStructure, c: Optional[CoordinationStrategy], labels: Collection[str]
+) -> Iterator[tuple[str, AuditOutcome]]:
+    """Run the steps of AUDITS named in `labels`, in order, lazily.
+
+    Yields (label, outcome): the step's Report, the PreconditionError its
+    check raised, or None when a step it needs ran and did not pass.
+    """
+    passed: dict[str, bool] = {}
+    for step in AUDITS:
+        if step.label not in labels:
+            continue
+        outcome: AuditOutcome = None
+        if all(passed.get(need, True) for need in step.needs):
+            try:
+                outcome = step.check(m, c)
+            except PreconditionError as exc:
+                outcome = exc
+        passed[step.label] = isinstance(outcome, Report) and outcome.ok
+        yield step.label, outcome
+
+
 @dataclass(frozen=True)
 class VerifyResult:
     """Outcome of verify_induced_equilibrium.
@@ -216,26 +270,15 @@ class VerifyResult:
 def verify_induced_equilibrium(m: EpistemicStructure, c: CoordinationStrategy) -> VerifyResult:
     """Induce per-player distributions and check the matching CE notion."""
     problems = []
-    named_checks = (
-        ("signal uniqueness", check_signal_uniqueness),
-        ("partition consistency", check_partition_consistency),
-        ("action uniqueness", check_action_uniqueness),
-        ("cell positivity", check_cell_positivity),
-    )
-    clean = True
-    for label, check in named_checks:
-        report = check(m)
-        if not report.ok:
-            clean = False
-            problems.append(f"{label} fails ({len(report.failures) or 1} issue(s))")
-    if clean:
-        rat = check_rationality(m)
-        if not rat.ok:
-            problems.append(f"rationality fails ({len(rat.failures)} issue(s))")
-        strat = check_strategy_valid(m, c)
-        if not strat.ok:
-            problems.append(f"strategy validity fails ({len(strat.failures)} issue(s))")
-    else:
+    skipped = False
+    for label, outcome in run_audits(m, c, STRUCTURAL + ("rationality", "strategy validity")):
+        if isinstance(outcome, PreconditionError):
+            raise outcome
+        if outcome is None:
+            skipped = True
+        elif not outcome.ok:
+            problems.append(f"{label} fails ({len(outcome.failures) or 1} issue(s))")
+    if skipped:
         problems.append("rationality and strategy checks skipped")
 
     try:
@@ -244,14 +287,9 @@ def verify_induced_equilibrium(m: EpistemicStructure, c: CoordinationStrategy) -
         problems.append(str(exc))
         return VerifyResult(False, None, None, {}, tuple(problems), None)
 
-    if is_common_interpretation(m):
-        kind = "objective"
-        first = distributions[m.game.players[0]]
-        if any(d != first for d in distributions.values()):
-            raise RuntimeError("common interpretation must induce one shared distribution")
-        ce_report = check_objective_ce(m.game, first)
-    else:
-        kind = "subjective"
-        ce_report = check_subjective_ce(m.game, [distributions[p] for p in m.game.players])
+    # a common interpretation induces one shared distribution, whose
+    # objective check is the subjective one with that distribution for all
+    kind = "objective" if is_common_interpretation(m) else "subjective"
+    ce_report = check_subjective_ce(m.game, [distributions[p] for p in m.game.players])
     ok = ce_report.ok and not problems
     return VerifyResult(ok, ce_report.ok, kind, distributions, tuple(problems), ce_report)

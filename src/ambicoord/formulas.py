@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
+
+from .games import incentive_row
 
 if TYPE_CHECKING:
     from .games import Game
@@ -24,8 +26,33 @@ if TYPE_CHECKING:
 class Formula:
     """Abstract base; only the concrete node classes below are instantiated."""
 
+    _hash = None  # not a field: set by the first hash of a _node instance
+
     def __str__(self) -> str:
         return _text(self, _IMP)
+
+    def __getstate__(self):
+        # the kept hash (see _node) is salted per process: leave it behind
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
+def _node(cls):
+    """A frozen dataclass that hashes its fields once: the generated hash
+    walks the whole subtree, so memo lookups by every sub-formula of a d-deep
+    formula would cost O(d^2).  The hash is kept outside the fields.  Leaf
+    nodes keep the generated hash: their string fields keep their own."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 # ---------------------------------------------------------------- core nodes
@@ -54,18 +81,18 @@ class Receive(Formula):
     signal: str
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class ProbGe(Formula):
     """Linear inequality over one player's subjective probabilities.
 
@@ -86,7 +113,7 @@ class ProbGe(Formula):
         object.__setattr__(self, "bound", Fraction(self.bound))
 
 
-@dataclass(frozen=True)
+@_node
 class CommonBelief(Formula):
     """Common belief: mutual belief of every finite order at once."""
 
@@ -96,13 +123,13 @@ class CommonBelief(Formula):
 # --------------------------------------------------------------- sugar nodes
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Belief(Formula):
     """Probability-1 belief of one player (a pair of ProbGe inequalities)."""
 
@@ -110,7 +137,7 @@ class Belief(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class MutualBelief(Formula):
     """order-fold "everybody believes"; order 1 is plain mutual belief."""
 
@@ -144,54 +171,48 @@ _IMP, _CONJ, _NEG, _ATOM = 0, 1, 2, 3
 
 
 def _text(f: Formula, need: int) -> str:
-    text, level = _node_text(f)
-    if level < need:
-        return f"({text})"
-    return text
+    pieces, level = _layout(f)
+    text = "".join(p if isinstance(p, str) else _text(*p) for p in pieces)
+    return f"({text})" if level < need else text
 
 
-def _node_text(f: Formula) -> tuple[str, int]:
+def _layout(f: Formula) -> tuple[tuple, int]:
+    """The node's text as pieces, strings and (operand, level it needs)
+    pairs, and the node's own precedence level."""
     if isinstance(f, Prim):
-        return f.name, _ATOM
+        return (f.name,), _ATOM
     if isinstance(f, Play):
-        return f"pl({f.player},{f.action})", _ATOM
+        return (f"pl({f.player},{f.action})",), _ATOM
     if isinstance(f, Receive):
-        return f"rec({f.player},{f.signal})", _ATOM
+        return (f"rec({f.player},{f.signal})",), _ATOM
     if isinstance(f, Not):
-        return "!" + _text(f.arg, _NEG), _NEG
+        return ("!", (f.arg, _NEG)), _NEG
     if isinstance(f, And):
         # left-nested chains print flat: (a & b) & c  ->  "a & b & c"
-        return _text(f.left, _CONJ) + " & " + _text(f.right, _NEG), _CONJ
+        return ((f.left, _CONJ), " & ", (f.right, _NEG)), _CONJ
     if isinstance(f, Implies):
         # right associative
-        return _text(f.left, _CONJ) + " -> " + _text(f.right, _IMP), _IMP
+        return ((f.left, _CONJ), " -> ", (f.right, _IMP)), _IMP
     if isinstance(f, ProbGe):
-        return _probge_text(f), _ATOM
+        pieces: list = []
+        for k, (coef, sub) in enumerate(f.terms):
+            # the first coefficient keeps its sign; later ones print as + or -
+            sign, mag = ("", coef) if k == 0 else (" - " if coef < 0 else " + ", abs(coef))
+            lead = sign if mag == 1 else f"{sign}{mag}*"
+            pieces += [f"{lead}pr_{f.owner}(", (sub, _IMP), ")"]
+        return (*pieces, f" >= {f.bound}"), _ATOM
     if isinstance(f, CommonBelief):
-        return f"CB({_text(f.arg, _IMP)})", _ATOM
+        return ("CB(", (f.arg, _IMP), ")"), _ATOM
     if isinstance(f, Belief):
-        return f"B_{f.player}({_text(f.arg, _IMP)})", _ATOM
+        return (f"B_{f.player}(", (f.arg, _IMP), ")"), _ATOM
     if isinstance(f, MutualBelief):
         head = "EB" if f.order == 1 else f"EB^{f.order}"
-        return f"{head}({_text(f.arg, _IMP)})", _ATOM
+        return (f"{head}(", (f.arg, _IMP), ")"), _ATOM
     if isinstance(f, Optimal):
-        return f"opt_{f.player}({f.action})", _ATOM
+        return (f"opt_{f.player}({f.action})",), _ATOM
     if isinstance(f, Rationality):
-        return f"rat_{f.player}", _ATOM
+        return (f"rat_{f.player}",), _ATOM
     raise TypeError(f"not a formula node: {f!r}")
-
-
-def _probge_text(f: ProbGe) -> str:
-    parts = []
-    for k, (coef, sub) in enumerate(f.terms):
-        base = f"pr_{f.owner}({_text(sub, _IMP)})"
-        if k == 0:
-            parts.append(base if coef == 1 else f"{coef}*{base}")
-        else:
-            sign = "-" if coef < 0 else "+"
-            mag = abs(coef)
-            parts.append(f"{sign} {base}" if mag == 1 else f"{sign} {mag}*{base}")
-    return " ".join(parts) + f" >= {f.bound}"
 
 
 # ----------------------------------------------------------------- expansion
@@ -212,58 +233,125 @@ def conj(parts: Iterable[Formula]) -> Formula:
 def expand(f: Formula, game: Game) -> Formula:
     """Rewrite to core nodes only (Prim/Play/Receive/Not/And/ProbGe/CommonBelief).
 
-    Expansion is idempotent, and satisfaction is invariant under it.
+    Expansion is idempotent, and satisfaction is invariant under it.  Each
+    operand is expanded once and shared where the rewrite repeats it, and
+    EB^k is built one level at a time, however long the result prints.
     """
+    if isinstance(f, MutualBelief):
+        out = expand(f.arg, game)
+        for _ in range(f.order):
+            out = _everybody_believes(out, game)
+        return out
+    return rewrite(f, game, lambda g: expand(g, game))
+
+
+def rewrite(f: Formula, game: Game, rec: Callable[[Formula], Formula]) -> Formula:
+    """f's own sugar rewritten to core nodes, each operand g replaced by
+    rec(g).  MutualBelief is left to the callers, which iterate its order."""
     if isinstance(f, (Prim, Play, Receive)):
         return f
     if isinstance(f, Not):
-        return Not(expand(f.arg, game))
+        return Not(rec(f.arg))
     if isinstance(f, And):
-        return And(expand(f.left, game), expand(f.right, game))
+        return And(rec(f.left), rec(f.right))
     if isinstance(f, Implies):
-        return Not(And(expand(f.left, game), Not(expand(f.right, game))))
+        return Not(And(rec(f.left), Not(rec(f.right))))
     if isinstance(f, ProbGe):
-        return ProbGe(f.owner, tuple((c, expand(sub, game)) for c, sub in f.terms), f.bound)
+        return ProbGe(f.owner, tuple((c, rec(sub)) for c, sub in f.terms), f.bound)
     if isinstance(f, CommonBelief):
-        return CommonBelief(expand(f.arg, game))
+        return CommonBelief(rec(f.arg))
     if isinstance(f, Belief):
-        sub = expand(f.arg, game)
-        return And(
-            ProbGe(f.player, ((Fraction(1), sub),), Fraction(1)),
-            ProbGe(f.player, ((Fraction(-1), sub),), Fraction(-1)),
-        )
-    if isinstance(f, MutualBelief):
-        inner: Formula = f.arg if f.order == 1 else MutualBelief(f.order - 1, f.arg)
-        return conj(expand(Belief(j, inner), game) for j in game.players)
+        return _believes(f.player, rec(f.arg))
     if isinstance(f, Optimal):
         return optimality_core(f.player, f.action, game)
     if isinstance(f, Rationality):
         return conj(
-            expand(Implies(Play(f.player, a), Optimal(f.player, a)), game)
-            for a in game.actions_of(f.player)
+            rec(Implies(Play(f.player, a), Optimal(f.player, a))) for a in game.actions_of(f.player)
         )
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def _believes(player: str, sub: Formula) -> Formula:
+    """Core form of B_player(sub): probability at least 1 and at most 1."""
+    return And(
+        ProbGe(player, ((Fraction(1), sub),), Fraction(1)),
+        ProbGe(player, ((Fraction(-1), sub),), Fraction(-1)),
+    )
+
+
+def _everybody_believes(sub: Formula, game: Game) -> Formula:
+    return conj(_believes(j, sub) for j in game.players)
 
 
 def optimality_core(player: str, action: str, game: Game) -> Formula:
     """Core form of "action is a best response under player's beliefs".
 
-    One inequality per alternative action: the expected payoff difference
-    against the believed opponent play is >= 0.  The alternative equal to the
-    action itself yields the trivially true all-zero inequality and is kept,
-    so the conjunction always ranges over the player's whole action set.
+    One inequality per alternative: the expected `incentive_row` gain against
+    the believed opponent play is >= 0.  The alternative equal to the action
+    itself yields the trivially true all-zero inequality and is kept, so the
+    conjunction always ranges over the player's whole action set.
     """
     others = [j for j in game.players if j != player]
     if not others:
         raise ValueError("optimality needs at least one opponent")
-    rows = []
-    for alt in game.actions_of(player):
-        terms = []
-        for combo in game.opponent_profiles(player):
-            gain = game.payoff(player, game.profile_with(player, action, combo)) - game.payoff(
-                player, game.profile_with(player, alt, combo)
-            )
-            event = conj(Play(j, b) for j, b in zip(others, combo))
-            terms.append((gain, event))
-        rows.append(ProbGe(player, tuple(terms), Fraction(0)))
-    return conj(rows)
+    events = [
+        conj(Play(j, b) for j, b in zip(others, combo)) for combo in game.opponent_profiles(player)
+    ]
+    return conj(
+        ProbGe(player, tuple(zip(incentive_row(game, player, action, alt).values(), events)), Fraction(0))
+        for alt in game.actions_of(player)
+    )
+
+
+# ---------------------------------------------------------------- measuring
+
+
+@dataclass(frozen=True)
+class _Measured(Formula):
+    """Stands in for an expanded operand that is measured, not printed: the
+    length of its text without parentheses, and its precedence level."""
+
+    length: int
+    level: int
+
+
+def _length(f: Formula, need: int) -> int:
+    """len(_text(f, need)), counting each stand-in at its measured length."""
+    if isinstance(f, _Measured):
+        body, level = f.length, f.level
+    else:
+        pieces, level = _layout(f)
+        body = sum(len(p) if isinstance(p, str) else _length(*p) for p in pieces)
+    return body + 2 if level < need else body
+
+
+def _stand_in(f: Formula) -> _Measured:
+    if isinstance(f, _Measured):
+        return f
+    return _Measured(_length(f, _IMP), _layout(f)[1])
+
+
+def expanded_length(f: Formula, game: Game, limit: int) -> int:
+    """len(str(expand(f, game))) if at most `limit`, else a number above it.
+
+    Each distinct sub-formula is rewritten once over stand-ins that carry
+    only the printed length of its expanded operands, and EB^k adds one
+    level at a time until past the limit, so the cost is linear in f.
+    """
+    memo: dict[Formula, _Measured] = {}
+
+    def measure(g: Formula) -> _Measured:
+        hit = memo.get(g)
+        if hit is None:
+            if isinstance(g, MutualBelief):
+                hit = measure(g.arg)
+                for _ in range(g.order):
+                    if hit.length > limit:
+                        break
+                    hit = _stand_in(_everybody_believes(hit, game))
+            else:
+                hit = _stand_in(rewrite(g, game, measure))
+            memo[g] = hit
+        return hit
+
+    return measure(f).length

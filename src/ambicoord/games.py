@@ -11,7 +11,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import lp
 from .errors import PreconditionError, SchemaError
@@ -263,6 +263,41 @@ def load_objective(data: dict, game: Game) -> dict[Profile, Fraction]:
 # ---------------------------------------------------------------- CE checks
 
 
+def require_valid_game(game: Game) -> None:
+    """Refuse, with PreconditionError, a game that `validate_game` flags."""
+    report = validate_game(game)
+    if not report.ok:
+        raise PreconditionError("game is not valid: " + "; ".join(map(str, report.failures)))
+
+
+def incentive_row(game: Game, player: str, action: str, alt: str) -> dict[Profile, Fraction]:
+    """The player's payoff gain from following `action` instead of `alt`:
+    each profile where she plays `action`, in `opponent_profiles` order, maps
+    to u(profile) - u(profile with `alt` in her place).  The CE checks, the
+    rows of `solve_ce`, the `opt_i(a)` core and the rationality gap read it."""
+    k = game.player_index(player)
+    row = {}
+    for combo in game.opponent_profiles(player):
+        told = combo[:k] + (action,) + combo[k:]
+        row[told] = game.payoff(player, told) - game.payoff(player, combo[:k] + (alt,) + combo[k:])
+    return row
+
+
+def incentive_rows(game: Game) -> Iterator[tuple[str, str, str, dict[Profile, Fraction]]]:
+    """(player, action, alt, incentive_row) for every alt != action, player-major."""
+    for p in game.players:
+        acts = game.actions_of(p)
+        for action in acts:
+            for alt in acts:
+                if alt != action:
+                    yield p, action, alt, incentive_row(game, p, action, alt)
+
+
+def expected_gain(row: Mapping[Profile, Fraction], weights: Mapping[Profile, Fraction | int]) -> Fraction:
+    """The row's gains weighted by the profiles' weights (absent ones weigh 0)."""
+    return sum((gain * w for a, gain in row.items() if (w := weights.get(a))), Fraction(0))
+
+
 @dataclass(frozen=True)
 class DeviationIssue:
     """One violated incentive inequality, with its exact slack."""
@@ -273,9 +308,22 @@ class DeviationIssue:
     slack: Fraction
 
 
-def _check_profile_support(game: Game, dist: Distribution) -> None:
+def deviation_slack(game: Game, dist: Distribution, player: str, action: str, alt: str) -> Fraction:
+    """Expected payoff loss of switching action->alt on the event "told action"."""
+    return expected_gain(incentive_row(game, player, action, alt), dist.weights)
+
+
+def check_objective_ce(game: Game, dist: Distribution) -> Report:
+    """Every player weakly prefers following each recommended action."""
+    return check_subjective_ce(game, [dist] * game.n)
+
+
+def check_subjective_ce(game: Game, dists: Sequence[Distribution]) -> Report:
+    """Each player's inequalities are checked against her own distribution."""
+    if len(dists) != game.n:
+        raise PreconditionError(f"need one distribution per player, got {len(dists)} for {game.n}")
     actions = {p: set(game.actions_of(p)) for p in game.players}
-    for profile in dist.support():
+    for profile in (a for d in dists for a in d.support()):
         if len(profile) != game.n:
             raise PreconditionError(
                 f"distribution profile {profile_key(profile)!r} has {len(profile)} entries for a {game.n}-player game"
@@ -285,48 +333,12 @@ def _check_profile_support(game: Game, dist: Distribution) -> None:
                 raise PreconditionError(
                     f"distribution profile {profile_key(profile)!r}: {a!r} is not an action of player {p!r}"
                 )
-
-
-def deviation_slack(game: Game, dist: Distribution, player: str, action: str, alt: str) -> Fraction:
-    """Expected payoff loss of switching action->alt on the event "told action"."""
-    slack = Fraction(0)
-    for combo in game.opponent_profiles(player):
-        told = game.profile_with(player, action, combo)
-        w = dist.weight(told)
-        if w != 0:
-            slack += (game.payoff(player, told) - game.payoff(player, game.profile_with(player, alt, combo))) * w
-    return slack
-
-
-def check_objective_ce(game: Game, dist: Distribution) -> Report:
-    """Every player weakly prefers following each recommended action."""
-    _check_profile_support(game, dist)
+    weights = dict(zip(game.players, (d.weights for d in dists)))
     failures = []
-    for p in game.players:
-        for action in game.actions_of(p):
-            for alt in game.actions_of(p):
-                if alt == action:
-                    continue
-                slack = deviation_slack(game, dist, p, action, alt)
-                if slack < 0:
-                    failures.append(DeviationIssue(p, action, alt, slack))
-    return Report(not failures, tuple(failures))
-
-
-def check_subjective_ce(game: Game, dists: Sequence[Distribution]) -> Report:
-    """Each player's inequalities are checked against her own distribution."""
-    if len(dists) != game.n:
-        raise PreconditionError(f"need one distribution per player, got {len(dists)} for {game.n}")
-    failures = []
-    for p, dist in zip(game.players, dists):
-        _check_profile_support(game, dist)
-        for action in game.actions_of(p):
-            for alt in game.actions_of(p):
-                if alt == action:
-                    continue
-                slack = deviation_slack(game, dist, p, action, alt)
-                if slack < 0:
-                    failures.append(DeviationIssue(p, action, alt, slack))
+    for p, action, alt, row in incentive_rows(game):
+        slack = expected_gain(row, weights[p])
+        if slack < 0:
+            failures.append(DeviationIssue(p, action, alt, slack))
     return Report(not failures, tuple(failures))
 
 
@@ -336,9 +348,7 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
     Returns a vertex, exactly.  The polytope is never empty for a complete
     game, so infeasibility indicates a malformed input.
     """
-    report = validate_game(game)
-    if not report.ok:
-        raise PreconditionError("game is not valid: " + "; ".join(map(str, report.failures)))
+    require_valid_game(game)
     profiles = list(game.profiles())
     index = {a: k for k, a in enumerate(profiles)}
     objective = dict(objective or {})
@@ -349,18 +359,11 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
 
     eq_rows = [([Fraction(1)] * len(profiles), Fraction(1))]
     ge_rows = []
-    for p in game.players:
-        for action in game.actions_of(p):
-            for alt in game.actions_of(p):
-                if alt == action:
-                    continue
-                row = [Fraction(0)] * len(profiles)
-                for combo in game.opponent_profiles(p):
-                    told = game.profile_with(p, action, combo)
-                    row[index[told]] = game.payoff(p, told) - game.payoff(
-                        p, game.profile_with(p, alt, combo)
-                    )
-                ge_rows.append((row, Fraction(0)))
+    for _, _, _, gains in incentive_rows(game):
+        row = [Fraction(0)] * len(profiles)
+        for a, gain in gains.items():
+            row[index[a]] = gain
+        ge_rows.append((row, Fraction(0)))
     try:
         _, x = lp.maximize(c, eq_rows, ge_rows)
     except lp.Infeasible:

@@ -101,6 +101,10 @@ def _too_deep(position: int) -> ParseError:
     return ParseError(f"formula nested more than {MAX_DEPTH} levels deep", position)
 
 
+def _found(tok: _Token, *expected: str) -> ParseError:
+    return ParseError(f"found {tok.text or 'end of input'!r}", tok.pos, expected=expected)
+
+
 def _tokenize(text: str) -> list[_Token]:
     out = []
     pos = 0
@@ -138,8 +142,7 @@ class _Parser:
     def expect(self, text: str) -> _Token:
         tok = self.peek()
         if tok.text != text:
-            got = tok.text or "end of input"
-            raise ParseError(f"found {got!r}", tok.pos, expected=(repr(text),))
+            raise _found(tok, repr(text))
         return self.advance()
 
     # vocabulary
@@ -234,27 +237,21 @@ class _Parser:
         if tok.kind == "int" or tok.text == "-":
             return self.prob()
         if tok.kind != "ident":
-            got = tok.text or "end of input"
-            raise ParseError(f"found {got!r}", tok.pos, expected=("a formula",))
+            raise _found(tok, "a formula")
         name = tok.text
-        if name == "pl":
+        if name in ("pl", "rec"):
             self.advance()
             self.expect("(")
             player = self.player_token()
             self.expect(",")
-            atok = self.ident_token("an action name")
-            action = self.check_action(player, atok.text, atok.pos)
+            if name == "pl":
+                atok = self.ident_token("an action name")
+                node: Formula = Play(player, self.check_action(player, atok.text, atok.pos))
+            else:
+                stok = self.ident_token("a signal name")
+                node = Receive(player, self.check_signal(stok.text, stok.pos))
             self.expect(")")
-            return Play(player, action), 1
-        if name == "rec":
-            self.advance()
-            self.expect("(")
-            player = self.player_token()
-            self.expect(",")
-            stok = self.ident_token("a signal name")
-            signal = self.check_signal(stok.text, stok.pos)
-            self.expect(")")
-            return Receive(player, signal), 1
+            return node, 1
         if name == "CB":
             self.advance()
             inner, h = self.group()
@@ -300,16 +297,14 @@ class _Parser:
     def player_token(self) -> str:
         tok = self.peek()
         if tok.kind not in ("ident", "int"):
-            got = tok.text or "end of input"
-            raise ParseError(f"found {got!r}", tok.pos, expected=("a player name",))
+            raise _found(tok, "a player name")
         self.advance()
         return self.resolve_player(tok.text, tok.pos)
 
     def ident_token(self, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != "ident":
-            got = tok.text or "end of input"
-            raise ParseError(f"found {got!r}", tok.pos, expected=(what,))
+            raise _found(tok, what)
         return self.advance()
 
     def prob(self) -> tuple[Formula, int]:
@@ -333,8 +328,7 @@ class _Parser:
             self.expect("*")
         tok = self.peek()
         if tok.kind != "ident" or not tok.text.startswith("pr_"):
-            got = tok.text or "end of input"
-            raise ParseError(f"found {got!r}", tok.pos, expected=("pr_<player>",))
+            raise _found(tok, "pr_<player>")
         self.advance()
         owner = self.resolve_player(tok.text[3:], tok.pos + 3) if tok.text[3:] else self._missing_player(tok)
         sub, h = self.group()
@@ -347,16 +341,14 @@ class _Parser:
             sign = -1
         num_tok = self.peek()
         if num_tok.kind != "int":
-            got = num_tok.text or "end of input"
-            raise ParseError(f"found {got!r}", num_tok.pos, expected=("an integer",))
+            raise _found(num_tok, "an integer")
         self.advance()
         den = 1
         if self.peek().text == "/":
             self.advance()
             den_tok = self.peek()
             if den_tok.kind != "int":
-                got = den_tok.text or "end of input"
-                raise ParseError(f"found {got!r}", den_tok.pos, expected=("a positive integer",))
+                raise _found(den_tok, "a positive integer")
             if int(den_tok.text) == 0:
                 raise ParseError("denominator must be positive", den_tok.pos)
             self.advance()

@@ -34,8 +34,7 @@ from .formulas import (
     ProbGe,
     Rationality,
     Receive,
-    conj,
-    optimality_core,
+    rewrite,
 )
 from .structures import flags, mask_mass
 
@@ -64,7 +63,6 @@ class Evaluator:
             for p, masks in m.cell_masks().items()
         }
         self._memo: dict = {}
-        self._cores: dict = {}
 
     # -- plumbing -------------------------------------------------------------
 
@@ -121,21 +119,9 @@ class Evaluator:
             return cur
         if isinstance(f, CommonBelief):
             return self._common(f.arg)
-        if isinstance(f, Optimal):
-            core = self._cores.get((f.player, f.action))
-            if core is None:
-                core = self._cores[(f.player, f.action)] = optimality_core(
-                    f.player, f.action, self.game
-                )
-            return self._mask(viewer, core)
-        if isinstance(f, Rationality):
-            body = self._cores.get(f.player)
-            if body is None:
-                body = self._cores[f.player] = conj(
-                    Implies(Play(f.player, a), Optimal(f.player, a))
-                    for a in self.game.actions_of(f.player)
-                )
-            return self._mask(viewer, body)
+        if isinstance(f, (Optimal, Rationality)):
+            # through its definition, built on a memo miss only
+            return self._mask(viewer, rewrite(f, self.game, lambda g: g))
         raise TypeError(f"not a formula node: {f!r}")
 
     def _probge(self, f: ProbGe) -> int:

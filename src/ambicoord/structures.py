@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import PreconditionError, SchemaError
 from .formulas import And, Formula, Implies, Not, Optimal, Play, Prim, Rationality, Receive
-from .games import Game
+from .games import Game, expected_gain, incentive_row
 from .parser import ParseError, parse_formula, parse_instance
 from .rationals import format_rational, parse_rational
 from .reports import Report
@@ -654,48 +654,34 @@ def check_rationality(m: EpistemicStructure) -> Report:
     cell positivity already hold; may raise PreconditionError otherwise.
     """
     ev = m.evaluator()
+    game = m.game
     failures = []
-    for p in m.game.players:
+    for p in game.players:
         bad = ev.full ^ ev.intension_mask(p, Rationality(p))
         if not bad:
             continue
-        acts = m.game.actions_of(p)
+        acts = game.actions_of(p)
+        others = [j for j in game.players if j != p]
         plays = [m.masks[p].get(Play(p, a), 0) for a in acts]
         optimal = [ev.intension_mask(p, Optimal(p, a)) for a in acts]
+        cells, sums = ev.cells[p]
         for k in states_in(m, bad):
-            utilities = _expected_payoffs(ev, p, k)
-            better = max(utilities, key=lambda b: (utilities[b], b))
+            # the prior mass, in p's cell at k, of each opponent play she sees
+            cell, cell_mass = next((c, w) for c, w in zip(cells, sums) if (c >> k) & 1)
+            masses = {}
+            for combo in game.opponent_profiles(p):
+                event = cell
+                for j, b in zip(others, combo):
+                    event &= ev.intension_mask(p, Play(j, b))
+                if w := mask_mass(ev.num, event):
+                    masses[combo] = w
             for a, play, opt in zip(acts, plays, optimal):
                 if (play >> k) & 1 and not (opt >> k) & 1:
-                    failures.append(
-                        RationalityIssue(p, m.states[k], a, better, utilities[better] - utilities[a])
-                    )
+                    # what switching a -> b gains in expectation: minus what
+                    # following a gains over b
+                    told = {game.profile_with(p, a, combo): w for combo, w in masses.items()}
+                    gains = {b: -expected_gain(incentive_row(game, p, a, b), told) / cell_mass for b in acts}
+                    better = max(gains, key=lambda b: (gains[b], b))
+                    failures.append(RationalityIssue(p, m.states[k], a, better, gains[better]))
     return Report(not failures, tuple(failures))
 
-
-def _expected_payoffs(ev, player: str, k: int) -> dict[str, Fraction]:
-    """Each action's expected payoff under the player's posterior at state k.
-
-    The posterior of an opponent profile is the integer mass of its event
-    within the player's cell at k over the cell's mass.
-    """
-    game = ev.game
-    cells, sums = ev.cells[player]
-    cell, cell_mass = next((c, w) for c, w in zip(cells, sums) if (c >> k) & 1)
-    others = [j for j in game.players if j != player]
-    weighted = []
-    for combo in game.opponent_profiles(player):
-        event = cell
-        for j, b in zip(others, combo):
-            event &= ev.intension_mask(player, Play(j, b))
-        w = mask_mass(ev.num, event)
-        if w:
-            weighted.append((w, combo))
-    return {
-        a: sum(
-            (w * game.payoff(player, game.profile_with(player, a, combo)) for w, combo in weighted),
-            Fraction(0),
-        )
-        / cell_mass
-        for a in game.actions_of(player)
-    }

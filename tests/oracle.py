@@ -49,6 +49,7 @@ from ambicoord.structures import (
     CellIssue,
     PartitionIssue,
     RationalityIssue,
+    SignalDefIssue,
     SignalIssue,
 )
 
@@ -418,6 +419,22 @@ def naive_check_cell_positivity(m) -> Report:
     return Report(not failures, tuple(failures))
 
 
+def naive_check_signal_definitions(m) -> Report:
+    failures = []
+    notes = []
+    for sig in m.signals:
+        df = m.signal_defs.get(sig)
+        if df is None:
+            notes.append(f"signal {sig!r} has no definition; skipped")
+            continue
+        for p in m.game.players:
+            expected = tuple(s for s in m.states if holds(m, s, p, df))
+            actual = tuple(s for s in m.states if s in m.true_set(p, Receive(p, sig)))
+            if expected != actual:
+                failures.append(SignalDefIssue(p, sig, expected, actual))
+    return Report(not failures, tuple(failures), tuple(notes))
+
+
 def naive_expected_payoff(m, player, action, state) -> Fraction:
     """One intension and one posterior per opponent profile."""
     others = [j for j in m.game.players if j != player]
@@ -534,3 +551,77 @@ def naive_verify_induced_equilibrium(m, c) -> VerifyResult:
         ce_report = check_subjective_ce(m.game, [distributions[p] for p in m.game.players])
     ok = ce_report.ok and not problems
     return VerifyResult(ok, ce_report.ok, kind, distributions, tuple(problems), ce_report)
+
+
+# ------------------------------------------------------- command-line chains
+
+
+def _guarded(check, *args):
+    try:
+        return check(*args)
+    except PreconditionError as exc:
+        return f"skipped ({exc})"
+
+
+def naive_validate(m, strategy=None) -> tuple[list, list, int]:
+    """`ambicoord validate`: its stdout lines, stderr lines and exit code.
+
+    The four structural audits always run, the signal definitions only when
+    some signal has one; rationality and the strategy audits are skipped
+    when a structural audit fails.  A dependent audit that raises a
+    PreconditionError prints as skipped, naming why.
+    """
+    rows = []
+    basic_ok = True
+    for label, check in (
+        ("signal-uniqueness", naive_check_signal_uniqueness),
+        ("partition-consistency", naive_check_partition_consistency),
+        ("action-uniqueness", naive_check_action_uniqueness),
+        ("cell-positivity", naive_check_cell_positivity),
+    ):
+        report = check(m)
+        basic_ok = basic_ok and report.ok
+        rows.append((label, report))
+    if any(df is not None for df in m.signal_defs.values()):
+        rows.append(("signal-definitions", _guarded(naive_check_signal_definitions, m)))
+    skipped = "skipped (structural checks failed)"
+    rows.append(("rationality", _guarded(naive_check_rationality, m) if basic_ok else skipped))
+    if strategy is not None:
+        for label, check in (
+            ("strategy-validity", naive_check_strategy_valid),
+            ("self-enforcement", naive_check_self_enforcing),
+        ):
+            rows.append((label, _guarded(check, m, strategy) if basic_ok else skipped))
+    out, err = [], []
+    for label, outcome in rows:
+        if isinstance(outcome, str):
+            out.append(f"{label}: {outcome}")
+            continue
+        out.append(f"{label}: {'pass' if outcome.ok else 'fail'}")
+        if not outcome.ok:
+            err += [f"  {label}: {issue}" for issue in outcome.failures]
+            err += [f"  {label}: {note}" for note in outcome.notes]
+    ok = all(not isinstance(outcome, str) and outcome.ok for _, outcome in rows)
+    return out, err, 0 if ok else 1
+
+
+def naive_gate(m, strategy) -> tuple[list, list, int]:
+    """The precondition gate of `ambicoord induce`: ([], [], 0) when it
+    passes, else the stderr line naming the first failed audit and exit 3.
+
+    It runs signal uniqueness, partition consistency, action uniqueness and
+    strategy validity, in that order; cell positivity is not among them.
+    """
+    for label, check in (
+        ("signal uniqueness", naive_check_signal_uniqueness),
+        ("partition consistency", naive_check_partition_consistency),
+        ("action uniqueness", naive_check_action_uniqueness),
+        ("strategy validity", lambda m: naive_check_strategy_valid(m, strategy)),
+    ):
+        try:
+            ok = check(m).ok
+        except PreconditionError as exc:
+            return [], [f"precondition violated: {exc}"], 3
+        if not ok:
+            return [], [f"precondition violated: {label}"], 3
+    return [], [], 0

@@ -12,6 +12,7 @@ a call that raises must raise the same exception type with the same message.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ import pytest
 
 import oracle
 from ambicoord import (
+    PreconditionError,
     CoordinationStrategy,
     EpistemicStructure,
     check_action_uniqueness,
@@ -31,6 +33,7 @@ from ambicoord import (
     induce,
     verify_induced_equilibrium,
 )
+from ambicoord.cli import main
 from conftest import load_fixture
 
 MAX_STATES = 64
@@ -235,3 +238,78 @@ def test_self_enforcement_raises_what_a_state_by_state_scan_meets_first(coord_ga
     )
     assert want[:2] == ("raised", KeyError)
     assert got == want
+
+
+def _lines(text: str) -> list:
+    return text.splitlines()
+
+
+def _expected_induce(m, strategy):
+    """`ambicoord induce`'s stdout, stderr lines and exit code, by the oracle."""
+    out, err, code = oracle.naive_gate(m, strategy)
+    if code:
+        return out, err, code
+    try:
+        induced = {p: oracle.naive_induce(m, p).to_dict(m.game) for p in m.game.players}
+    except PreconditionError as exc:
+        return [], [f"precondition violated: {exc}"], 3
+    return _lines(json.dumps(induced, indent=2)), [], 0
+
+
+def _expected_verify(m, strategy):
+    """`ambicoord verify`'s stdout, stderr lines and exit code, by the oracle."""
+    try:
+        result = oracle.naive_verify_induced_equilibrium(m, strategy)
+    except PreconditionError as exc:
+        return [], [f"precondition violated: {exc}"], 3
+    out = [
+        f"player {p}: {json.dumps(result.distributions[p].to_dict(m.game))}"
+        for p in m.game.players
+        if p in result.distributions
+    ]
+    if result.kind is not None:
+        out.append(f"{result.kind} CE: {'true' if result.ce_ok else 'false'}")
+    err = [f"precondition violated: {problem}" for problem in result.problems]
+    return out, err, 3 if result.problems else 0 if result.ok else 1
+
+
+def test_command_line_audit_chains_match_the_references(devices, tmp_path, capsys):
+    """`validate` (with and without a strategy), `induce` and `verify` on
+    files, intact and damaged, against oracle.py's chains over the naive
+    audits: every stdout and stderr line and the exit code."""
+    rng = random.Random(2424)
+    seen = set()
+    for n, (label, game, data, strategy) in enumerate(devices):
+        cases = [("intact", data)]
+        cases += [(kind, _damaged(data, kind, rng)) for kind in rng.sample(DAMAGES, DAMAGES_PER_DEVICE)]
+        for kind, case in cases:
+            if case is None:
+                continue
+            paths = {}
+            for name, payload in (("game", game.to_dict()), ("structure", case), ("strategy", strategy.to_dict())):
+                paths[name] = tmp_path / f"{n}-{kind}-{name}.json"
+                paths[name].write_text(json.dumps(payload))
+            m = EpistemicStructure.from_dict(case, game)
+            files = ["--game", str(paths["game"]), "--structure", str(paths["structure"])]
+            with_strategy = files + ["--strategy", str(paths["strategy"])]
+            for argv, expected in (
+                (["validate"] + files, oracle.naive_validate(m)),
+                (["validate"] + with_strategy, oracle.naive_validate(m, strategy)),
+                (["induce"] + with_strategy, _expected_induce(m, strategy)),
+                (["verify"] + with_strategy, _expected_verify(m, strategy)),
+            ):
+                code = main(argv)
+                captured = capsys.readouterr()
+                got = (_lines(captured.out), _lines(captured.err), code)
+                assert got == tuple(expected), (label, kind, argv[0])
+                seen.add((argv[0], code))
+                seen.update(line for line in got[0] + got[1] if "skipped" in line)
+                seen.update(line for line in got[1] if line.startswith("precondition violated: "))
+            if not oracle.naive_check_cell_positivity(m).ok and oracle.naive_gate(m, strategy)[2] == 0:
+                seen.add("gate passes a zero-mass cell")
+    assert {("validate", 0), ("validate", 1), ("induce", 0), ("induce", 3), ("verify", 0), ("verify", 3)} <= seen
+    assert "rationality: skipped (structural checks failed)" in seen
+    assert "self-enforcement: skipped (structural checks failed)" in seen
+    assert "precondition violated: rationality and strategy checks skipped" in seen
+    assert "precondition violated: strategy validity" in seen
+    assert "gate passes a zero-mass cell" in seen

@@ -8,12 +8,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ambicoord
-from ambicoord.cli import main
+from ambicoord import Game, expand, parse_formula
+from ambicoord.cli import MAX_EXPANDED, main
 from ambicoord.parser import MAX_DEPTH
 from conftest import FIXTURES
 
@@ -48,6 +50,29 @@ class TestParse:
         err = capsys.readouterr().err
         assert "parse error" in err
         assert "column 4" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["EB^2000(p)", "EB^12(p)", "B_A(" * 16 + "p" + ")" * 16],
+        ids=["EB^2000", "EB^12", "B_A x16"],
+    )
+    def test_expansion_too_long_to_print_exits_3(self, capsys, text):
+        start = time.perf_counter()
+        assert main(["parse", "--game", WG, text]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"precondition violated: the expanded formula would print more than {MAX_EXPANDED}")
+
+    def test_long_expansion_under_the_bound_prints(self, capsys):
+        text = "B_A(" * 14 + "p" + ")" * 14
+        assert main(["parse", "--game", WG, text]) == 0
+        game = Game.from_dict(json.loads(Path(WG).read_text()))
+        expanded = str(expand(parse_formula(text, game), game))
+        assert MAX_EXPANDED // 4 < len(expanded) <= MAX_EXPANDED
+        same = capsys.readouterr().out.splitlines()[1] == f"expanded: {expanded}"
+        assert same  # not compared in the assert: a failure would print half a megabyte
 
 
 class TestCheck:
@@ -109,6 +134,12 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"parse error: formula nested more than {MAX_DEPTH} levels")
+
+    @pytest.mark.parametrize("text, code", [("EB^2000(p)", 1), ("EB^2000(p -> p)", 0)])
+    def test_mutual_belief_too_long_to_expand_keeps_its_verdict(self, capsys, text, code):
+        argv = ["check", "--game", WG, "--structure", WS, "--state", "w1", "--player", "A", text]
+        assert main(argv) == code
+        assert capsys.readouterr().out == ("true\n" if code == 0 else "false\n")
 
     def test_unknown_state_is_an_input_error(self):
         code = main(

@@ -154,6 +154,26 @@ class TestFromSubjective:
             from_subjective_ce(coord_game, [bad, good])
 
 
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda g, d: from_objective_ce(g, d), lambda g, d: from_subjective_ce(g, [d] * g.n)],
+        ids=["objective", "subjective"],
+    )
+    def test_every_refusal_is_a_precondition_error(self, coord_game, build):
+        one_player = Game(["1"], {"1": ("U",)}, {("U",): (0,)})
+        for game, weights in (
+            (one_player, {("U",): 1}),  # not a valid game
+            (coord_game, {("U", "L"): F(3, 2), ("D", "R"): F(-1, 2)}),  # a negative weight
+            (coord_game, {("U", "L"): F(1, 2)}),  # weights summing to 1/2
+            (coord_game, {("U", "X"): 1}),  # an action not in the game
+            (coord_game, {("U", "L", "L"): 1}),  # a profile of the wrong length
+            (coord_game, {("U", "R"): 1}),  # not an equilibrium
+        ):
+            with pytest.raises(PreconditionError):
+                build(game, Distribution(weights))
+
+
 class TestPipelines:
     def test_objective_constructions_withstand_every_check(self):
         rng = random.Random(2024)

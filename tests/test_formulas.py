@@ -1,13 +1,18 @@
 """Formula construction, canonical printing and expansion to the core."""
 
+import dataclasses
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracle
 from ambicoord import (
     And,
     Belief,
     CommonBelief,
+    Formula,
     Game,
     Implies,
     MutualBelief,
@@ -22,6 +27,10 @@ from ambicoord import (
     expand,
     optimality_core,
 )
+from ambicoord.formulas import expanded_length
+from ambicoord.structures import EpistemicStructure
+from conftest import load_fixture
+from helpers import random_formula, random_game
 
 P = Prim("p")
 Q = Prim("q")
@@ -177,3 +186,83 @@ class TestExpansion:
         for f in battery:
             once = expand(f, game)
             assert expand(once, game) == once
+
+
+def _random_formulas(seed: int, count: int):
+    """(game, formula) pairs over random games, signals s1, s2 and atoms p, q."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        game = random_game(rng)
+        yield game, random_formula(rng, game, ("s1", "s2"), ("p", "q"), depth=rng.randint(0, 4))
+
+
+class TestSharedExpansion:
+    def test_agrees_with_the_unrolled_definition(self):
+        for game, f in _random_formulas(11, 150):
+            assert expand(f, game) == oracle.expand_sugar(f, game)
+
+    def test_deep_mutual_belief_builds_each_level_once(self, game):
+        out = expand(MutualBelief(2000, P), game)
+        distinct, todo = set(), [out]
+        while todo:
+            node = todo.pop()
+            if id(node) in distinct:
+                continue
+            distinct.add(id(node))
+            todo += [v for v in vars(node).values() if isinstance(v, Formula)]
+            todo += [sub for _, sub in getattr(node, "terms", ())]
+        # per level: the conjunction of two beliefs, each two inequalities
+        assert len(distinct) == 2000 * 7 + 1
+
+
+class TestExpandedLength:
+    def test_is_the_length_of_the_printed_expansion(self):
+        rng = random.Random(5)
+        for game, f in _random_formulas(12, 200):
+            size = len(str(expand(f, game)))
+            assert expanded_length(f, game, 10**9) == size
+            limit = rng.randint(0, 2 * size)
+            assert (expanded_length(f, game, limit) > limit) == (size > limit)
+
+    def test_stops_once_past_the_limit(self, game):
+        assert expanded_length(MutualBelief(10**9, P), game, 10**6) > 10**6
+        nested = P
+        for _ in range(40):
+            nested = Belief("1", nested)
+        assert expanded_length(nested, game, 10**6) > 10**6
+
+
+class TestHashing:
+    def test_hashing_is_linear_in_depth(self, monkeypatch):
+        """`holds` keys its memo by each sub-formula; a hash that walked the
+        whole subtree each time would make a d-deep chain cost O(d^2)."""
+        calls = {}
+        field_hash = Not.__hash__
+
+        def counting(self):
+            calls[depth] += 1
+            return field_hash(self)
+
+        monkeypatch.setattr(Not, "__hash__", counting)
+        data = load_fixture("weather_structure.json")
+        game = Game.from_dict(load_fixture("weather_game.json"))
+        for depth in (50, 100):
+            calls[depth] = 0
+            f = P
+            for _ in range(depth):
+                f = Not(f)
+            m = EpistemicStructure.from_dict(data, game)
+            m.evaluator().intension_mask("A", f)
+        assert calls[100] <= 10 * 100
+        assert calls[100] <= 2.5 * calls[50]
+
+    def test_kept_hash_is_invisible(self):
+        f = ProbGe("1", ((Fraction(1, 2), Not(P)),), Fraction(1, 3))
+        before = (repr(f), str(f), dataclasses.fields(f), dataclasses.asdict(f))
+        h = hash(f)
+        assert (repr(f), str(f), dataclasses.fields(f), dataclasses.asdict(f)) == before
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f and hash(copy) == h
+        # the kept hash, salted per process, does not travel in a pickle
+        assert vars(pickle.loads(pickle.dumps(f))).keys() == {fd.name for fd in dataclasses.fields(f)}
+        assert dataclasses.replace(f, bound=Fraction(1, 3)) == f
