@@ -18,7 +18,8 @@ from .errors import PreconditionError, SchemaError
 from .rationals import format_rational, parse_rational
 from .reports import Report
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# player, action, signal and atom names: the identifiers of the formula grammar
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 Profile = tuple[str, ...]
 
@@ -165,7 +166,7 @@ def validate_game(game: Game) -> Report:
             problems.append(f"duplicate player name {p!r}")
         elif p.isdigit() and int(p) != k + 1:
             problems.append(f"numeric player name {p!r} must equal its position {k + 1}")
-        elif not p.isdigit() and _NAME_RE.match(p) is None:
+        elif not p.isdigit() and NAME_RE.fullmatch(p) is None:
             problems.append(f"player name {p!r} is not an identifier")
         seen.add(p)
     for p in game.players:
@@ -175,7 +176,7 @@ def validate_game(game: Game) -> Report:
         if len(set(acts)) != len(acts):
             problems.append(f"player {p!r} has duplicate actions")
         for a in acts:
-            if _NAME_RE.match(a) is None:
+            if NAME_RE.fullmatch(a) is None:
                 problems.append(f"action name {a!r} of player {p!r} is not an identifier")
     if not problems:
         expected = set(game.profiles())

@@ -50,10 +50,11 @@ from .formulas import (
     Rationality,
     Receive,
 )
+from .games import NAME_RE
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{NAME_RE.pattern})"
     r"|(?P<int>[0-9]+)"
     r"|(?P<punct>->|>=|[()!&*+\-/^,])"
 )
@@ -95,6 +96,14 @@ class _Token:
         self.kind = kind
         self.text = text
         self.pos = pos
+
+
+def usable_name(name: str) -> bool:
+    """Can a generic atom or signal take this name: an identifier the grammar
+    does not reserve?"""
+    if NAME_RE.fullmatch(name) is None or name in _RESERVED:
+        return False
+    return not name.startswith(_RESERVED_PREFIXES)
 
 
 def _too_deep(position: int) -> ParseError:
@@ -153,8 +162,7 @@ class _Parser:
             k = int(name)
             if 1 <= k <= len(players):
                 return players[k - 1]
-            raise UnknownIdentifierError("player", name, pos)
-        if name in players:
+        elif name in players:
             return name
         raise UnknownIdentifierError("player", name, pos)
 
@@ -269,17 +277,14 @@ class _Parser:
             inner, h = self.group()
             return MutualBelief(order, inner), h
         if name.startswith("B_"):
-            self.advance()
-            player = self.resolve_player(name[2:], tok.pos + 2) if name[2:] else self._missing_player(tok)
+            player = self.prefixed_player("B_")
             inner, h = self.group()
             return Belief(player, inner), h
         if name.startswith("rat_"):
-            self.advance()
-            player = self.resolve_player(name[4:], tok.pos + 4) if name[4:] else self._missing_player(tok)
+            player = self.prefixed_player("rat_")
             return Rationality(player), 1
         if name.startswith("opt_"):
-            self.advance()
-            player = self.resolve_player(name[4:], tok.pos + 4) if name[4:] else self._missing_player(tok)
+            player = self.prefixed_player("opt_")
             self.expect("(")
             atok = self.ident_token("an action name")
             action = self.check_action(player, atok.text, atok.pos)
@@ -290,9 +295,13 @@ class _Parser:
         self.advance()
         return Prim(self.check_atom(name, tok.pos)), 1
 
-    @staticmethod
-    def _missing_player(tok: _Token) -> str:
-        raise ParseError("missing player name", tok.pos + len(tok.text))
+    def prefixed_player(self, prefix: str) -> str:
+        """Consume a `<prefix><player>` identifier and return the player."""
+        tok = self.advance()
+        k = len(prefix)
+        if len(tok.text) == k:
+            raise ParseError("missing player name", tok.pos + k)
+        return self.resolve_player(tok.text[k:], tok.pos + k)
 
     def player_token(self) -> str:
         tok = self.peek()
@@ -329,8 +338,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "ident" or not tok.text.startswith("pr_"):
             raise _found(tok, "pr_<player>")
-        self.advance()
-        owner = self.resolve_player(tok.text[3:], tok.pos + 3) if tok.text[3:] else self._missing_player(tok)
+        owner = self.prefixed_player("pr_")
         sub, h = self.group()
         return owner, sign * coef, sub, tok.pos, h
 

@@ -8,16 +8,15 @@ arithmetic.
 
 Probability inequalities are evaluated per information cell of their owner
 (their truth is constant on each cell and independent of the viewer), then
-broadcast to states.  Common belief follows its fixed-point characterization:
-iterate the everybody-believes-event operator from the mutual-belief set and
-intersect the orbit, stopping when a set repeats.
+broadcast to states.  `EB^k` and common belief read one walk over the
+shrinking levels EB(f), EB^2(f), ...: `EB^k` stops at level k, common belief
+at the fixed point, the intersection of all levels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import PreconditionError
 from .formulas import (
@@ -36,7 +35,7 @@ from .formulas import (
     Receive,
     rewrite,
 )
-from .structures import flags, mask_mass
+from .structures import mask_mass
 
 # node kinds whose truth cannot depend on who evaluates them
 _VIEWER_FREE = (ProbGe, Belief, MutualBelief, CommonBelief, Optimal)
@@ -52,7 +51,6 @@ class Evaluator:
 
     def __init__(self, m):
         self.game = m.game
-        self.states = m.states
         self.atoms = m.atoms
         self.signals = m.signals
         self.tables = m.masks
@@ -65,9 +63,6 @@ class Evaluator:
         self._memo: dict = {}
 
     # -- plumbing -------------------------------------------------------------
-
-    def states_of(self, mask: int) -> frozenset[str]:
-        return frozenset(compress(self.states, flags(mask)))
 
     def _leaf(self, viewer: str, f: Formula) -> int:
         table = self.tables.get(viewer)
@@ -113,26 +108,19 @@ class Evaluator:
         if isinstance(f, Belief):
             return self._believe(f.player, self._mask(f.player, f.arg))
         if isinstance(f, MutualBelief):
-            cur = self._everybody_believes_formula(f.arg)
-            for _ in range(f.order - 1):
-                cur = self._everybody_believes_event(cur)
-            return cur
+            return self._everybody_believes(f.arg, f.order)
         if isinstance(f, CommonBelief):
-            return self._common(f.arg)
+            return self._everybody_believes(f.arg, None)
         if isinstance(f, (Optimal, Rationality)):
             # through its definition, built on a memo miss only
             return self._mask(viewer, rewrite(f, self.game, lambda g: g))
         raise TypeError(f"not a formula node: {f!r}")
 
     def _probge(self, f: ProbGe) -> int:
-        masks, sums = self._owner_cells(f.owner)
+        self._owner_cells(f.owner)  # an unknown owner is refused before the operands
         terms = [(coef, self._mask(f.owner, sub)) for coef, sub in f.terms]
         out = 0
-        for cmask, csum in zip(masks, sums):
-            if csum == 0:
-                raise PreconditionError(
-                    f"zero-mass information cell of player {f.owner!r}; posterior undefined"
-                )
+        for cmask, csum in self._positive_cells(f.owner):
             lhs = Fraction(0)
             for coef, emask in terms:
                 if coef != 0:
@@ -149,41 +137,43 @@ class Evaluator:
             raise PreconditionError(f"unknown player {owner!r} in probability formula")
         return cells
 
+    def _positive_cells(self, owner: str):
+        """The owner's (cell mask, cell mass) pairs, all of positive mass."""
+        masks, sums = self._owner_cells(owner)
+        if 0 in sums:
+            raise PreconditionError(
+                f"zero-mass information cell of player {owner!r}; posterior undefined"
+            )
+        return zip(masks, sums)
+
     def _believe(self, player: str, emask: int) -> int:
         """States where the player assigns posterior 1 to the event."""
-        masks, sums = self._owner_cells(player)
         out = 0
-        for cmask, csum in zip(masks, sums):
-            if csum == 0:
-                raise PreconditionError(
-                    f"zero-mass information cell of player {player!r}; posterior undefined"
-                )
+        for cmask, csum in self._positive_cells(player):
             if mask_mass(self.num, emask & cmask) == csum:
                 out |= cmask
         return out
 
-    def _everybody_believes_formula(self, f: Formula) -> int:
-        out = self.full
-        for j in self.game.players:
-            out &= self._believe(j, self._mask(j, f))
-        return out
+    def _everybody_believes(self, f: Formula, order: Optional[int]) -> int:
+        """EB^order(f); order None walks on to the fixed point, CB(f).
 
-    def _everybody_believes_event(self, emask: int) -> int:
-        out = self.full
-        for j in self.game.players:
-            out &= self._believe(j, emask)
-        return out
-
-    def _common(self, f: Formula) -> int:
-        cur = self._everybody_believes_formula(f)
-        acc = cur
-        seen = {cur}
-        while True:
-            cur = self._everybody_believes_event(cur)
-            if cur in seen:
-                return acc
-            seen.add(cur)
-            acc &= cur
+        The levels shrink: at a state of EB(L), each player's cell has positive
+        mass (`_believe` refuses the rest) and so meets L, which lies in the
+        union of her cells that believed the event before.  So CB, the levels'
+        intersection, is the first level equal to the one before."""
+        players = self.game.players
+        level = self.full
+        for j in players:
+            level &= self._believe(j, self._mask(j, f))
+        n = 1
+        while n != order:
+            nxt = self.full
+            for j in players:
+                nxt &= self._believe(j, level)
+            if nxt == level:
+                break
+            level, n = nxt, n + 1
+        return level
 
 
 # ------------------------------------------------------------- public API
@@ -209,8 +199,7 @@ def holds(m, state: str, player: str, f: Formula) -> bool:
 
 def intension(m, player: str, f: Formula) -> frozenset[str]:
     """All states where the player deems the formula true."""
-    ev = m.evaluator()
-    return ev.states_of(ev.intension_mask(player, f))
+    return m.states_of(m.evaluator().intension_mask(player, f))
 
 
 def cb_intension(m, f: Formula) -> frozenset[str]:

@@ -19,7 +19,6 @@ the compiled evaluator) is cached on first use.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -28,20 +27,14 @@ from typing import Iterable, Mapping, Optional
 from .errors import PreconditionError, SchemaError
 from .formulas import And, Formula, Implies, Not, Optimal, Play, Prim, Rationality, Receive
 from .games import Game, expected_gain, incentive_row
-from .parser import ParseError, parse_formula, parse_instance
+from .parser import ParseError, parse_formula, parse_instance, usable_name
 from .rationals import format_rational, parse_rational
 from .reports import Report
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_RESERVED = {"pl", "rec", "EB", "CB"}
-_RESERVED_PREFIXES = ("B_", "pr_", "rat_", "opt_")
 
-
-def _usable_name(name: str) -> bool:
-    """Atom/signal names must be identifiers the formula grammar can accept."""
-    if _NAME_RE.match(name) is None or name in _RESERVED:
-        return False
-    return not name.startswith(_RESERVED_PREFIXES)
+def _strings(value) -> bool:
+    """Is the JSON value a list of strings?"""
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
 
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
@@ -139,7 +132,7 @@ class EpistemicStructure:
         if len(set(self.atoms)) != len(self.atoms):
             raise SchemaError("structure: duplicate atom names")
         for name in (*self.signals, *self.atoms):
-            if not _usable_name(name):
+            if not usable_name(name):
                 raise SchemaError(f"structure: {name!r} is not a usable signal/atom name")
 
         self.masks: dict[str, dict[Formula, int]] = {p: {} for p in game.players}
@@ -182,7 +175,6 @@ class EpistemicStructure:
             self.signal_defs[sig] = df
 
         self._derived_cells: Optional[dict[str, tuple[int, ...]]] = None
-        self._cells: dict[str, dict[str, frozenset[str]]] = {}
         self._evaluator = None
 
     def _check_instance(self, node: Formula) -> None:
@@ -313,15 +305,9 @@ class EpistemicStructure:
 
     def cell(self, player: str, state: str) -> frozenset[str]:
         """The player's information cell containing the state."""
-        lookup = self._cells.get(player)
-        if lookup is None:
-            lookup = {}
-            for c in self.partitions()[player]:
-                for s in c:
-                    lookup[s] = c
-            self._cells[player] = lookup
-        self.state_index(state)
-        return lookup[state]
+        cells = self.cell_masks()[player]
+        k = self.state_index(state)
+        return self.states_of(next(c for c in cells if (c >> k) & 1))
 
     def seen_profile(self, viewer: str, state: str) -> tuple[str, ...]:
         """The full action profile `viewer` sees at `state`; errors unless unique."""
@@ -354,7 +340,7 @@ class EpistemicStructure:
         if extra:
             raise SchemaError(f"structure: unknown keys {sorted(extra)}")
         states = data.get("states")
-        if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        if not _strings(states):
             raise SchemaError("structure: 'states' must be a list of strings")
         prior_raw = data.get("prior")
         if not isinstance(prior_raw, dict):
@@ -367,7 +353,7 @@ class EpistemicStructure:
         if not isinstance(signals_raw, dict):
             raise SchemaError("structure: 'signals' must map signal names to definitions or null")
         atoms = data.get("atoms", [])
-        if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+        if not _strings(atoms):
             raise SchemaError("structure: 'atoms' must be a list of strings")
 
         signal_names = tuple(signals_raw)
@@ -396,7 +382,7 @@ class EpistemicStructure:
                     node = parse_instance(key, game, signals=signal_names, atoms=atoms)
                 except ParseError as exc:
                     raise SchemaError(f"structure: instance key {key!r}: {exc}") from None
-                if not isinstance(where, list) or not all(isinstance(s, str) for s in where):
+                if not _strings(where):
                     raise SchemaError(f"structure: value of {key!r} must be a list of states")
                 entries[node] = where
             truth[p] = entries
@@ -408,8 +394,8 @@ class EpistemicStructure:
                 raise SchemaError("structure: 'partitions' must be an object or null")
             partitions = {}
             for p, cells in partitions_raw.items():
-                if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
-                    raise SchemaError(f"structure: partition of player {p!r} must be a list of lists")
+                if not isinstance(cells, list) or not all(map(_strings, cells)):
+                    raise SchemaError(f"structure: partition of player {p!r} must be a list of lists of states")
                 partitions[p] = cells
 
         return cls(

@@ -141,6 +141,16 @@ class TestCheck:
         assert main(argv) == code
         assert capsys.readouterr().out == ("true\n" if code == 0 else "false\n")
 
+    @pytest.mark.parametrize(
+        "text, code", [("EB^1000000000(p)", 1), ("EB^1000000000(p -> p)", 0)]
+    )
+    def test_mutual_belief_of_any_order_answers_at_once(self, capsys, text, code):
+        argv = ["check", "--game", WG, "--structure", WS, "--state", "w1", "--player", "A", text]
+        start = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out == ("true\n" if code == 0 else "false\n")
+
     def test_unknown_state_is_an_input_error(self):
         code = main(
             ["check", "--game", WG, "--structure", WS, "--state", "w9", "--player", "A", "p"]
@@ -204,6 +214,18 @@ class TestValidate:
         bad.write_text("{not json")
         assert main(["validate", "--game", WG, "--structure", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [["w1", "w2"], {"w1": 1}], ids=["list", "object"])
+    def test_partition_entries_must_be_state_names(self, capsys, tmp_path, entry):
+        data = json.loads(Path(WS).read_text())
+        data["partitions"]["A"] = [[entry], ["w3", "w4"]]
+        bad = tmp_path / "broken.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", "--game", WG, "--structure", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
 
     def test_missing_file_is_exit_2(self):
         assert main(["validate", "--game", WG, "--structure", "/nowhere.json"]) == 2

@@ -1,5 +1,6 @@
 """Truth evaluation: posteriors, belief operators and common belief."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from ambicoord import (
     Belief,
     CommonBelief,
     EpistemicStructure,
+    Game,
     Implies,
     MutualBelief,
     Not,
@@ -28,7 +30,7 @@ from ambicoord import (
     valid,
 )
 from helpers import random_formula
-from oracle import naive_cb_set, naive_holds, naive_posterior
+from oracle import cells_of, naive_cb_set, naive_holds, naive_posterior
 
 F = Fraction
 P = Prim("p")
@@ -199,3 +201,130 @@ class TestGameFormulas:
                 for i in m.game.players:
                     f = Rationality(i)
                     assert holds(m, w, i, f) == naive_holds(m, w, i, f)
+
+
+def _random_structure(rng: random.Random) -> EpistemicStructure:
+    """3 players, 1-7 states, cells derived from each player's own signals.
+
+    Each player's cells are runs of consecutive states cut at random, so the
+    players' cells overlap in staggered chains and some walks take several
+    levels to settle.  About one state in six has zero prior mass, so
+    zero-mass states sit inside positive-mass cells and some players get a
+    whole zero-mass cell.
+    """
+    players = ("A", "B", "C")
+    actions = {p: ("x", "y") for p in players}
+    payoffs = {
+        profile: tuple(F(rng.randint(-2, 2)) for _ in players)
+        for profile in itertools.product(*actions.values())
+    }
+    game = Game(players, actions, payoffs)
+    states = [f"w{k}" for k in range(rng.randint(1, 7))]
+    weights = [rng.choice((0, 1, 1, 2, 3, 4)) for _ in states]
+    if not any(weights):
+        weights[rng.randrange(len(states))] = 1
+    prior = {s: F(w, sum(weights)) for s, w in zip(states, weights)}
+    signals = ("s0", "s1", "s2", "s3")
+    atoms = ("p", "q")
+
+    def some(share):
+        return [s for s in states if rng.random() < share]
+
+    truth = {}
+    for p in players:
+        own, run = [], 0
+        for _ in states:
+            own.append(signals[run % len(signals)])
+            run += rng.random() < 0.7
+        table = {Prim(a): some(0.9) for a in atoms}
+        for j in players:
+            for sig in signals:
+                table[Receive(j, sig)] = (
+                    [s for s, got in zip(states, own) if got == sig] if j == p else some(0.5)
+                )
+            for a in actions[j]:
+                table[Play(j, a)] = some(0.5)
+        truth[p] = table
+    return EpistemicStructure(game, states, prior, signals, atoms, truth)
+
+
+def _plain_levels(m, f, k):
+    """EB^1(f) .. EB^k(f), one everybody-believes step at a time, from the
+    oracle's cells and posteriors; refuses any zero-mass cell up front."""
+    players = m.game.players
+    for j in players:
+        for cell in cells_of(m, j):
+            if sum(map(m.prior_of, cell)) == 0:
+                raise PreconditionError(f"zero-mass cell of {j!r}")
+    events = {j: frozenset(w for w in m.states if naive_holds(m, w, j, f)) for j in players}
+    levels = []
+    for _ in range(k):
+        level = frozenset(
+            w for w in m.states if all(naive_posterior(m, j, events[j], w) == 1 for j in players)
+        )
+        levels.append(level)
+        events = dict.fromkeys(players, level)
+    return levels
+
+
+class TestEverybodyBelievesWalk:
+    """EB^k and CB read one walk that stops at its first repeated level."""
+
+    def test_levels_and_common_belief_match_the_plain_loop(self):
+        rng = random.Random(2015)
+        refused = answered = longest = 0
+        for _ in range(150):
+            m = _random_structure(rng)
+            f = rng.choice([P, random_formula(rng, m.game, m.signals, m.atoms, depth=1)])
+            top = len(m.states) + 3
+            try:
+                levels = _plain_levels(m, f, top)
+            except PreconditionError:
+                refused += 1
+                for g in [MutualBelief(k, f) for k in range(1, top + 1)] + [CommonBelief(f)]:
+                    with pytest.raises(PreconditionError):
+                        intension(m, "A", g)
+                continue
+            answered += 1
+            for k in range(1, top + 1):
+                assert intension(m, "A", MutualBelief(k, f)) == levels[k - 1], (str(f), k)
+            assert cb_intension(m, f) == naive_cb_set(m, f) == frozenset.intersection(*levels)
+            longest = max(longest, len(set(levels)))
+        assert refused > 20 and answered > 50 and longest >= 4
+
+    def test_huge_orders_read_the_fixed_point(self):
+        rng = random.Random(1974)
+        for _ in range(100):
+            m = _random_structure(rng)
+            f = rng.choice([P, Q, Receive("B", "s1"), Not(Play("C", "x"))])
+            try:
+                fixed = intension(m, "A", MutualBelief(len(m.states) + 2, f))
+            except PreconditionError:
+                with pytest.raises(PreconditionError):
+                    intension(m, "A", MutualBelief(10**9, f))
+                continue
+            assert intension(m, "A", MutualBelief(10**9, f)) == fixed
+
+    def test_operand_errors_come_before_zero_mass_cells(self, weather_game, weather):
+        data = weather.to_dict()
+        data["prior"] = {"w1": "1/2", "w2": "1/2", "w3": "0", "w4": "0"}
+        starved = EpistemicStructure.from_dict(data, weather_game)
+        cases = [
+            (ProbGe("A", ((F(1), Prim("zz")),), F(1, 2)), "formula references undeclared atom 'zz'"),
+            (Belief("A", Play("A", "run")), "'run' is not an action of player 'A'"),
+            (Belief("A", P), "zero-mass information cell of player 'A'; posterior undefined"),
+            (MutualBelief(10**9, P), "zero-mass information cell of player 'A'; posterior undefined"),
+            (CommonBelief(P), "zero-mass information cell of player 'A'; posterior undefined"),
+        ]
+        for f, message in cases:
+            with pytest.raises(PreconditionError) as exc:
+                holds(starved, "w1", "B", f)
+            assert str(exc.value) == message
+
+    def test_unknown_owners(self, weather):
+        with pytest.raises(PreconditionError) as exc:
+            holds(weather, "w1", "A", ProbGe("Z", ((F(1), P),), F(0)))
+        assert str(exc.value) == "unknown player 'Z' in probability formula"
+        with pytest.raises(KeyError) as exc:
+            holds(weather, "w1", "A", Belief("Z", P))
+        assert exc.value.args == ("unknown player 'Z'",)
