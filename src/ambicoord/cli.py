@@ -9,6 +9,7 @@ go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -41,6 +42,8 @@ def _read_json(path: str):
         raise SchemaError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_game(path: str) -> Game:
@@ -52,15 +55,17 @@ def _load_game(path: str) -> Game:
 
 
 def _load_structure(path: str, game: Game) -> EpistemicStructure:
+    data = _read_json(path)
     try:
-        return EpistemicStructure.from_dict(_read_json(path), game)
+        return EpistemicStructure.from_dict(data, game)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
 
 def _load_strategy(path: str, game: Game, signals) -> CoordinationStrategy:
+    data = _read_json(path)
     try:
-        return CoordinationStrategy.from_dict(_read_json(path), game, signals)
+        return CoordinationStrategy.from_dict(data, game, signals)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -205,6 +210,7 @@ def _cmd_solve_ce(args) -> int:
 # ------------------------------------------------------------------ wiring
 
 
+@functools.cache  # built once per process: building it costs more than most commands
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ambicoord",

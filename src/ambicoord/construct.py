@@ -21,16 +21,19 @@ returned strategy total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
 from .coordination import CoordinationStrategy
 from .errors import PreconditionError
-from .formulas import Formula, Play, Receive
-from .games import Distribution, Game, check_subjective_ce, profile_key, require_valid_game
+from .formulas import Play, Receive
+from .games import Distribution, Game, Profile, check_subjective_ce, profile_key, require_valid_game
 from .structures import EpistemicStructure
+
+# `from_subjective_ce` refuses a product of the supports with more states
+MAX_PRODUCT_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,15 @@ def _require_ce(game: Game, dists: Sequence[Distribution], kind: str) -> None:
         )
 
 
+def _support(game: Game, dist: Distribution) -> tuple[list[Profile], list[int], int]:
+    """The support in declared profile order, with its weights as integer
+    numerators over their least common denominator, and that denominator."""
+    support = [a for a in game.profiles() if dist.weight(a) > 0]
+    weights = [dist.weight(a) for a in support]
+    denom = math.lcm(*(w.denominator for w in weights))
+    return support, [w.numerator * (denom // w.denominator) for w in weights], denom
+
+
 def from_objective_ce(game: Game, dist: Distribution) -> ConstructionResult:
     """Common-interpretation structure whose induced distribution is `dist`.
 
@@ -80,8 +92,8 @@ def from_objective_ce(game: Game, dist: Distribution) -> ConstructionResult:
     signal encoding her own recommended action and plays it.
     """
     _require_ce(game, [dist] * game.n, "an objective")
-    support = [a for a in game.profiles() if dist.weight(a) > 0]
-    return _device(game, [(profile_key(a), dist.weight(a), (a,) * game.n) for a in support])
+    support, num, denom = _support(game, dist)
+    return _device(game, [profile_key(a) for a in support], num, denom, [(a,) * game.n for a in support])
 
 
 def from_subjective_ce(game: Game, dists: Sequence[Distribution]) -> ConstructionResult:
@@ -89,41 +101,57 @@ def from_subjective_ce(game: Game, dists: Sequence[Distribution]) -> Constructio
 
     Each state fixes, for every player, a support profile of her own
     distribution; player i's interpretation reads signals and play off her
-    coordinate alone.  States whose coordinates disagree get the product
-    prior, which may be zero; they are kept, and every information cell still
-    has positive mass.
+    coordinate alone.  The prior is the product of the coordinates' weights.
+    A product of more than MAX_PRODUCT_STATES states is refused before it
+    is built.
     """
     dists = list(dists)
     _require_ce(game, dists, "a subjective")
-    supports = [[a for a in game.profiles() if d.weight(a) > 0] for d in dists]
-    states = []
-    for w in product(*supports):
-        weight = Fraction(1)
-        for d, a in zip(dists, w):
-            weight *= d.weight(a)
-        states.append(("|".join(map(profile_key, w)), weight, w))
-    return _device(game, states)
+    supports, nums, denoms = zip(*(_support(game, d) for d in dists))
+    size = math.prod(map(len, supports))
+    if size > MAX_PRODUCT_STATES:
+        raise PreconditionError(
+            f"the product device would have {size} states, more than the cap of {MAX_PRODUCT_STATES}"
+        )
+    keys = [[profile_key(a) for a in support] for support in supports]
+    return _device(
+        game,
+        ["|".join(w) for w in product(*keys)],
+        [math.prod(w) for w in product(*nums)],
+        math.prod(denoms),
+        list(product(*supports)),
+    )
 
 
-def _device(game: Game, states: Sequence[tuple[str, Fraction, tuple]]) -> ConstructionResult:
-    """The device for (name, prior, views) states: player i reads signals and
-    play off the profile views[i], and her cells group the states by her own
-    action there, in order of first appearance."""
+def _device(
+    game: Game, names: Sequence[str], num: Sequence[int], denom: int, views: Sequence[tuple[Profile, ...]]
+) -> ConstructionResult:
+    """The device whose state k is named names[k], has prior num[k] / denom,
+    and where player i reads signals and play off the profile views[k][i].
+    Her cells group the states by her own action there, in order of first
+    appearance.  The masks are written directly: one OR per state and player
+    groups the states by her view, and each distinct view's mask goes into
+    its nodes."""
     signals, to_signal, strategy_table = _signal_scheme(game)
-    truth: dict[str, dict[Formula, frozenset[str]]] = {}
-    partitions = {}
-    for i, p in enumerate(game.players):
-        table: dict[Formula, set[str]] = {}
-        cells: dict[str, list[str]] = {}
-        for state, _, views in states:
-            mine = views[i]
-            for q, action in zip(game.players, mine):
-                table.setdefault(Receive(q, to_signal[q][action]), set()).add(state)
-                table.setdefault(Play(q, action), set()).add(state)
-            cells.setdefault(mine[i], []).append(state)
-        truth[p] = {node: frozenset(ss) for node, ss in table.items()}
-        partitions[p] = [frozenset(c) for c in cells.values()]
-    prior = {state: weight for state, weight, _ in states}
-    structure = EpistemicStructure(game, [s for s, _, _ in states], prior, signals, (), truth, partitions, None)
+    players = game.players
+    nodes = {
+        (q, a): (Receive(q, to_signal[q][a]), Play(q, a)) for q in players for a in game.actions_of(q)
+    }
+    masks, cells = {}, {}
+    for i, p in enumerate(players):
+        by_view: dict[Profile, int] = {}
+        for k, views_k in enumerate(views):
+            mine = views_k[i]
+            by_view[mine] = by_view.get(mine, 0) | 1 << k
+        table: dict = {}
+        own: dict[str, int] = {}
+        for mine, mask in by_view.items():
+            for pair in zip(players, mine):
+                for node in nodes[pair]:
+                    table[node] = table.get(node, 0) | mask
+            own[mine[i]] = own.get(mine[i], 0) | mask
+        masks[p] = table
+        cells[p] = tuple(own.values())
+    structure = EpistemicStructure.from_masks(game, names, num, denom, signals, masks, cells)
     strategy = CoordinationStrategy(game.players, signals, strategy_table)
     return ConstructionResult(structure, strategy, to_signal)

@@ -289,18 +289,21 @@ def optimality_core(player: str, action: str, game: Game) -> Formula:
     One inequality per alternative: the expected `incentive_row` gain against
     the believed opponent play is >= 0.  The alternative equal to the action
     itself yields the trivially true all-zero inequality and is kept, so the
-    conjunction always ranges over the player's whole action set.
+    conjunction always ranges over the player's whole action set.  Built once
+    per game, player and action.
     """
-    others = [j for j in game.players if j != player]
-    if not others:
-        raise ValueError("optimality needs at least one opponent")
-    events = [
-        conj(Play(j, b) for j, b in zip(others, combo)) for combo in game.opponent_profiles(player)
-    ]
-    return conj(
-        ProbGe(player, tuple(zip(incentive_row(game, player, action, alt).values(), events)), Fraction(0))
-        for alt in game.actions_of(player)
-    )
+
+    def build():
+        others = [j for j in game.players if j != player]
+        if not others:
+            raise ValueError("optimality needs at least one opponent")
+        events = [conj(Play(j, b) for j, b in zip(others, combo)) for combo in game.opponent_profiles(player)]
+        return conj(
+            ProbGe(player, tuple(zip(incentive_row(game, player, action, alt).values(), events)), Fraction(0))
+            for alt in game.actions_of(player)
+        )
+
+    return game.derived(("optimality core", player, action), build)
 
 
 # ---------------------------------------------------------------- measuring

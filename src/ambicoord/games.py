@@ -11,7 +11,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from . import lp
 from .errors import PreconditionError, SchemaError
@@ -29,7 +30,11 @@ def profile_key(profile: Sequence[str]) -> str:
 
 
 class Game:
-    """n-player normal-form game with named players and actions."""
+    """n-player normal-form game with named players and actions.
+
+    Its tables are read-only, so what they determine, such as the incentive
+    rows and the `opt_i(a)` cores, is derived once per game (`derived`).
+    """
 
     def __init__(
         self,
@@ -38,16 +43,23 @@ class Game:
         payoffs: Mapping[Sequence[str], Sequence[Fraction | int]],
     ):
         self.players = tuple(players)
-        self.actions = {p: tuple(actions[p]) for p in self.players if p in actions}
-        self.payoffs = {
-            tuple(profile): tuple(Fraction(v) for v in values)
-            for profile, values in payoffs.items()
-        }
+        self.actions = MappingProxyType({p: tuple(actions[p]) for p in self.players if p in actions})
+        self.payoffs = MappingProxyType(
+            {tuple(profile): tuple(Fraction(v) for v in values) for profile, values in payoffs.items()}
+        )
         self._index = {p: k for k, p in enumerate(self.players)}
+        self._memo: dict = {}
 
     @property
     def n(self) -> int:
         return len(self.players)
+
+    def derived(self, key, build):
+        """build(), run on the first call with this key and kept."""
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = build()
+        return hit
 
     def player_index(self, player: str) -> int:
         try:
@@ -104,6 +116,9 @@ class Game:
         players = data.get("players")
         if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
             raise SchemaError("game: 'players' must be a list of strings")
+        for k, p in enumerate(players):
+            if p in players[:k]:
+                raise SchemaError(f"game: duplicate player name {p!r}")
         actions = data.get("actions")
         if not isinstance(actions, dict):
             raise SchemaError("game: 'actions' must be an object")
@@ -115,18 +130,17 @@ class Game:
         payoffs_raw = data.get("payoffs")
         if not isinstance(payoffs_raw, dict):
             raise SchemaError("game: 'payoffs' must be an object")
-        game = cls(players, {p: tuple(a) for p, a in actions.items()}, {})
+        actions = {p: tuple(a) for p, a in actions.items()}
         payoffs = {}
         for key, values in payoffs_raw.items():
-            profile = parse_profile_key(key, game)
+            profile = _profile(key, players, actions)
             if not isinstance(values, list) or len(values) != len(players):
                 raise SchemaError(f"game: payoff vector for {key!r} must list one value per player")
             try:
                 payoffs[profile] = tuple(parse_rational(v) for v in values)
             except ValueError as exc:
                 raise SchemaError(f"game: payoff for {key!r}: {exc}") from None
-        game.payoffs = payoffs
-        return game
+        return cls(players, actions, payoffs)
 
     def to_dict(self) -> dict:
         return {
@@ -142,13 +156,17 @@ class Game:
 
 def parse_profile_key(key: str, game: Game) -> Profile:
     """Split "a1,a2,..." and validate each action against the game."""
+    return _profile(key, game.players, game.actions)
+
+
+def _profile(key: str, players: Sequence[str], actions: Mapping[str, Sequence[str]]) -> Profile:
     if not isinstance(key, str):
         raise SchemaError(f"profile key must be a string, got {key!r}")
     parts = tuple(key.split(","))
-    if len(parts) != game.n:
-        raise SchemaError(f"profile key {key!r} must name {game.n} actions")
-    for p, a in zip(game.players, parts):
-        if a not in game.actions_of(p):
+    if len(parts) != len(players):
+        raise SchemaError(f"profile key {key!r} must name {len(players)} actions")
+    for p, a in zip(players, parts):
+        if a not in actions.get(p, ()):
             raise SchemaError(f"profile key {key!r}: {a!r} is not an action of player {p!r}")
     return parts
 
@@ -284,14 +302,19 @@ def incentive_row(game: Game, player: str, action: str, alt: str) -> dict[Profil
     return row
 
 
-def incentive_rows(game: Game) -> Iterator[tuple[str, str, str, dict[Profile, Fraction]]]:
-    """(player, action, alt, incentive_row) for every alt != action, player-major."""
-    for p in game.players:
-        acts = game.actions_of(p)
-        for action in acts:
-            for alt in acts:
-                if alt != action:
-                    yield p, action, alt, incentive_row(game, p, action, alt)
+def incentive_rows(game: Game) -> tuple[tuple[str, str, str, Mapping[Profile, Fraction]], ...]:
+    """(player, action, alt, incentive_row) for every alt != action,
+    player-major; built once per game, with read-only rows."""
+    return game.derived(
+        "incentive rows",
+        lambda: tuple(
+            (p, action, alt, MappingProxyType(incentive_row(game, p, action, alt)))
+            for p in game.players
+            for action in game.actions_of(p)
+            for alt in game.actions_of(p)
+            if alt != action
+        ),
+    )
 
 
 def expected_gain(row: Mapping[Profile, Fraction], weights: Mapping[Profile, Fraction | int]) -> Fraction:

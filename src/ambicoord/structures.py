@@ -7,13 +7,14 @@ a", "j received sigma").  Information partitions are either stored explicitly
 or derived from each player's own received-signal atoms.
 
 Structures are immutable once built.  The constructor compiles the
-interpretation to bitmasks, which are the one stored form: state k is bit k,
+interpretation to bitmasks, which `from_masks` takes directly, and both run
+the same checks on them.  The masks are the one stored form: state k is bit k,
 each player's table maps a primitive proposition to the int mask of the
 states where she deems it true, stored partitions are tuples of cell masks,
-and the prior is integer numerators over one common denominator.  The audits
-below are whole-mask folds over these tables; per-state work is left only
-to name offending states, always in state order.  Derived data (partitions,
-the compiled evaluator) is cached on first use.
+and the prior is integer numerators over one common denominator, in lowest
+terms.  The audits below are whole-mask folds over these tables; per-state
+work is left only to name offending states, always in state order.  Derived
+data (partitions, the compiled evaluator) is cached on first use.
 """
 
 from __future__ import annotations
@@ -101,6 +102,56 @@ class EpistemicStructure:
         partitions: Optional[Mapping[str, Iterable[Iterable[str]]]] = None,
         signal_defs: Optional[Mapping[str, Optional[Formula]]] = None,
     ):
+        """The structure whose prior, truth sets and cells name their states;
+        they are compiled to the masks that `from_masks` takes."""
+        states = tuple(states)
+        bit = {s: 1 << k for k, s in enumerate(states)}
+        for s in prior:
+            if s not in bit:
+                raise SchemaError(f"structure: prior names unknown state {s!r}")
+        weights = [Fraction(prior.get(s, 0)) for s in states]
+        denom = math.lcm(*(w.denominator for w in weights))
+        num = [w.numerator * (denom // w.denominator) for w in weights]
+
+        masks = {}
+        for p, table in (truth or {}).items():
+            masks[p] = {}
+            for node, where in table.items():
+                mask = _compile(bit, where)
+                if mask is None:
+                    bad = sorted({s for s in where if s not in bit})
+                    raise SchemaError(f"structure: unknown states {bad} for {node}")
+                masks[p][node] = mask
+
+        cells = None
+        if partitions is not None:
+            cells = {}
+            for p, named in partitions.items():
+                cells[p] = [_compile(bit, c) for c in named]
+                if None in cells[p]:
+                    raise SchemaError(f"structure: cells of player {p!r} do not partition the states")
+        self._install(game, states, num, denom, signals, atoms, masks, cells, signal_defs)
+
+    @classmethod
+    def from_masks(
+        cls,
+        game: Game,
+        states: Iterable[str],
+        prior_num: Iterable[int],
+        prior_denom: int,
+        signals: Iterable[str],
+        masks: Mapping[str, Mapping[Formula, int]],
+        cells: Optional[Mapping[str, Iterable[int]]] = None,
+    ) -> "EpistemicStructure":
+        """The structure, without atoms, given in compiled form (see the class
+        docstring): state k of `states` is bit k of every mask, and has prior
+        `prior_num[k] / prior_denom`.  It is checked as `__init__` checks it."""
+        m = cls.__new__(cls)
+        m._install(game, states, prior_num, prior_denom, signals, (), masks, cells, None)
+        return m
+
+    def _install(self, game, states, prior_num, prior_denom, signals, atoms, masks, cells, signal_defs) -> None:
+        """Check the compiled form and store it, the prior reduced to lowest terms."""
         self.game = game
         self.states = tuple(states)
         if not self.states:
@@ -109,21 +160,17 @@ class EpistemicStructure:
             raise SchemaError("structure: duplicate state names")
         self._state_index = {s: k for k, s in enumerate(self.states)}
         self.full = (1 << len(self.states)) - 1
-        bit = {s: 1 << k for k, s in enumerate(self.states)}
 
-        weights: dict[str, Fraction] = {}
-        for s, w in prior.items():
-            if s not in self._state_index:
-                raise SchemaError(f"structure: prior names unknown state {s!r}")
-            weights[s] = Fraction(w)
-        if any(w < 0 for w in weights.values()):
+        num = tuple(prior_num)
+        if len(num) != len(self.states) or prior_denom < 1:
+            raise SchemaError("structure: the prior needs one numerator per state and a positive denominator")
+        if any(w < 0 for w in num):
             raise SchemaError("structure: negative prior weight")
-        total = sum(weights.values(), Fraction(0))
-        if total != 1:
-            raise SchemaError(f"structure: prior sums to {total}, not 1")
-        self.prior_denom = math.lcm(*(w.denominator for w in weights.values()))
-        scaled = {s: w.numerator * (self.prior_denom // w.denominator) for s, w in weights.items()}
-        self.prior_num = tuple(scaled.get(s, 0) for s in self.states)
+        if sum(num) != prior_denom:
+            raise SchemaError(f"structure: prior sums to {Fraction(sum(num), prior_denom)}, not 1")
+        common = math.gcd(prior_denom, *num)
+        self.prior_denom = prior_denom // common
+        self.prior_num = tuple(w // common for w in num)
 
         self.signals = tuple(signals)
         if len(set(self.signals)) != len(self.signals):
@@ -136,35 +183,29 @@ class EpistemicStructure:
                 raise SchemaError(f"structure: {name!r} is not a usable signal/atom name")
 
         self.masks: dict[str, dict[Formula, int]] = {p: {} for p in game.players}
-        for p, table in (truth or {}).items():
+        for p, table in masks.items():
             if p not in self.masks:
                 raise SchemaError(f"structure: interpretation for unknown player {p!r}")
-            for node, where in table.items():
+            for node, mask in table.items():
                 self._check_instance(node)
-                mask = _compile(bit, where)
-                if mask is None:
-                    bad = sorted({s for s in where if s not in bit})
-                    raise SchemaError(f"structure: unknown states {bad} for {node}")
+                if not 0 <= mask <= self.full:
+                    raise SchemaError(f"structure: the mask for {node} names states beyond the last")
                 self.masks[p][node] = mask
 
         self.stored_cells: Optional[dict[str, tuple[int, ...]]] = None
-        if partitions is not None:
-            stored = {}
-            for p, cells in partitions.items():
+        if cells is not None:
+            self.stored_cells = {}
+            for p, row in cells.items():
                 if p not in self.masks:
                     raise SchemaError(f"structure: partition for unknown player {p!r}")
-                stored[p] = [list(c) for c in cells]
-            if set(stored) != set(game.players):
-                raise SchemaError("structure: partitions must cover every player")
-            self.stored_cells = {}
-            for p, cells in stored.items():
-                if any(not c for c in cells):
+                row = self.stored_cells[p] = tuple(row)
+                if 0 in row:
                     raise SchemaError(f"structure: empty partition cell for player {p!r}")
-                masks = tuple(_compile(bit, c) for c in cells)
-                seen, dup = fold(mk or 0 for mk in masks)
-                if None in masks or dup or seen != self.full:
+                seen, dup = fold(row)
+                if dup or seen != self.full:
                     raise SchemaError(f"structure: cells of player {p!r} do not partition the states")
-                self.stored_cells[p] = masks
+            if self.stored_cells.keys() != set(game.players):
+                raise SchemaError("structure: partitions must cover every player")
 
         self.signal_defs: dict[str, Optional[Formula]] = {s: None for s in self.signals}
         for sig, df in (signal_defs or {}).items():
@@ -373,15 +414,18 @@ class EpistemicStructure:
         if not isinstance(interp_raw, dict):
             raise SchemaError("structure: 'interpretation' must be an object")
         truth: dict[str, dict[Formula, list[str]]] = {}
+        nodes: dict[str, Formula] = {}  # every player's table repeats the same keys
         for p, table in interp_raw.items():
             if not isinstance(table, dict):
                 raise SchemaError(f"structure: interpretation of player {p!r} must be an object")
             entries = {}
             for key, where in table.items():
-                try:
-                    node = parse_instance(key, game, signals=signal_names, atoms=atoms)
-                except ParseError as exc:
-                    raise SchemaError(f"structure: instance key {key!r}: {exc}") from None
+                node = nodes.get(key)
+                if node is None:
+                    try:
+                        node = nodes[key] = parse_instance(key, game, signals=signal_names, atoms=atoms)
+                    except ParseError as exc:
+                        raise SchemaError(f"structure: instance key {key!r}: {exc}") from None
                 if not _strings(where):
                     raise SchemaError(f"structure: value of {key!r} must be a list of states")
                 entries[node] = where

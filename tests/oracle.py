@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ambicoord.coordination import EnforcementIssue, ValidityIssue, VerifyResult, as_formulas
+from ambicoord.construct import ConstructionResult
+from ambicoord.coordination import CoordinationStrategy, EnforcementIssue, ValidityIssue, VerifyResult, as_formulas
 from ambicoord.errors import PreconditionError
 from ambicoord.formulas import (
     And,
@@ -41,12 +42,13 @@ from ambicoord.formulas import (
     Receive,
     conj,
 )
-from ambicoord.games import Distribution, check_objective_ce, check_subjective_ce
+from ambicoord.games import Distribution, check_objective_ce, check_subjective_ce, profile_key
 from ambicoord.reports import Report
 from ambicoord.semantics import holds, intension, posterior
 from ambicoord.structures import (
     ActionIssue,
     CellIssue,
+    EpistemicStructure,
     PartitionIssue,
     RationalityIssue,
     SignalDefIssue,
@@ -625,3 +627,66 @@ def naive_gate(m, strategy) -> tuple[list, list, int]:
         if not ok:
             return [], [f"precondition violated: {label}"], 3
     return [], [], 0
+
+
+# ------------------------------------------------------------ constructions
+#
+# The devices of `ambicoord.construct`, built the way they were before the
+# constructions wrote the compiled form: one Receive and one Play node per
+# state, player and player, collected in frozensets of state names and
+# handed to the name-based constructor.  No CE checks: callers pass
+# equilibria.
+
+
+def naive_signal_scheme(game):
+    """Shared alphabet sig1..sigK plus per-player action<->signal tables."""
+    width = max(len(game.actions_of(p)) for p in game.players)
+    signals = tuple(f"sig{k + 1}" for k in range(width))
+    to_signal = {p: dict(zip(game.actions_of(p), signals)) for p in game.players}
+    # signals past a player's actions fall back to her first action
+    strategy_table = {
+        p: dict(zip(signals, game.actions_of(p) + (game.actions_of(p)[0],) * width)) for p in game.players
+    }
+    return signals, to_signal, strategy_table
+
+
+def naive_device(game, states) -> ConstructionResult:
+    """The device for (name, prior, views) states: player i reads signals and
+    play off the profile views[i], and her cells group the states by her own
+    action there, in order of first appearance."""
+    signals, to_signal, strategy_table = naive_signal_scheme(game)
+    truth: dict[str, dict[Formula, frozenset[str]]] = {}
+    partitions = {}
+    for i, p in enumerate(game.players):
+        table: dict[Formula, set[str]] = {}
+        cells: dict[str, list[str]] = {}
+        for state, _, views in states:
+            mine = views[i]
+            for q, action in zip(game.players, mine):
+                table.setdefault(Receive(q, to_signal[q][action]), set()).add(state)
+                table.setdefault(Play(q, action), set()).add(state)
+            cells.setdefault(mine[i], []).append(state)
+        truth[p] = {node: frozenset(ss) for node, ss in table.items()}
+        partitions[p] = [frozenset(c) for c in cells.values()]
+    prior = {state: weight for state, weight, _ in states}
+    structure = EpistemicStructure(game, [s for s, _, _ in states], prior, signals, (), truth, partitions, None)
+    strategy = CoordinationStrategy(game.players, signals, strategy_table)
+    return ConstructionResult(structure, strategy, to_signal)
+
+
+def naive_objective_device(game, dist) -> ConstructionResult:
+    """One state per support profile, in profile order, read alike by all."""
+    support = [a for a in game.profiles() if dist.weight(a) > 0]
+    return naive_device(game, [(profile_key(a), dist.weight(a), (a,) * game.n) for a in support])
+
+
+def naive_subjective_device(game, dists) -> ConstructionResult:
+    """One state per tuple of support profiles, with the product prior."""
+    supports = [[a for a in game.profiles() if d.weight(a) > 0] for d in dists]
+    states = []
+    for w in itertools.product(*supports):
+        weight = Fraction(1)
+        for d, a in zip(dists, w):
+            weight *= d.weight(a)
+        states.append(("|".join(map(profile_key, w)), weight, w))
+    return naive_device(game, states)

@@ -3,6 +3,7 @@ exit codes 0 (ok/true), 1 (false/failed), 2 (input errors), 3 (preconditions).
 """
 
 import importlib.metadata
+import itertools
 import json
 import os
 import shutil
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ambicoord
-from ambicoord import Game, expand, parse_formula
+from ambicoord import Game, cli, expand, parse_formula
 from ambicoord.cli import MAX_EXPANDED, main
 from ambicoord.parser import MAX_DEPTH
 from conftest import FIXTURES
@@ -368,6 +369,67 @@ class TestSolveCe:
         objective = tmp_path / "objective.json"
         objective.write_text(json.dumps({"weights": {"T,C": "0.5"}}))
         assert main(["solve-ce", "--game", CG, "--objective", str(objective)]) == 2
+
+
+class TestHostileFiles:
+    def test_json_nested_too_deeply_is_exit_2(self, capsys, tmp_path):
+        data = json.loads(Path(WS).read_text())
+        text = json.dumps(data).replace(json.dumps(data["atoms"]), "[" * 100_000 + "]" * 100_000)
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        assert main(["validate", "--game", WG, "--structure", str(deep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {deep}: JSON nested too deeply\n"
+
+    def test_duplicate_player_name_is_named(self, capsys, tmp_path):
+        data = json.loads(Path(WG).read_text())
+        data["players"] = ["A", "A"]
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(data))
+        assert main(["validate", "--game", str(game), "--structure", WS]) == 2
+        assert capsys.readouterr().err == "error: game: duplicate player name 'A'\n"
+
+    def test_oversized_product_device_exits_3_at_once(self, capsys, tmp_path):
+        players = ["1", "2", "3"]
+        actions = {p: ["a1", "a2", "a3"] for p in players}
+        profiles = [",".join(a) for a in itertools.product(*actions.values())]
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({"players": players, "actions": actions, "payoffs": {a: ["0"] * 3 for a in profiles}}))
+        uniform = tmp_path / "uniform.json"
+        uniform.write_text(json.dumps({"weights": {a: "1/27" for a in profiles}}))
+        out_dir = tmp_path / "built"
+        start = time.perf_counter()
+        code = main(["construct", "--game", str(game), "--subjective", *[str(uniform)] * 3, "--out", str(out_dir)])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "precondition violated: the product device would have 19683 states, more than the cap of 4096\n"
+        )
+        assert not out_dir.exists()
+
+
+def test_argument_parser_is_built_once_and_reused(capsys):
+    """One process: an argparse rejection, then check, then validate, each
+    answering as a fresh process does, from a parser built once."""
+    cli.build_parser.cache_clear()
+    calls = [
+        ("check", "--structure", WS, "--state", "w1", "--player", "A", "p"),
+        ("check", "--game", WG, "--structure", WS, "--state", "w1", "--player", "A", "p"),
+        ("validate", "--game", WG, "--structure", WS),
+    ]
+    ep = _declared_console_script()
+    codes = []
+    for argv in calls:
+        try:
+            codes.append(main(list(argv)))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        captured = capsys.readouterr()
+        fresh = _run_entry_point(ep, *argv)
+        assert (captured.out, captured.err, codes[-1]) == (fresh.stdout, fresh.stderr, fresh.returncode)
+    assert codes == [2, 0, 0]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def eval_fraction(text):

@@ -1,15 +1,19 @@
 """Building epistemic structures out of equilibrium distributions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from ambicoord import (
     Distribution,
+    EpistemicStructure,
     Game,
     Play,
     PreconditionError,
+    Receive,
+    SchemaError,
     check_action_uniqueness,
     check_cell_positivity,
     check_objective_ce,
@@ -25,8 +29,10 @@ from ambicoord import (
     solve_ce,
     verify_induced_equilibrium,
 )
+from ambicoord.construct import MAX_PRODUCT_STATES
 from conftest import load_fixture
 from helpers import random_game, random_objective
+from oracle import naive_objective_device, naive_subjective_device
 
 F = Fraction
 
@@ -199,3 +205,134 @@ class TestPipelines:
             assert check_self_enforcing(out.structure, out.strategy).ok
             for k, p in enumerate(game.players):
                 assert induce(out.structure, p) == dists[k]
+
+
+def compiled_form(out) -> tuple:
+    """Everything a construction hands back, mask tables in insertion order."""
+    m = out.structure
+    return (
+        m.states,
+        m.prior_num,
+        m.prior_denom,
+        {p: list(table.items()) for p, table in m.masks.items()},
+        m.stored_cells,
+        m.to_dict(),
+        out.strategy.to_dict(),
+        out.signal_maps_dict(),
+    )
+
+
+def zero_game(shape) -> Game:
+    """Players "1".."n" with actions a1..ak and all payoffs zero: every
+    distribution is an equilibrium."""
+    players = [str(k + 1) for k in range(len(shape))]
+    actions = {p: tuple(f"a{j + 1}" for j in range(n)) for p, n in zip(players, shape)}
+    profiles = Game(players, actions, {}).profiles()
+    return Game(players, actions, {a: (0,) * len(shape) for a in profiles})
+
+
+def random_distribution(rng, game, most: int) -> Distribution:
+    """Random rational weights on 1..most random profiles."""
+    profiles = list(game.profiles())
+    support = rng.sample(profiles, rng.randint(1, min(most, len(profiles))))
+    raw = [rng.randint(1, 6) for _ in support]
+    return Distribution({a: F(w, sum(raw)) for a, w in zip(support, raw)})
+
+
+class TestCompiledConstruction:
+    """The constructions write the compiled form directly; it must equal what
+    the name-based constructor makes of the same device's state sets."""
+
+    def test_seeded_random_equilibria(self):
+        rng = random.Random(7)
+        for _ in range(25):
+            game = random_game(rng)
+            dist = solve_ce(game, random_objective(rng, game))
+            assert compiled_form(from_objective_ce(game, dist)) == compiled_form(naive_objective_device(game, dist))
+            dists = [solve_ce(game, random_objective(rng, game)) for _ in game.players]
+            assert compiled_form(from_subjective_ce(game, dists)) == compiled_form(
+                naive_subjective_device(game, dists)
+            )
+
+    def test_acceptance_battery_inputs(self, objective_instances, subjective_instances):
+        for game, dist, built in objective_instances:
+            assert compiled_form(built) == compiled_form(naive_objective_device(game, dist))
+        for game, dists, built in subjective_instances:
+            assert compiled_form(built) == compiled_form(naive_subjective_device(game, dists))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (2, 3, 2), (3, 1, 2)])
+    def test_unequal_action_counts(self, shape):
+        rng = random.Random(str(shape))
+        game = zero_game(shape)
+        for _ in range(8):
+            dist = random_distribution(rng, game, 5)
+            assert compiled_form(from_objective_ce(game, dist)) == compiled_form(naive_objective_device(game, dist))
+            dists = [random_distribution(rng, game, 4) for _ in game.players]
+            assert compiled_form(from_subjective_ce(game, dists)) == compiled_form(
+                naive_subjective_device(game, dists)
+            )
+
+
+class TestProductCap:
+    def test_oversized_product_is_refused_before_it_is_built(self):
+        game = zero_game((3, 3, 3))
+        uniform = Distribution({a: F(1, 27) for a in game.profiles()})
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError) as err:
+            from_subjective_ce(game, [uniform] * 3)
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == f"the product device would have 19683 states, more than the cap of {MAX_PRODUCT_STATES}"
+
+    def test_a_product_at_the_cap_is_built(self):
+        game = zero_game((4, 4, 4))
+        dists = [Distribution({a: F(1, 16) for a in list(game.profiles())[:16]})] * 3
+        assert 16**3 == MAX_PRODUCT_STATES
+        assert len(from_subjective_ce(game, dists).structure.states) == MAX_PRODUCT_STATES
+
+
+class TestFromMasks:
+    """The compiled entry point runs the same checks as the name-based one."""
+
+    def build(self, coord_game, **overrides):
+        args = dict(
+            states=["x", "y"],
+            prior_num=[2, 2],
+            prior_denom=4,
+            signals=["s", "t"],
+            masks={"1": {Receive("1", "s"): 0b01, Receive("1", "t"): 0b10}, "2": {Play("1", "U"): 0b11}},
+            cells={"1": [0b01, 0b10], "2": [0b11]},
+        )
+        args.update(overrides)
+        return EpistemicStructure.from_masks(coord_game, **args)
+
+    def test_prior_is_kept_in_lowest_terms(self, coord_game):
+        m = self.build(coord_game)
+        assert (m.prior_num, m.prior_denom) == ((1, 1), 2)
+        assert m.stored_cells == {"1": (0b01, 0b10), "2": (0b11,)}
+        assert m.true_set("2", Play("1", "U")) == frozenset({"x", "y"})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(states=[], prior_num=[]),
+            dict(states=["x", "x"]),
+            dict(prior_num=[3, -1]),
+            dict(prior_num=[1, 2]),
+            dict(prior_num=[4]),
+            dict(prior_num=[0, 0], prior_denom=0),
+            dict(signals=["s", "s"]),
+            dict(signals=["s", "pl"]),
+            dict(masks={"1": {Receive("1", "s"): 0b100}}),
+            dict(masks={"1": {Receive("1", "s"): -1}}),
+            dict(masks={"1": {Play("1", "X"): 0b01}}),
+            dict(masks={"9": {}}),
+            dict(cells={"1": [0b01, 0b10]}),
+            dict(cells={"1": [0b01, 0b10, 0], "2": [0b11]}),
+            dict(cells={"1": [0b01, 0b11], "2": [0b11]}),
+            dict(cells={"1": [0b01], "2": [0b11]}),
+            dict(cells={"1": [0b01, 0b110], "2": [0b11]}),
+        ],
+    )
+    def test_refusals(self, coord_game, overrides):
+        with pytest.raises(SchemaError):
+            self.build(coord_game, **overrides)

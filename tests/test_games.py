@@ -19,6 +19,8 @@ from ambicoord import (
     solve_ce,
     validate_game,
 )
+from ambicoord.formulas import optimality_core
+from ambicoord.games import incentive_row, incentive_rows
 from helpers import random_game
 from oracle import naive_is_objective_ce, naive_is_subjective_ce
 
@@ -66,6 +68,34 @@ def test_game_from_dict_rejects_malformed_input(cycle_game, mutate):
     mutate(data)
     with pytest.raises(SchemaError):
         Game.from_dict(data)
+
+
+def test_game_from_dict_names_a_duplicate_player(cycle_game):
+    data = cycle_game.to_dict()
+    data["players"] = ["1", "1"]
+    with pytest.raises(SchemaError, match=r"^game: duplicate player name '1'$"):
+        Game.from_dict(data)
+
+
+class TestReadOnlyGame:
+    def test_tables_cannot_be_changed(self, cycle_game):
+        with pytest.raises(TypeError):
+            cycle_game.actions["1"] = ("T",)
+        with pytest.raises(TypeError):
+            cycle_game.payoffs[("T", "L")] = (F(9), F(9))
+        assert cycle_game.payoff("1", ("T", "C")) == 2
+
+    def test_derived_data_is_built_once_per_game(self, cycle_game):
+        assert incentive_rows(cycle_game) is incentive_rows(cycle_game)
+        assert optimality_core("1", "T", cycle_game) is optimality_core("1", "T", cycle_game)
+        copy = Game.from_dict(cycle_game.to_dict())
+        assert incentive_rows(copy) == incentive_rows(cycle_game)
+        assert incentive_rows(copy) is not incentive_rows(cycle_game)
+        assert [row for *_, row in incentive_rows(cycle_game)] == [
+            incentive_row(cycle_game, p, a, b) for p, a, b, _ in incentive_rows(cycle_game)
+        ]
+        with pytest.raises(TypeError):
+            incentive_rows(cycle_game)[0][3][("T", "L")] = F(0)
 
 
 class TestValidateGame:
