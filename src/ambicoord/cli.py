@@ -40,7 +40,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"{path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or a number past the int-string limit
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError(f"{path}: JSON nested too deeply") from None
@@ -71,11 +71,10 @@ def _load_strategy(path: str, game: Game, signals) -> CoordinationStrategy:
 
 
 def _resolve_player(game: Game, text: str) -> str:
-    if text in game.players:
-        return text
-    if text.isdigit() and 1 <= int(text) <= game.n:
-        return game.players[int(text) - 1]
-    raise SchemaError(f"unknown player {text!r}")
+    player = game.player_named(text)
+    if player is None:
+        raise SchemaError(f"unknown player {text!r}")
+    return player
 
 
 def _resolve_state(m: EpistemicStructure, text: str) -> str:

@@ -106,7 +106,7 @@ def check_strategy_valid(m: EpistemicStructure, c: CoordinationStrategy) -> Repo
     for f in as_formulas(c):
         for viewer in m.game.players:
             mask = ev.intension_mask(viewer, f)
-            for k in states_in(m, ev.full ^ mask):
+            for k in states_in(m, m.full ^ mask):
                 failures.append(ValidityIssue(f, viewer, m.states[k]))
     return Report(not failures, tuple(failures))
 

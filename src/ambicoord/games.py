@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import lp
 from .errors import PreconditionError, SchemaError
@@ -21,6 +21,8 @@ from .reports import Report
 
 # player, action, signal and atom names: the identifiers of the formula grammar
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# a player's 1-based position, which may stand for her name
+NUMERAL_RE = re.compile(r"[0-9]+")
 
 Profile = tuple[str, ...]
 
@@ -48,6 +50,7 @@ class Game:
             {tuple(profile): tuple(Fraction(v) for v in values) for profile, values in payoffs.items()}
         )
         self._index = {p: k for k, p in enumerate(self.players)}
+        self._by_position = {str(k): p for k, p in enumerate(self.players, 1)}
         self._memo: dict = {}
 
     @property
@@ -66,6 +69,13 @@ class Game:
             return self._index[player]
         except KeyError:
             raise KeyError(f"unknown player {player!r}") from None
+
+    def player_named(self, text: str) -> Optional[str]:
+        """The player `text` gives: a 1-based position in ASCII digits, or
+        else a name; None when it gives no player."""
+        if NUMERAL_RE.fullmatch(text):
+            return self._by_position.get(text.lstrip("0"))
+        return text if text in self._index else None
 
     def actions_of(self, player: str) -> tuple[str, ...]:
         self.player_index(player)
@@ -182,9 +192,9 @@ def validate_game(game: Game) -> Report:
             problems.append("empty player name")
         elif p in seen:
             problems.append(f"duplicate player name {p!r}")
-        elif p.isdigit() and int(p) != k + 1:
+        elif game.player_named(p) != p:
             problems.append(f"numeric player name {p!r} must equal its position {k + 1}")
-        elif not p.isdigit() and NAME_RE.fullmatch(p) is None:
+        elif not NUMERAL_RE.fullmatch(p) and NAME_RE.fullmatch(p) is None:
             problems.append(f"player name {p!r} is not an identifier")
         seen.add(p)
     for p in game.players:

@@ -114,6 +114,15 @@ def _found(tok: _Token, *expected: str) -> ParseError:
     return ParseError(f"found {tok.text or 'end of input'!r}", tok.pos, expected=expected)
 
 
+def _int(tok: _Token) -> int:
+    """The value of an integer token; one too long for the interpreter to
+    convert is refused at its column."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"integer of {len(tok.text)} digits is too long", tok.pos) from None
+
+
 def _tokenize(text: str) -> list[_Token]:
     out = []
     pos = 0
@@ -157,14 +166,10 @@ class _Parser:
     # vocabulary
 
     def resolve_player(self, name: str, pos: int) -> str:
-        players = self.game.players
-        if name.isdigit():
-            k = int(name)
-            if 1 <= k <= len(players):
-                return players[k - 1]
-        elif name in players:
-            return name
-        raise UnknownIdentifierError("player", name, pos)
+        player = self.game.player_named(name)
+        if player is None:
+            raise UnknownIdentifierError("player", name, pos)
+        return player
 
     def check_action(self, player: str, action: str, pos: int) -> str:
         if action not in self.game.actions_of(player):
@@ -269,11 +274,10 @@ class _Parser:
             order = 1
             if self.peek().text == "^":
                 self.advance()
-                otok = self.peek()
-                if otok.kind != "int" or int(otok.text) < 1:
+                otok = self.advance()
+                order = _int(otok) if otok.kind == "int" else 0
+                if order < 1:
                     raise ParseError("mutual-belief order must be a positive integer", otok.pos)
-                self.advance()
-                order = int(otok.text)
             inner, h = self.group()
             return MutualBelief(order, inner), h
         if name.startswith("B_"):
@@ -347,21 +351,20 @@ class _Parser:
         if self.peek().text == "-":
             self.advance()
             sign = -1
-        num_tok = self.peek()
+        num_tok = self.advance()
         if num_tok.kind != "int":
             raise _found(num_tok, "an integer")
-        self.advance()
+        num = _int(num_tok)
         den = 1
         if self.peek().text == "/":
             self.advance()
-            den_tok = self.peek()
+            den_tok = self.advance()
             if den_tok.kind != "int":
                 raise _found(den_tok, "a positive integer")
-            if int(den_tok.text) == 0:
+            den = _int(den_tok)
+            if den == 0:
                 raise ParseError("denominator must be positive", den_tok.pos)
-            self.advance()
-            den = int(den_tok.text)
-        return Fraction(sign * int(num_tok.text), den)
+        return Fraction(sign * num, den)
 
 
 def parse_formula(

@@ -42,70 +42,56 @@ _VIEWER_FREE = (ProbGe, Belief, MutualBelief, CommonBelief, Optimal)
 
 
 class Evaluator:
-    """Compiled, memoizing model checker for one structure.
+    """Memoizing model checker for one structure.
 
-    It keeps the structure's compiled tables, not the structure: a structure
-    caches its evaluator, so a reference back would make a cycle that only
-    the cyclic garbage collector frees.
+    It reads the structure's compiled tables and cells and keeps its memo on
+    the structure, so it is cheap to build and every evaluator of a structure
+    shares what the others worked out.  The structure holds no evaluator, so
+    reference counting still frees it.
     """
 
     def __init__(self, m):
-        self.game = m.game
-        self.atoms = m.atoms
-        self.signals = m.signals
-        self.tables = m.masks
-        self.full = m.full
-        self.num = m.prior_num
-        self.cells: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {
-            p: (masks, tuple(mask_mass(self.num, mk) for mk in masks))
-            for p, masks in m.cell_masks().items()
-        }
-        self._memo: dict = {}
-
-    # -- plumbing -------------------------------------------------------------
-
-    def _leaf(self, viewer: str, f: Formula) -> int:
-        table = self.tables.get(viewer)
-        if table is None:
-            raise KeyError(f"unknown player {viewer!r}")
-        return table.get(f, 0)
+        self.m = m
 
     # -- intensions -----------------------------------------------------------
 
     def intension_mask(self, viewer: str, f: Formula) -> int:
-        self.game.player_index(viewer)
+        self.m.game.player_index(viewer)
         return self._mask(viewer, f)
 
     def _mask(self, viewer: str, f: Formula) -> int:
         key = (None, f) if isinstance(f, _VIEWER_FREE) else (viewer, f)
-        hit = self._memo.get(key)
+        memo = self.m.intensions
+        hit = memo.get(key)
         if hit is None:
-            hit = self._memo[key] = self._compute(viewer, f)
+            hit = memo[key] = self._compute(viewer, f)
         return hit
 
     def _compute(self, viewer: str, f: Formula) -> int:
+        m = self.m
         if isinstance(f, Prim):
-            if f.name not in self.atoms:
+            if f.name not in m.atoms:
                 raise PreconditionError(f"formula references undeclared atom {f.name!r}")
-            return self._leaf(viewer, f)
+            return m.masks[viewer].get(f, 0)
         if isinstance(f, Play):
-            if f.action not in self.game.actions_of(f.player):
+            if f.action not in m.game.actions_of(f.player):
                 raise PreconditionError(f"{f.action!r} is not an action of player {f.player!r}")
-            return self._leaf(viewer, f)
+            return m.masks[viewer].get(f, 0)
         if isinstance(f, Receive):
-            self.game.player_index(f.player)
-            if f.signal not in self.signals:
+            m.game.player_index(f.player)
+            if f.signal not in m.signals:
                 raise PreconditionError(f"formula references undeclared signal {f.signal!r}")
-            return self._leaf(viewer, f)
+            return m.masks[viewer].get(f, 0)
         if isinstance(f, Not):
-            return self.full ^ self._mask(viewer, f.arg)
+            return m.full ^ self._mask(viewer, f.arg)
         if isinstance(f, And):
             return self._mask(viewer, f.left) & self._mask(viewer, f.right)
         if isinstance(f, Implies):
-            return (self.full ^ self._mask(viewer, f.left)) | self._mask(viewer, f.right)
+            return (m.full ^ self._mask(viewer, f.left)) | self._mask(viewer, f.right)
         if isinstance(f, ProbGe):
             return self._probge(f)
         if isinstance(f, Belief):
+            m.game.player_index(f.player)
             return self._believe(f.player, self._mask(f.player, f.arg))
         if isinstance(f, MutualBelief):
             return self._everybody_believes(f.arg, f.order)
@@ -113,12 +99,14 @@ class Evaluator:
             return self._everybody_believes(f.arg, None)
         if isinstance(f, (Optimal, Rationality)):
             # through its definition, built on a memo miss only
-            return self._mask(viewer, rewrite(f, self.game, lambda g: g))
+            return self._mask(viewer, rewrite(f, m.game, lambda g: g))
         raise TypeError(f"not a formula node: {f!r}")
 
     def _probge(self, f: ProbGe) -> int:
-        self._owner_cells(f.owner)  # an unknown owner is refused before the operands
+        if f.owner not in self.m.masks:  # refused before the operands
+            raise PreconditionError(f"unknown player {f.owner!r} in probability formula")
         terms = [(coef, self._mask(f.owner, sub)) for coef, sub in f.terms]
+        num = self.m.prior_num
         out = 0
         for cmask, csum in self._positive_cells(f.owner):
             lhs = Fraction(0)
@@ -126,20 +114,14 @@ class Evaluator:
                 if coef != 0:
                     inter = emask & cmask
                     if inter:
-                        lhs += coef * mask_mass(self.num, inter)
+                        lhs += coef * mask_mass(num, inter)
             if lhs >= f.bound * csum:
                 out |= cmask
         return out
 
-    def _owner_cells(self, owner: str):
-        cells = self.cells.get(owner)
-        if cells is None:
-            raise PreconditionError(f"unknown player {owner!r} in probability formula")
-        return cells
-
     def _positive_cells(self, owner: str):
         """The owner's (cell mask, cell mass) pairs, all of positive mass."""
-        masks, sums = self._owner_cells(owner)
+        masks, sums = self.m.cells(owner)
         if 0 in sums:
             raise PreconditionError(
                 f"zero-mass information cell of player {owner!r}; posterior undefined"
@@ -150,7 +132,7 @@ class Evaluator:
         """States where the player assigns posterior 1 to the event."""
         out = 0
         for cmask, csum in self._positive_cells(player):
-            if mask_mass(self.num, emask & cmask) == csum:
+            if mask_mass(self.m.prior_num, emask & cmask) == csum:
                 out |= cmask
         return out
 
@@ -161,13 +143,13 @@ class Evaluator:
         mass (`_believe` refuses the rest) and so meets L, which lies in the
         union of her cells that believed the event before.  So CB, the levels'
         intersection, is the first level equal to the one before."""
-        players = self.game.players
-        level = self.full
+        players = self.m.game.players
+        level = self.m.full
         for j in players:
             level &= self._believe(j, self._mask(j, f))
         n = 1
         while n != order:
-            nxt = self.full
+            nxt = self.m.full
             for j in players:
                 nxt &= self._believe(j, level)
             if nxt == level:
@@ -193,13 +175,12 @@ def posterior(m, player: str, event: Iterable[str], state: str) -> Fraction:
 
 def holds(m, state: str, player: str, f: Formula) -> bool:
     """Does the player deem the formula true at the state?"""
-    ev = m.evaluator()
-    return bool((ev.intension_mask(player, f) >> m.state_index(state)) & 1)
+    return bool((Evaluator(m).intension_mask(player, f) >> m.state_index(state)) & 1)
 
 
 def intension(m, player: str, f: Formula) -> frozenset[str]:
     """All states where the player deems the formula true."""
-    return m.states_of(m.evaluator().intension_mask(player, f))
+    return m.states_of(Evaluator(m).intension_mask(player, f))
 
 
 def cb_intension(m, f: Formula) -> frozenset[str]:
@@ -209,5 +190,5 @@ def cb_intension(m, f: Formula) -> frozenset[str]:
 
 def valid(m, f: Formula) -> bool:
     """True when every player deems the formula true at every state."""
-    ev = m.evaluator()
-    return all(ev.intension_mask(p, f) == ev.full for p in m.game.players)
+    ev = Evaluator(m)
+    return all(ev.intension_mask(p, f) == m.full for p in m.game.players)

@@ -14,7 +14,8 @@ states where she deems it true, stored partitions are tuples of cell masks,
 and the prior is integer numerators over one common denominator, in lowest
 terms.  The audits below are whole-mask folds over these tables; per-state
 work is left only to name offending states, always in state order.  Derived
-data (partitions, the compiled evaluator) is cached on first use.
+data is built on first use and kept: each player's information cells, for
+her alone, and the evaluator's memo of intensions.
 """
 
 from __future__ import annotations
@@ -215,8 +216,10 @@ class EpistemicStructure:
                 self._check_signal_def(df)
             self.signal_defs[sig] = df
 
-        self._derived_cells: Optional[dict[str, tuple[int, ...]]] = None
-        self._evaluator = None
+        # built on first use: each player's (cell masks, masses), and the
+        # evaluator's memo, (viewer or None, formula) -> intension mask
+        self._cells: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self.intensions: dict = {}
 
     def _check_instance(self, node: Formula) -> None:
         if isinstance(node, Prim):
@@ -297,30 +300,33 @@ class EpistemicStructure:
 
     # -- partitions -----------------------------------------------------------
 
+    def cells(self, player: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The player's information cells and their prior masses, in numerator
+        units: her stored cells, or else those her own received signals give.
+        Built for her alone, on first use."""
+        hit = self._cells.get(player)
+        if hit is None:
+            self.game.player_index(player)
+            masks = self._derive(player) if self.stored_cells is None else self.stored_cells[player]
+            hit = self._cells[player] = (masks, tuple(mask_mass(self.prior_num, c) for c in masks))
+        return hit
+
+    def _derive(self, player: str) -> tuple[int, ...]:
+        """The player's cell masks, grouped by her own received signal and
+        ordered by their first state; fails at her first state with zero or
+        several signals."""
+        table = self.masks[player]
+        rows = [table.get(Receive(player, s), 0) for s in self.signals]
+        seen, dup = fold(rows)
+        bad = dup | (self.full ^ seen)
+        if bad:  # raises: zero or several signals at that state
+            self.received_signal(player, self.states[low_state(bad)])
+        return tuple(sorted(filter(None, rows), key=low_state))
+
     def _derived(self) -> dict[str, tuple[int, ...]]:
-        """Each player's cell masks, grouped by her own received signal.
-
-        Fails at the first player, and her first state, with zero or
-        several signals; cells are ordered by their first state.
-        """
-        if self._derived_cells is None:
-            out = {}
-            for p in self.game.players:
-                table = self.masks[p]
-                rows = [table.get(Receive(p, s), 0) for s in self.signals]
-                seen, dup = fold(rows)
-                bad = dup | (self.full ^ seen)
-                if bad:  # raises: zero or several signals at that state
-                    self.received_signal(p, self.states[low_state(bad)])
-                out[p] = tuple(sorted(filter(None, rows), key=low_state))
-            self._derived_cells = out
-        return self._derived_cells
-
-    def cell_masks(self) -> dict[str, tuple[int, ...]]:
-        """Stored cell masks when present, otherwise the derived ones."""
-        if self.stored_cells is not None:
-            return self.stored_cells
-        return self._derived()
+        """Every player's signal-derived cell masks; fails at the first player
+        that fails."""
+        return {p: self._derive(p) for p in self.game.players}
 
     def _cell_sets(self, cells: Mapping[str, tuple[int, ...]]) -> dict[str, tuple[frozenset[str], ...]]:
         return {p: tuple(map(self.states_of, masks)) for p, masks in cells.items()}
@@ -342,11 +348,11 @@ class EpistemicStructure:
 
     def partitions(self) -> dict[str, tuple[frozenset[str], ...]]:
         """Stored partitions when present, otherwise the derived ones."""
-        return self._cell_sets(self.cell_masks())
+        return {p: tuple(map(self.states_of, self.cells(p)[0])) for p in self.game.players}
 
     def cell(self, player: str, state: str) -> frozenset[str]:
         """The player's information cell containing the state."""
-        cells = self.cell_masks()[player]
+        cells = self.cells(player)[0]
         k = self.state_index(state)
         return self.states_of(next(c for c in cells if (c >> k) & 1))
 
@@ -363,12 +369,10 @@ class EpistemicStructure:
         return tuple(out)
 
     def evaluator(self):
-        """The compiled model checker for this structure (built once)."""
-        if self._evaluator is None:
-            from .semantics import Evaluator
+        """A model checker that reads this structure and fills its memo."""
+        from .semantics import Evaluator
 
-            self._evaluator = Evaluator(self)
-        return self._evaluator
+        return Evaluator(self)
 
     # -- serialization --------------------------------------------------------
 
@@ -551,10 +555,6 @@ def states_in(m: EpistemicStructure, mask: int) -> Iterable[int]:
     return compress(range(len(m.states)), flags(mask))
 
 
-def _cell_at(cells: Iterable[int], k: int) -> int:
-    return next(c for c in cells if (c >> k) & 1)
-
-
 def check_signal_uniqueness(m: EpistemicStructure) -> Report:
     """Every viewer sees exactly one received signal per receiver and state.
 
@@ -584,17 +584,14 @@ def check_partition_consistency(m: EpistemicStructure) -> Report:
         return Report(False, notes=(f"cannot derive partitions: {exc}",))
     failures = []
     for p in m.game.players:
-        stored = m.stored_cells[p]
         # a state's two cells differ exactly when its stored cell is not derived
-        bad = 0
-        for c in set(stored).difference(derived[p]):
-            bad |= c
-        for k in states_in(m, bad):
-            failures.append(
-                PartitionIssue(
-                    p, m.states[k], m._names(_cell_at(stored, k)), m._names(_cell_at(derived[p], k))
-                )
-            )
+        moved = sorted(
+            (k, c, d)
+            for c in set(m.stored_cells[p]).difference(derived[p])
+            for d in derived[p]
+            for k in states_in(m, c & d)
+        )
+        failures += [PartitionIssue(p, m.states[k], m._names(c), m._names(d)) for k, c, d in moved]
     return Report(not failures, tuple(failures))
 
 
@@ -632,14 +629,11 @@ def check_action_uniqueness(m: EpistemicStructure) -> Report:
 def check_cell_positivity(m: EpistemicStructure) -> Report:
     """Every information cell carries positive prior mass, so posteriors exist."""
     try:
-        cells = m.cell_masks()
+        cells = [(p, *m.cells(p)) for p in m.game.players]
     except PreconditionError as exc:
         return Report(False, notes=(f"cannot derive partitions: {exc}",))
     failures = [
-        CellIssue(p, m._names(c))
-        for p in m.game.players
-        for c in cells[p]
-        if mask_mass(m.prior_num, c) == 0
+        CellIssue(p, m._names(c)) for p, masks, sums in cells for c, w in zip(masks, sums) if w == 0
     ]
     return Report(not failures, tuple(failures))
 
@@ -651,6 +645,7 @@ def check_signal_definitions(m: EpistemicStructure) -> Report:
     deems herself to have received the signal must equal i's intension of d.
     Signals without definitions are skipped.
     """
+    ev = m.evaluator()
     failures = []
     notes = []
     for sig in m.signals:
@@ -659,7 +654,7 @@ def check_signal_definitions(m: EpistemicStructure) -> Report:
             notes.append(f"signal {sig!r} has no definition; skipped")
             continue
         for p in m.game.players:
-            expected = m.evaluator().intension_mask(p, df)
+            expected = ev.intension_mask(p, df)
             actual = m.masks[p].get(Receive(p, sig), 0)
             if expected != actual:
                 failures.append(SignalDefIssue(p, sig, m._names(expected), m._names(actual)))
@@ -687,31 +682,35 @@ def check_rationality(m: EpistemicStructure) -> Report:
     game = m.game
     failures = []
     for p in game.players:
-        bad = ev.full ^ ev.intension_mask(p, Rationality(p))
+        bad = m.full ^ ev.intension_mask(p, Rationality(p))
         if not bad:
             continue
         acts = game.actions_of(p)
         others = [j for j in game.players if j != p]
         plays = [m.masks[p].get(Play(p, a), 0) for a in acts]
         optimal = [ev.intension_mask(p, Optimal(p, a)) for a in acts]
-        cells, sums = ev.cells[p]
-        for k in states_in(m, bad):
-            # the prior mass, in p's cell at k, of each opponent play she sees
-            cell, cell_mass = next((c, w) for c, w in zip(cells, sums) if (c >> k) & 1)
+        found = []
+        for cell, cell_mass in zip(*m.cells(p)):
+            if not cell & bad:
+                continue
+            # the prior mass, in the cell, of each opponent play p sees
             masses = {}
             for combo in game.opponent_profiles(p):
                 event = cell
                 for j, b in zip(others, combo):
                     event &= ev.intension_mask(p, Play(j, b))
-                if w := mask_mass(ev.num, event):
+                if w := mask_mass(m.prior_num, event):
                     masses[combo] = w
             for a, play, opt in zip(acts, plays, optimal):
-                if (play >> k) & 1 and not (opt >> k) & 1:
-                    # what switching a -> b gains in expectation: minus what
-                    # following a gains over b
-                    told = {game.profile_with(p, a, combo): w for combo, w in masses.items()}
-                    gains = {b: -expected_gain(incentive_row(game, p, a, b), told) / cell_mass for b in acts}
-                    better = max(gains, key=lambda b: (gains[b], b))
-                    failures.append(RationalityIssue(p, m.states[k], a, better, gains[better]))
+                wrong = cell & bad & play & ~opt
+                if not wrong:
+                    continue
+                # what switching a -> b gains in expectation: minus what
+                # following a gains over b
+                told = {game.profile_with(p, a, combo): w for combo, w in masses.items()}
+                gains = {b: -expected_gain(incentive_row(game, p, a, b), told) / cell_mass for b in acts}
+                better = max(gains, key=lambda b: (gains[b], b))
+                for k in states_in(m, wrong):
+                    found.append((k, RationalityIssue(p, m.states[k], a, better, gains[better])))
+        failures += [issue for _, issue in sorted(found, key=lambda t: t[0])]
     return Report(not failures, tuple(failures))
-

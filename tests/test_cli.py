@@ -152,6 +152,45 @@ class TestCheck:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().out == ("true\n" if code == 0 else "false\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "EB^" + "9" * 5000 + "(p)",
+            "9" * 5000 + "*pr_A(p) >= 1",
+            "pr_A(p) >= 1/" + "7" * 4400,
+            "B_" + "9" * 5000 + "(p)",
+        ],
+        ids=["EB order", "coefficient", "denominator", "player position"],
+    )
+    def test_integers_past_the_int_string_limit_exit_2(self, capsys, text):
+        argv = ["check", "--game", WG, "--structure", WS, "--state", "w1", "--player", "A", text]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("player", ["\u00b2", "\u0662"], ids=["superscript-2", "arabic-indic-2"])
+    def test_non_ascii_digits_are_no_player(self, capsys, player):
+        argv = ["check", "--game", WG, "--structure", WS, "--state", "w1", "--player", player, "p"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: unknown player {player!r}\n"
+
+    def test_a_player_with_two_signals_leaves_the_others_beliefs_alone(self, capsys, tmp_path):
+        data = json.loads(Path(WS).read_text())
+        data["partitions"] = None
+        data["interpretation"]["A"]["rec(A,snp)"] = ["w1", "w3", "w4"]
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(data))
+        argv = ["check", "--game", WG, "--structure", str(split), "--state", "w1", "--player"]
+        for player, text in (("A", "p"), ("B", "pr_B(p) >= 1/2")):
+            assert main(argv + [player, text]) == 0
+            assert capsys.readouterr().out == "true\n"
+        assert main(argv + ["B", "pr_A(p) >= 1/2"]) == 3
+        assert capsys.readouterr().err == "precondition violated: player 'A' receives 2 signals at state 'w1'\n"
+        assert main(["validate", "--game", WG, "--structure", str(split)]) == 1
+        assert "signal-definitions: fail\n" in capsys.readouterr().out
+
     def test_unknown_state_is_an_input_error(self):
         code = main(
             ["check", "--game", WG, "--structure", WS, "--state", "w9", "--player", "A", "p"]
@@ -381,6 +420,30 @@ class TestHostileFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {deep}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'\xff\xfe{"players": []}', b'{"players": [' + b"9" * 5000 + b"]}"],
+        ids=["not UTF-8", "5000-digit number"],
+    )
+    def test_undecodable_json_is_exit_2(self, capsys, tmp_path, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert main(["parse", "--game", str(bad), "p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {bad}: invalid JSON: ")
+
+    @pytest.mark.parametrize("name", ["\u00b2", "\u0662"], ids=["superscript-2", "arabic-indic-2"])
+    def test_non_ascii_digit_player_name_is_refused(self, capsys, tmp_path, name):
+        data = json.loads(Path(WG).read_text())
+        data["players"] = ["A", name]
+        data["actions"] = {"A": ["stay"], name: ["stay"]}
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(data))
+        assert main(["parse", "--game", str(game), "p"]) == 2
+        assert capsys.readouterr().err == f"error: {game}: player name {name!r} is not an identifier\n"
 
     def test_duplicate_player_name_is_named(self, capsys, tmp_path):
         data = json.loads(Path(WG).read_text())

@@ -125,6 +125,18 @@ class TestValidateGame:
         assert not report.ok
         assert len(report.failures) >= 2  # missing (b,c), unknown (a,d)
 
+    @pytest.mark.parametrize("name", ["\u00b2", "\u0662"], ids=["superscript-2", "arabic-indic-2"])
+    def test_non_ascii_digits_are_not_a_position(self, name):
+        game = Game(["x", name], {"x": ("a",), name: ("a",)}, {("a", "a"): (0, 0)})
+        assert validate_game(game).failures == (f"player name {name!r} is not an identifier",)
+        assert game.player_named(name) == name
+        assert game.player_named("2") == name
+
+    def test_players_by_name_or_position(self, cycle_game):
+        assert [cycle_game.player_named(t) for t in ("1", "02", "2")] == ["1", "2", "2"]
+        for text in ("0", "3", "\u00b2", "\u0662", "9" * 5000, "x"):
+            assert cycle_game.player_named(text) is None
+
     def test_rejects_non_identifier_names(self):
         game = Game(
             ["x", "y"],

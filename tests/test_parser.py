@@ -111,6 +111,27 @@ class TestDiagnostics:
         assert f"column {pos + 1}" in str(err.value)
 
     @pytest.mark.parametrize(
+        "text,pos,digits",
+        [
+            ("EB^" + "9" * 5000 + "(p)", 3, 5000),
+            ("9" * 5000 + "*pr_A(p) >= 1", 0, 5000),
+            ("pr_A(p) >= 1/" + "7" * 4400, 13, 4400),
+            ("pr_A(p) >= -" + "9" * 5000, 12, 5000),
+        ],
+        ids=["EB order", "coefficient", "denominator", "bound"],
+    )
+    def test_integers_too_long_to_convert(self, text, pos, digits):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == pos
+        assert str(err.value) == f"integer of {digits} digits is too long at column {pos + 1}"
+
+    def test_player_positions_of_any_length(self):
+        with pytest.raises(UnknownIdentifierError) as err:
+            parse("B_" + "9" * 5000 + "(p)")
+        assert (err.value.kind, err.value.position) == ("player", 2)
+
+    @pytest.mark.parametrize(
         "text,kind,pos",
         [
             ("pl(C,stay)", "player", 3),

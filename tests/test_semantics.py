@@ -178,6 +178,38 @@ class TestAgainstTheOracle:
                         )
 
 
+class TestCellsPerPlayer:
+    """Player i's beliefs read her own cells only, so they survive another
+    player who receives two signals at one state."""
+
+    @pytest.fixture
+    def split(self, weather_game, weather):
+        data = weather.to_dict()
+        data["partitions"] = None
+        data["interpretation"]["A"]["rec(A,snp)"] = ["w1", "w3", "w4"]
+        return EpistemicStructure.from_dict(data, weather_game)
+
+    @pytest.mark.parametrize("viewer, text", [("A", "p"), ("B", "pr_B(p) >= 1/2"), ("B", "B_B(p)")])
+    def test_formulas_without_the_broken_cells_agree_with_the_oracle(self, split, viewer, text):
+        f = parse_formula(text, split.game, split.signals, split.atoms)
+        for w in split.states:
+            assert holds(split, w, viewer, f) == naive_holds(split, w, viewer, f)
+
+    def test_a_formula_on_the_broken_cells_is_refused(self, split):
+        f = parse_formula("pr_A(p) >= 1/2", split.game, split.signals, split.atoms)
+        with pytest.raises(PreconditionError) as exc:
+            holds(split, "w1", "B", f)
+        assert str(exc.value) == "player 'A' receives 2 signals at state 'w1'"
+
+    def test_cells_are_built_per_player_on_first_use(self, split):
+        assert split.cells("B") == ((0b0101, 0b1010), (2, 2))
+        assert split.cells("B") is split.cells("B")
+        with pytest.raises(PreconditionError):
+            split.cells("A")
+        with pytest.raises(KeyError):
+            split.cells("Z")
+
+
 class TestGameFormulas:
     def test_optimality_and_rationality_on_the_cycle_device(self, cycle):
         # at every state each player deems the recommended action optimal
