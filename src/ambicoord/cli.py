@@ -46,28 +46,22 @@ def _read_json(path: str):
         raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
-def _load_game(path: str) -> Game:
-    game = Game.from_dict(_read_json(path))
+def _load(path: str, parse, *args):
+    """`parse(data, *args)` of a JSON file's contents; a schema error names the file."""
+    data = _read_json(path)
+    try:
+        return parse(data, *args)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def _valid_game(data) -> Game:
+    """The game, refused unless `validate_game` passes it."""
+    game = Game.from_dict(data)
     report = validate_game(game)
     if not report.ok:
-        raise SchemaError(f"{path}: " + "; ".join(map(str, report.failures)))
+        raise SchemaError("; ".join(map(str, report.failures)))
     return game
-
-
-def _load_structure(path: str, game: Game) -> EpistemicStructure:
-    data = _read_json(path)
-    try:
-        return EpistemicStructure.from_dict(data, game)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-
-
-def _load_strategy(path: str, game: Game, signals) -> CoordinationStrategy:
-    data = _read_json(path)
-    try:
-        return CoordinationStrategy.from_dict(data, game, signals)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
 
 
 def _resolve_player(game: Game, text: str) -> str:
@@ -87,10 +81,10 @@ def _resolve_state(m: EpistemicStructure, text: str) -> str:
 
 
 def _cmd_parse(args) -> int:
-    game = _load_game(args.game)
+    game = _load(args.game, _valid_game)
     signals = atoms = None
     if args.structure:
-        m = _load_structure(args.structure, game)
+        m = _load(args.structure, EpistemicStructure.from_dict, game)
         signals, atoms = m.signals, m.atoms
     f = parse_formula(args.formula, game, signals, atoms)
     if expanded_length(f, game, MAX_EXPANDED) > MAX_EXPANDED:
@@ -101,8 +95,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    game = _load_game(args.game)
-    m = _load_structure(args.structure, game)
+    game = _load(args.game, _valid_game)
+    m = _load(args.structure, EpistemicStructure.from_dict, game)
     player = _resolve_player(game, args.player)
     state = _resolve_state(m, args.state)
     f = parse_formula(args.formula, game, m.signals, m.atoms)
@@ -112,9 +106,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    game = _load_game(args.game)
-    m = _load_structure(args.structure, game)
-    strategy = _load_strategy(args.strategy, game, m.signals) if args.strategy else None
+    game = _load(args.game, _valid_game)
+    m = _load(args.structure, EpistemicStructure.from_dict, game)
+    strategy = _load(args.strategy, CoordinationStrategy.from_dict, game, m.signals) if args.strategy else None
 
     labels = STRUCTURAL + ("rationality",)
     if any(df is not None for df in m.signal_defs.values()):
@@ -138,9 +132,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_induce(args) -> int:
-    game = _load_game(args.game)
-    m = _load_structure(args.structure, game)
-    strategy = _load_strategy(args.strategy, game, m.signals)
+    game = _load(args.game, _valid_game)
+    m = _load(args.structure, EpistemicStructure.from_dict, game)
+    strategy = _load(args.strategy, CoordinationStrategy.from_dict, game, m.signals)
     # the audits that make play well defined, then strategy validity; the
     # first failure is refused, named by its label
     gate = ("signal uniqueness", "partition consistency", "action uniqueness", "strategy validity")
@@ -159,9 +153,9 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    game = _load_game(args.game)
-    m = _load_structure(args.structure, game)
-    strategy = _load_strategy(args.strategy, game, m.signals)
+    game = _load(args.game, _valid_game)
+    m = _load(args.structure, EpistemicStructure.from_dict, game)
+    strategy = _load(args.strategy, CoordinationStrategy.from_dict, game, m.signals)
     result = verify_induced_equilibrium(m, strategy)
     for p in game.players:
         if p in result.distributions:
@@ -176,12 +170,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    game = _load_game(args.game)
+    game = _load(args.game, _valid_game)
     if args.objective:
-        dist = Distribution.from_dict(_read_json(args.objective), game)
+        dist = _load(args.objective, Distribution.from_dict, game)
         result = from_objective_ce(game, dist)
     else:
-        dists = [Distribution.from_dict(_read_json(p), game) for p in args.subjective]
+        dists = [_load(p, Distribution.from_dict, game) for p in args.subjective]
         result = from_subjective_ce(game, dists)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,10 +191,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_solve_ce(args) -> int:
-    game = _load_game(args.game)
+    game = _load(args.game, _valid_game)
     objective = {}
     if args.objective:
-        objective = load_objective(_read_json(args.objective), game)
+        objective = _load(args.objective, load_objective, game)
     dist = solve_ce(game, objective)
     print(json.dumps(dist.to_dict(game), indent=2))
     return 0

@@ -3,8 +3,8 @@
 The evaluator works on a structure's compiled form: states are bit
 positions, events are int bitmasks, leaf propositions read their masks off
 the structure's interpretation tables, and the prior is integer numerators
-over a common denominator, so every comparison is exact integer/Fraction
-arithmetic.
+over a common denominator.  A probability inequality is scaled to integer
+coefficients once, so every comparison is exact integer arithmetic.
 
 Probability inequalities are evaluated per information cell of their owner
 (their truth is constant on each cell and independent of the viewer), then
@@ -15,6 +15,7 @@ at the fixed point, the intersection of all levels.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -106,16 +107,19 @@ class Evaluator:
         if f.owner not in self.m.masks:  # refused before the operands
             raise PreconditionError(f"unknown player {f.owner!r} in probability formula")
         terms = [(coef, self._mask(f.owner, sub)) for coef, sub in f.terms]
+        # scaled by the lcm of their denominators, coefficients and bound are ints
+        scale = math.lcm(f.bound.denominator, *(c.denominator for c, _ in terms))
+        terms = [(c.numerator * (scale // c.denominator), emask) for c, emask in terms if c]
+        bound = f.bound.numerator * (scale // f.bound.denominator)
         num = self.m.prior_num
         out = 0
         for cmask, csum in self._positive_cells(f.owner):
-            lhs = Fraction(0)
+            lhs = 0
             for coef, emask in terms:
-                if coef != 0:
-                    inter = emask & cmask
-                    if inter:
-                        lhs += coef * mask_mass(num, inter)
-            if lhs >= f.bound * csum:
+                inter = emask & cmask
+                if inter:
+                    lhs += coef * mask_mass(num, inter)
+            if lhs >= bound * csum:
                 out |= cmask
         return out
 

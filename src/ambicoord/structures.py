@@ -23,14 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
+from operator import or_
 from typing import Iterable, Mapping, Optional
 
 from .errors import PreconditionError, SchemaError
 from .formulas import And, Formula, Implies, Not, Optimal, Play, Prim, Rationality, Receive
 from .games import Game, expected_gain, incentive_row
 from .parser import ParseError, parse_formula, parse_instance, usable_name
-from .rationals import format_rational, parse_rational
+from .rationals import ratio, ratio_text
 from .reports import Report
 
 
@@ -70,15 +72,48 @@ def fold(masks: Iterable[int]) -> tuple[int, int]:
     return seen, dup
 
 
-def _compile(bit: Mapping[str, int], states: Iterable[str]) -> Optional[int]:
-    """The mask of the named states, or None if one is not a state."""
-    mask = 0
-    for s in states:
-        b = bit.get(s)
-        if b is None:
-            return None
-        mask |= b
-    return mask
+def _mask(bit: Mapping[str, int], names, json: bool = False) -> Optional[int]:
+    """The mask of the named states, by one C-level pass over the name -> bit
+    table; None if one is not a state, or not even a name.  Read from JSON,
+    `names` must be a list: a string or an object would iterate."""
+    if json and not isinstance(names, list):
+        return None
+    try:
+        return reduce(or_, map(bit.__getitem__, names), 0)
+    except (KeyError, TypeError):
+        return None
+
+
+def _compile(bit: Mapping[str, int], truth: Mapping, partitions: Optional[Mapping], nodes=None):
+    """(masks, cell masks) of the name-based tables `__init__` takes.
+
+    `nodes` maps the keys of tables read from JSON to their propositions.
+    Their lists may hold anything, so a list that fails to compile is scanned
+    then, and only then, to say whether it holds a non-string or an unknown
+    state."""
+    json = nodes is not None
+    masks = {}
+    for p, table in truth.items():
+        row = masks[p] = {}
+        for key, names in table.items():
+            node = nodes[key] if json else key
+            mask = row[node] = _mask(bit, names, json)
+            if mask is None:
+                if json and not _strings(names):
+                    raise SchemaError(f"structure: value of {key!r} must be a list of states")
+                bad = sorted({s for s in names if s not in bit})
+                raise SchemaError(f"structure: unknown states {bad} for {node}")
+    if partitions is None:
+        return masks, None
+    cells = {}
+    for p, named in partitions.items():
+        listed = not json or isinstance(named, list)
+        row = cells[p] = [_mask(bit, c, json) for c in named] if listed else [None]
+        if None in row:
+            if not listed or json and not all(map(_strings, named)):
+                raise SchemaError(f"structure: partition of player {p!r} must be a list of lists of states")
+            raise SchemaError(f"structure: cells of player {p!r} do not partition the states")
+    return masks, cells
 
 
 class EpistemicStructure:
@@ -105,32 +140,21 @@ class EpistemicStructure:
     ):
         """The structure whose prior, truth sets and cells name their states;
         they are compiled to the masks that `from_masks` takes."""
+        prior = {s: Fraction(w).as_integer_ratio() for s, w in prior.items()}
+        self._from_names(game, states, prior, signals, atoms, truth or {}, partitions, signal_defs)
+
+    def _from_names(self, game, states, prior, signals, atoms, truth, partitions, signal_defs, nodes=None) -> None:
+        """Compile the name-based form, the prior as (numerator, denominator)
+        pairs by state name, and install it; see `_compile` for `nodes`."""
         states = tuple(states)
         bit = {s: 1 << k for k, s in enumerate(states)}
-        for s in prior:
+        denom = math.lcm(*(q for _, q in prior.values()))
+        num = [0] * len(states)
+        for s, (p, q) in prior.items():
             if s not in bit:
                 raise SchemaError(f"structure: prior names unknown state {s!r}")
-        weights = [Fraction(prior.get(s, 0)) for s in states]
-        denom = math.lcm(*(w.denominator for w in weights))
-        num = [w.numerator * (denom // w.denominator) for w in weights]
-
-        masks = {}
-        for p, table in (truth or {}).items():
-            masks[p] = {}
-            for node, where in table.items():
-                mask = _compile(bit, where)
-                if mask is None:
-                    bad = sorted({s for s in where if s not in bit})
-                    raise SchemaError(f"structure: unknown states {bad} for {node}")
-                masks[p][node] = mask
-
-        cells = None
-        if partitions is not None:
-            cells = {}
-            for p, named in partitions.items():
-                cells[p] = [_compile(bit, c) for c in named]
-                if None in cells[p]:
-                    raise SchemaError(f"structure: cells of player {p!r} do not partition the states")
+            num[bit[s].bit_length() - 1] = p * (denom // q)
+        masks, cells = _compile(bit, truth, partitions, nodes)
         self._install(game, states, num, denom, signals, atoms, masks, cells, signal_defs)
 
     @classmethod
@@ -378,6 +402,9 @@ class EpistemicStructure:
 
     @classmethod
     def from_dict(cls, data: dict, game: Game) -> "EpistemicStructure":
+        """The structure a JSON object describes, compiled as `__init__`
+        compiles it: each state list straight to its mask, the prior to
+        integer numerators."""
         if not isinstance(data, dict):
             raise SchemaError("structure: expected an object")
         allowed = {"states", "prior", "signals", "atoms", "interpretation", "partitions"}
@@ -391,7 +418,7 @@ class EpistemicStructure:
         if not isinstance(prior_raw, dict):
             raise SchemaError("structure: 'prior' must be an object")
         try:
-            prior = {s: parse_rational(w) for s, w in prior_raw.items()}
+            prior = {s: ratio(w) for s, w in prior_raw.items()}
         except ValueError as exc:
             raise SchemaError(f"structure: prior: {exc}") from None
         signals_raw = data.get("signals")
@@ -417,55 +444,30 @@ class EpistemicStructure:
         interp_raw = data.get("interpretation")
         if not isinstance(interp_raw, dict):
             raise SchemaError("structure: 'interpretation' must be an object")
-        truth: dict[str, dict[Formula, list[str]]] = {}
         nodes: dict[str, Formula] = {}  # every player's table repeats the same keys
         for p, table in interp_raw.items():
             if not isinstance(table, dict):
                 raise SchemaError(f"structure: interpretation of player {p!r} must be an object")
-            entries = {}
-            for key, where in table.items():
-                node = nodes.get(key)
-                if node is None:
+            for key in table:
+                if key not in nodes:
                     try:
-                        node = nodes[key] = parse_instance(key, game, signals=signal_names, atoms=atoms)
+                        nodes[key] = parse_instance(key, game, signals=signal_names, atoms=atoms)
                     except ParseError as exc:
                         raise SchemaError(f"structure: instance key {key!r}: {exc}") from None
-                if not _strings(where):
-                    raise SchemaError(f"structure: value of {key!r} must be a list of states")
-                entries[node] = where
-            truth[p] = entries
 
-        partitions_raw = data.get("partitions")
-        partitions = None
-        if partitions_raw is not None:
-            if not isinstance(partitions_raw, dict):
-                raise SchemaError("structure: 'partitions' must be an object or null")
-            partitions = {}
-            for p, cells in partitions_raw.items():
-                if not isinstance(cells, list) or not all(map(_strings, cells)):
-                    raise SchemaError(f"structure: partition of player {p!r} must be a list of lists of states")
-                partitions[p] = cells
-
-        return cls(
-            game,
-            states,
-            prior,
-            signal_names,
-            atoms,
-            truth,
-            partitions,
-            signal_defs,
-        )
+        partitions = data.get("partitions")
+        if partitions is not None and not isinstance(partitions, dict):
+            raise SchemaError("structure: 'partitions' must be an object or null")
+        m = cls.__new__(cls)
+        m._from_names(game, states, prior, signal_names, atoms, interp_raw, partitions, signal_defs, nodes)
+        return m
 
     def to_dict(self) -> dict:
+        order = [(node, str(node)) for node in self._instance_order()]
         interp = {}
         for p in self.game.players:
             table = self.masks[p]
-            interp[p] = {
-                str(node): list(self._names(table[node]))
-                for node in self._instance_order()
-                if table.get(node)
-            }
+            interp[p] = {key: list(self._names(mask)) for node, key in order if (mask := table.get(node))}
         partitions = None
         if self.stored_cells is not None:
             partitions = {
@@ -473,10 +475,7 @@ class EpistemicStructure:
             }
         return {
             "states": list(self.states),
-            "prior": {
-                s: format_rational(Fraction(w, self.prior_denom))
-                for s, w in zip(self.states, self.prior_num)
-            },
+            "prior": {s: ratio_text(w, self.prior_denom) for s, w in zip(self.states, self.prior_num)},
             "signals": {
                 s: (str(df) if df is not None else None) for s, df in self.signal_defs.items()
             },

@@ -16,16 +16,21 @@ scans over `true_set`: one state at a time, in state order.  They are the
 reference the package's whole-mask versions must match exactly, failures,
 notes, order and exceptions included.  They evaluate formulas with the
 package's `holds`, so they check the audit layer, not the evaluator.
+
+`naive_from_dict` and `naive_to_dict` read and write the structure file
+format with a type check per list element and a Fraction per weight; the
+compiling loader and its writer must match them, errors included.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 from ambicoord.construct import ConstructionResult
 from ambicoord.coordination import CoordinationStrategy, EnforcementIssue, ValidityIssue, VerifyResult, as_formulas
-from ambicoord.errors import PreconditionError
+from ambicoord.errors import PreconditionError, SchemaError
 from ambicoord.formulas import (
     And,
     Belief,
@@ -43,6 +48,7 @@ from ambicoord.formulas import (
     conj,
 )
 from ambicoord.games import Distribution, check_objective_ce, check_subjective_ce, profile_key
+from ambicoord.parser import ParseError, parse_formula, parse_instance
 from ambicoord.reports import Report
 from ambicoord.semantics import holds, intension, posterior
 from ambicoord.structures import (
@@ -690,3 +696,113 @@ def naive_subjective_device(game, dists) -> ConstructionResult:
             weight *= d.weight(a)
         states.append(("|".join(map(profile_key, w)), weight, w))
     return naive_device(game, states)
+
+
+# ------------------------------------------------------------ serialization
+#
+# The structure file format as it was read and written before `from_dict`
+# compiled JSON straight to masks: every list type-checked element by
+# element, the prior parsed to Fractions, the name lists handed to the
+# name-based constructor; and written back through one Fraction a weight.
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+def _rational(text) -> Fraction:
+    if not isinstance(text, str) or re.fullmatch(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?", text) is None:
+        raise ValueError(f"not a rational literal: {text!r}")
+    return Fraction(text)
+
+
+def naive_from_dict(data, game) -> EpistemicStructure:
+    if not isinstance(data, dict):
+        raise SchemaError("structure: expected an object")
+    extra = set(data) - {"states", "prior", "signals", "atoms", "interpretation", "partitions"}
+    if extra:
+        raise SchemaError(f"structure: unknown keys {sorted(extra)}")
+    states = data.get("states")
+    if not _strings(states):
+        raise SchemaError("structure: 'states' must be a list of strings")
+    prior_raw = data.get("prior")
+    if not isinstance(prior_raw, dict):
+        raise SchemaError("structure: 'prior' must be an object")
+    try:
+        prior = {s: _rational(w) for s, w in prior_raw.items()}
+    except ValueError as exc:
+        raise SchemaError(f"structure: prior: {exc}") from None
+    signals_raw = data.get("signals")
+    if not isinstance(signals_raw, dict):
+        raise SchemaError("structure: 'signals' must map signal names to definitions or null")
+    atoms = data.get("atoms", [])
+    if not _strings(atoms):
+        raise SchemaError("structure: 'atoms' must be a list of strings")
+
+    signal_names = tuple(signals_raw)
+    signal_defs = {}
+    for sig, df in signals_raw.items():
+        if df is None:
+            signal_defs[sig] = None
+            continue
+        if not isinstance(df, str):
+            raise SchemaError(f"structure: definition of signal {sig!r} must be a string or null")
+        try:
+            signal_defs[sig] = parse_formula(df, game, signals=signal_names, atoms=atoms)
+        except ParseError as exc:
+            raise SchemaError(f"structure: definition of signal {sig!r}: {exc}") from None
+
+    interp_raw = data.get("interpretation")
+    if not isinstance(interp_raw, dict):
+        raise SchemaError("structure: 'interpretation' must be an object")
+    truth = {}
+    for p, table in interp_raw.items():
+        if not isinstance(table, dict):
+            raise SchemaError(f"structure: interpretation of player {p!r} must be an object")
+        entries = {}
+        for key, where in table.items():
+            try:
+                node = parse_instance(key, game, signals=signal_names, atoms=atoms)
+            except ParseError as exc:
+                raise SchemaError(f"structure: instance key {key!r}: {exc}") from None
+            if not _strings(where):
+                raise SchemaError(f"structure: value of {key!r} must be a list of states")
+            entries[node] = where
+        truth[p] = entries
+
+    partitions_raw = data.get("partitions")
+    partitions = None
+    if partitions_raw is not None:
+        if not isinstance(partitions_raw, dict):
+            raise SchemaError("structure: 'partitions' must be an object or null")
+        partitions = {}
+        for p, cells in partitions_raw.items():
+            if not isinstance(cells, list) or not all(map(_strings, cells)):
+                raise SchemaError(f"structure: partition of player {p!r} must be a list of lists of states")
+            partitions[p] = cells
+    return EpistemicStructure(game, states, prior, signal_names, atoms, truth, partitions, signal_defs)
+
+
+def naive_to_dict(m) -> dict:
+    rank = {s: k for k, s in enumerate(m.states)}
+
+    def ordered(states):
+        return sorted(states, key=rank.__getitem__)
+
+    order = [Prim(a) for a in m.atoms]
+    order += [Receive(p, s) for p in m.game.players for s in m.signals]
+    order += [Play(p, a) for p in m.game.players for a in m.game.actions_of(p)]
+    interp = {
+        p: {str(node): ordered(m.true_set(p, node)) for node in order if m.true_set(p, node)} for p in m.game.players
+    }
+    partitions = None
+    if m.stored_partitions is not None:
+        partitions = {p: [ordered(c) for c in cells] for p, cells in m.stored_partitions.items()}
+    return {
+        "states": list(m.states),
+        "prior": {s: str(m.prior_of(s)) for s in m.states},
+        "signals": {s: (None if df is None else str(df)) for s, df in m.signal_defs.items()},
+        "atoms": list(m.atoms),
+        "interpretation": interp,
+        "partitions": partitions,
+    }

@@ -451,7 +451,74 @@ class TestHostileFiles:
         game = tmp_path / "game.json"
         game.write_text(json.dumps(data))
         assert main(["validate", "--game", str(game), "--structure", WS]) == 2
-        assert capsys.readouterr().err == "error: game: duplicate player name 'A'\n"
+        assert capsys.readouterr().err == f"error: {game}: game: duplicate player name 'A'\n"
+
+    @pytest.mark.parametrize(
+        "kind, fixture, edit, argv, message",
+        [
+            (
+                "game",
+                WG,
+                lambda d: d["payoffs"].update({"zz,stay": d["payoffs"].pop("stay,stay")}),
+                ["validate", "--game", "{bad}", "--structure", WS],
+                "profile key 'zz,stay': 'zz' is not an action of player 'A'",
+            ),
+            (
+                "game",
+                WG,
+                lambda d: d.update(players="AB"),
+                ["validate", "--game", "{bad}", "--structure", WS],
+                "game: 'players' must be a list of strings",
+            ),
+            (
+                "structure",
+                CS,
+                lambda d: d.update(colour="blue"),
+                ["validate", "--game", CG, "--structure", "{bad}"],
+                "structure: unknown keys ['colour']",
+            ),
+            (
+                "strategy",
+                CST,
+                lambda d: d["1"].update(sig1="zz"),
+                ["validate", "--game", CG, "--structure", CS, "--strategy", "{bad}"],
+                "strategy: 'zz' is not an action of player '1'",
+            ),
+            (
+                "objective distribution",
+                CCE,
+                lambda d: d["weights"].update({"zz,C": "0"}),
+                ["construct", "--game", CG, "--objective", "{bad}", "--out", "{out}"],
+                "profile key 'zz,C': 'zz' is not an action of player '1'",
+            ),
+            (
+                "subjective distribution",
+                CCE,
+                lambda d: d["weights"].update({"T,C": "1/7"}),
+                ["construct", "--game", CG, "--subjective", CCE, "{bad}", "--out", "{out}"],
+                "distribution: weights sum to 41/42, not 1",
+            ),
+            (
+                "objective",
+                CCE,
+                lambda d: d["weights"].update({"T,C": "0.5"}),
+                ["solve-ce", "--game", CG, "--objective", "{bad}"],
+                "objective: weight for 'T,C': not a rational literal: '0.5'",
+            ),
+        ],
+        ids=["game payoff key", "game players", "structure", "strategy", "objective", "subjective", "solve-ce objective"],
+    )
+    def test_a_schema_error_names_its_file(self, capsys, tmp_path, kind, fixture, edit, argv, message):
+        data = json.loads(Path(fixture).read_text())
+        edit(data)
+        bad = tmp_path / f"bad {kind}.json"
+        bad.write_text(json.dumps(data))
+        argv = [a.format(bad=bad, out=tmp_path / "out") for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_oversized_product_device_exits_3_at_once(self, capsys, tmp_path):
         players = ["1", "2", "3"]

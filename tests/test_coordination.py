@@ -206,7 +206,8 @@ class TestVerify:
         assert result.distributions["2"] == Distribution({("U", "L"): F(1)})
 
     def test_an_audited_structure_is_freed_by_reference_counting(self, cycle_game, cycle_ce):
-        # the structure caches its evaluator, which must not point back at it
+        # the structure keeps the evaluators' memo but holds no evaluator,
+        # so nothing it holds points back at it
         built = from_objective_ce(cycle_game, cycle_ce)
         m, strategy = built.structure, built.strategy
         del built

@@ -1,0 +1,182 @@
+"""The structure loader compiles JSON straight to masks and writes them back
+with integers.  It must load every file exactly as the reference loader in
+`oracle` (a type check per list element, a Fraction per weight, the
+name-based constructor) does, write the same text, and refuse every broken
+file with the same exception and message."""
+
+import json
+import random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from ambicoord import EpistemicStructure, Game, SchemaError, from_objective_ce, from_subjective_ce, solve_ce
+from conftest import load_fixture
+from helpers import random_game, random_objective
+from oracle import naive_from_dict, naive_to_dict
+from test_hostile_input import LONG, mutate
+
+FAMILIES = ("weather", "cycle", "coord")
+GAMES = {name: Game.from_dict(load_fixture(f"{name}_game.json")) for name in FAMILIES}
+
+
+def compiled(m) -> tuple:
+    """The stored form, every table in insertion order."""
+    return (
+        m.states,
+        m.prior_num,
+        m.prior_denom,
+        {p: list(table.items()) for p, table in m.masks.items()},
+        m.stored_cells,
+        list(m.signal_defs.items()),
+    )
+
+
+def assert_loads_alike(data, game):
+    m = EpistemicStructure.from_dict(data, game)
+    ref = naive_from_dict(data, game)
+    assert compiled(m) == compiled(ref)
+    assert json.dumps(m.to_dict()) == json.dumps(naive_to_dict(ref))
+    return m
+
+
+def assert_fails_alike(data, game):
+    """Both loaders refuse the data with the same exception and message, or
+    both load it alike."""
+    try:
+        naive_from_dict(data, game)
+    except Exception as exc:
+        with pytest.raises(Exception) as err:
+            EpistemicStructure.from_dict(data, game)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+    else:
+        assert_loads_alike(data, game)
+
+
+def round_trip(m) -> dict:
+    return json.loads(json.dumps(m.to_dict()))
+
+
+# ------------------------------------------------------------------- corpus
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fixtures(family):
+    data = load_fixture(f"{family}_structure.json")
+    assert_loads_alike(data, GAMES[family])
+
+
+def test_acceptance_battery_devices(objective_instances, subjective_instances):
+    for game, _, built in objective_instances + subjective_instances:
+        m, b = assert_loads_alike(round_trip(built.structure), game), built.structure
+        # the file lists each table in its own order, so compare them unordered
+        assert (m.states, m.prior_num, m.prior_denom, m.masks, m.stored_cells) == (
+            b.states, b.prior_num, b.prior_denom, b.masks, b.stored_cells
+        )
+
+
+def test_seeded_random_devices():
+    rng = random.Random(9)
+    for _ in range(25):
+        game = random_game(rng)
+        dist = solve_ce(game, random_objective(rng, game))
+        dists = [solve_ce(game, random_objective(rng, game)) for _ in game.players]
+        for built in (from_objective_ce(game, dist), from_subjective_ce(game, dists)):
+            assert_loads_alike(round_trip(built.structure), game)
+
+
+# ------------------------------------------------------------ broken files
+
+
+def _weather(edit):
+    data = load_fixture("weather_structure.json")
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["interpretation"]["A"]["p"].append(["w3"]), "value of 'p' must be a list of states"),
+        (lambda d: d["interpretation"]["A"]["p"].insert(0, 3), "value of 'p' must be a list of states"),
+        (lambda d: d["interpretation"]["B"]["q"].append("w9"), "unknown states ['w9'] for q"),
+        (lambda d: d["interpretation"]["B"].update(q="w1"), "value of 'q' must be a list of states"),
+        (lambda d: d["interpretation"]["B"].update(q={"w1": 1}), "value of 'q' must be a list of states"),
+        (lambda d: d["prior"].update(w1="1/0"), "prior: not a rational literal: '1/0'"),
+        (
+            lambda d: d["prior"].update(w1="1/" + "7" * 5000),
+            "prior: Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+            " use sys.set_int_max_str_digits() to increase the limit",
+        ),
+        (lambda d: d["prior"].update(w9="0"), "prior names unknown state 'w9'"),
+        (lambda d: d["partitions"]["A"].append("w1"), "partition of player 'A' must be a list of lists of states"),
+        (lambda d: d["partitions"]["A"][0].append(["w3"]), "partition of player 'A' must be a list of lists of states"),
+        (lambda d: d["partitions"].update(B="w1"), "partition of player 'B' must be a list of lists of states"),
+        (lambda d: d["partitions"].update(B={"w1": ["w1"]}), "partition of player 'B' must be a list of lists of states"),
+        (lambda d: d["partitions"]["B"][1].append("w9"), "cells of player 'B' do not partition the states"),
+        (lambda d: d["partitions"]["B"][1].append("w1"), "cells of player 'B' do not partition the states"),
+    ],
+)
+def test_listed_breakages(edit, message):
+    data = _weather(edit)
+    with pytest.raises(SchemaError) as err:
+        EpistemicStructure.from_dict(data, GAMES["weather"])
+    assert str(err.value) == f"structure: {message}"
+    assert_fails_alike(data, GAMES["weather"])
+
+
+def test_non_canonical_weights_load_in_lowest_terms():
+    data = _weather(lambda d: d["prior"].update(w1="2/4", w2="0", w3="3/12", w4="1/4"))
+    m = assert_loads_alike(data, GAMES["weather"])
+    assert (m.prior_num, m.prior_denom) == ((2, 0, 1, 1), 4)
+    assert m.to_dict()["prior"] == {"w1": "1/2", "w2": "0", "w3": "1/4", "w4": "1/4"}
+
+
+# the values an edit puts into a state list, a partition or the prior
+JUNK = [["w1"], [], 0, 1.5, True, None, {"w1": 1}, "zz", "w", LONG]
+WEIGHTS = ["2/4", "3/6", "1/0", "1/" + "7" * 5000, "0.5", "-1/2", "01", "0", 0, None]
+
+
+def _fresh(draw, pool):
+    return json.loads(json.dumps(draw(st.sampled_from(pool))))
+
+
+def loader_edit(tree, draw):
+    """One edit where the loader compiles: a state list, a partition, the
+    prior; or one of the hostile-input edits anywhere."""
+    kind = draw(st.sampled_from(["list", "partition", "cell", "weight", "prior state", "anywhere"]))
+    states = tree["states"] + ["zz"]
+    if kind == "list":
+        table = tree["interpretation"][draw(st.sampled_from(sorted(tree["interpretation"])))]
+        where = table[draw(st.sampled_from(sorted(table)))]
+        where.insert(draw(st.integers(0, len(where))), _fresh(draw, JUNK + states))
+    elif kind == "partition":
+        tree["partitions"][draw(st.sampled_from(sorted(tree["partitions"])))] = _fresh(draw, JUNK + [[states]])
+    elif kind == "cell":
+        row = tree["partitions"][draw(st.sampled_from(sorted(tree["partitions"])))]
+        k = draw(st.integers(0, len(row) - 1))
+        if draw(st.booleans()):
+            row[k] = _fresh(draw, JUNK + states)
+        else:
+            row[k].append(_fresh(draw, JUNK + states))
+    elif kind == "weight":
+        tree["prior"][draw(st.sampled_from(sorted(tree["prior"])))] = _fresh(draw, WEIGHTS)
+    elif kind == "prior state":
+        tree["prior"][draw(st.sampled_from(["zz", "w9", tree["states"][0] + " "]))] = draw(st.sampled_from(["0", "1/2"]))
+    else:
+        tree = mutate(tree, draw)
+        assume(not isinstance(tree, str))  # raw nested text: a JSON-reader matter
+    return tree
+
+
+@st.composite
+def edited_structures(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    return family, loader_edit(load_fixture(f"{family}_structure.json"), draw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edited_structures())
+def test_edited_structures_load_or_fail_alike(case):
+    family, data = case
+    assert_fails_alike(data, GAMES[family])

@@ -23,13 +23,16 @@ from ambicoord import (
     Rationality,
     Receive,
     cb_intension,
+    from_objective_ce,
+    from_subjective_ce,
     holds,
     intension,
     parse_formula,
     posterior,
+    solve_ce,
     valid,
 )
-from helpers import random_formula
+from helpers import random_formula, random_game, random_objective
 from oracle import cells_of, naive_cb_set, naive_holds, naive_posterior
 
 F = Fraction
@@ -360,3 +363,63 @@ class TestEverybodyBelievesWalk:
         with pytest.raises(KeyError) as exc:
             holds(weather, "w1", "A", Belief("Z", P))
         assert exc.value.args == ("unknown player 'Z'",)
+
+
+class TestIntegerProbGe:
+    """A `pr_i` inequality is compared in integers, scaled once by the lcm of
+    its denominators; it must still hold exactly where lhs equals the bound."""
+
+    COEFS = (F(-3, 2), F(-1), F(0), F(1, 3), F(2), F(5, 7))
+
+    @staticmethod
+    def structures():
+        rng = random.Random(1015)
+        for _ in range(60):
+            yield rng, _random_structure(rng)
+        for _ in range(12):
+            game = random_game(rng)
+            dists = [solve_ce(game, random_objective(rng, game)) for _ in game.players]
+            yield rng, from_objective_ce(game, dists[0]).structure
+            m = from_subjective_ce(game, dists).structure
+            if len(m.states) <= 40:
+                yield rng, m
+
+    def test_bounds_met_exactly(self):
+        tight = refused = 0
+        for rng, m in self.structures():
+            owner = rng.choice(m.game.players)
+            nodes = sorted(m.masks[owner], key=str)
+            events = rng.sample(nodes, min(3, len(nodes)))
+            events[0] = Not(events[0])
+            terms = tuple((rng.choice(self.COEFS), e) for e in events)
+            try:
+                lhs = {
+                    w: sum((c * naive_posterior(m, owner, intension(m, owner, e), w) for c, e in terms), F(0))
+                    for w in m.states
+                }
+            except AssertionError:  # a zero-mass cell: the package refuses it
+                with pytest.raises(PreconditionError):
+                    intension(m, owner, ProbGe(owner, terms, F(0)))
+                refused += 1
+                continue
+            met = rng.sample(sorted(set(lhs.values())), min(3, len(set(lhs.values()))))
+            for bound in met + [v + F(1, 997) for v in met]:
+                f = ProbGe(owner, terms, bound)
+                for w in m.states:
+                    verdict = holds(m, w, owner, f)
+                    assert verdict == naive_holds(m, w, owner, f) == (lhs[w] >= bound), (str(f), w)
+                    tight += lhs[w] == bound
+        assert tight > 100 and refused > 5
+
+    def test_operand_errors_come_before_the_zero_mass_refusal(self, weather_game, weather):
+        data = weather.to_dict()
+        data["prior"] = {"w1": "1/2", "w2": "1/2", "w3": "0", "w4": "0"}
+        starved = EpistemicStructure.from_dict(data, weather_game)
+        bad = ProbGe("A", ((F(-2, 3), P), (F(5, 7), Play("A", "run"))), F(1, 3))
+        with pytest.raises(PreconditionError) as exc:
+            holds(starved, "w1", "B", bad)
+        assert str(exc.value) == "'run' is not an action of player 'A'"
+        good = ProbGe("A", ((F(-2, 3), P), (F(5, 7), Q)), F(1, 3))
+        with pytest.raises(PreconditionError) as exc:
+            holds(starved, "w1", "B", good)
+        assert str(exc.value) == "zero-mass information cell of player 'A'; posterior undefined"
