@@ -1,20 +1,36 @@
-"""Exact two-phase simplex on an integer tableau, with a checked certificate.
+"""Exact two-phase simplex on a condensed integer tableau, with a checked
+certificate.
 
-Each row and the objective are scaled to integers, and the tableau is
-pivoted fraction-free (Edmonds 1967, Bareiss 1968): every entry is an
-integer over one shared positive denominator `d`, the previous pivot, and
-each update `(p*a - f*b) // d` divides exactly.  A `>=` row whose
-right-hand side is at most 0 is negated so that its surplus starts in the
-basis; only `=` rows and `>=` rows with a positive right-hand side get an
-artificial variable.  The reduced-cost rows of both phases are pivoted with
-the tableau.  Bland's smallest-index rule picks entering and leaving
-variables, so the degenerate polytopes of equilibrium problems cannot
-cycle.
+Rows and objective are scaled to integers.  The tableau is condensed (a
+dictionary, as in lrs): a basic column is a multiple of a unit vector, so
+only the nonbasic columns and the right-hand side are stored, with a
+`nonbasic` label list next to `basis`.  Pivots are fraction-free (Edmonds
+1967, Bareiss 1968): every entry is an integer over one positive denominator
+`d`, the previous pivot.  A pivot on (r, s) with pivot p turns every other
+row, the reduced-cost rows included, into `(p*a - f*b) // d`, which divides
+exactly, with `-f` in column s; the pivot row gets `d` in column s; and
+`basis[r]` and `nonbasic[s]` swap labels.
 
-The duals are read off the final reduced-cost row at the columns that
-formed the starting identity, and every result is checked against the
-original data before it is returned: primal and dual feasibility and equal
-objective values prove the vertex optimal.  No floats anywhere.
+A `>=` row whose right-hand side is at most 0 is negated so that its surplus
+starts basic; every other row gets an artificial.  Phase 1 maximizes minus
+their sum.  An artificial that leaves never re-enters, and those left basic
+at level 0 are pivoted out, or their rows dropped as redundant.
+
+The largest positive reduced cost enters (Dantzig), but after a degenerate
+pivot (leaving right-hand side 0) the smallest label enters (Bland) until a
+pivot is not degenerate.  The minimum ratio leaves, ties going to the
+smallest basic label.  This terminates: the objective grows at every
+non-degenerate pivot, so a cycle is made of degenerate pivots only.  In a
+run of them every pivot after the first is Bland's, so a basis met twice in
+the run would go on from its second visit by Bland's rule alone and come
+round again, and Bland's rule cannot cycle (Bland 1977).
+
+The duals are the final reduced costs at each row's starting basic variable,
+0 where it is basic.  Every result is checked on the caller's data before it
+is returned: x >= 0 and the rows hold, y <= 0 on `>=` rows, A^T y >= c and
+b.y == c.x prove the vertex optimal.  The check scales each row, c, x and y
+to integers by its own lcm and compares by cross-multiplication.  No floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -45,9 +61,9 @@ def maximize(
 ) -> tuple[Fraction, list[Fraction]]:
     """Maximize c.x subject to eq rows (a.x == b), ge rows (a.x >= b), x >= 0.
 
-    Returns (optimal value, x at an optimal vertex), all exact, after
-    checking the vertex's optimality certificate.
-    Raises Infeasible or Unbounded.
+    Entries may be ints or Fractions.  Returns (optimal value, x at an
+    optimal vertex), all exact, after checking the vertex's optimality
+    certificate.  Raises Infeasible or Unbounded.
     """
     x, y = _simplex(c, eq_rows, ge_rows)
     return check_certificate(c, eq_rows, ge_rows, x, y), x
@@ -63,109 +79,117 @@ def check_certificate(
     """Prove x optimal with the duals y (one per row, eq rows first).
 
     Checks x >= 0 and every row, y <= 0 on ge rows, A^T y >= c and
-    b.y == c.x in exact arithmetic, and returns c.x.
+    b.y == c.x in exact integer arithmetic, and returns c.x.
     Raises CertificateError if any of them fails.
     """
     rows = list(eq_rows) + list(ge_rows)
-    if len(x) != len(c) or len(y) != len(rows):
+    n = len(c)
+    if len(x) != n or len(y) != len(rows) or any(len(a) != n for a, _ in rows):
         raise CertificateError("certificate has the wrong shape")
-    if any(v < 0 for v in x):
+    xs, x_scale = _scaled(x)
+    if any(v < 0 for v in xs):
         raise CertificateError("primal solution has a negative entry")
-    for k, (a, b) in enumerate(rows):
-        lhs = sum((v * xv for v, xv in zip(a, x) if v), Fraction(0))
-        if lhs < b or (k < len(eq_rows) and lhs != b):
+    scaled = [_scaled([*a, b]) for a, b in rows]
+    for k, (row, _) in enumerate(scaled):
+        lhs, rhs = sum(v * xv for v, xv in zip(row, xs) if v), row[-1] * x_scale
+        if lhs < rhs or (k < len(eq_rows) and lhs != rhs):
             raise CertificateError(f"primal solution violates row {k}")
-    if any(yk > 0 for yk in y[len(eq_rows):]):
+    ys, y_scale = _scaled(y)
+    if any(v > 0 for v in ys[len(eq_rows):]):
         raise CertificateError("dual solution is positive on a >= row")
-    for j, cj in enumerate(c):
-        if sum((yk * a[j] for yk, (a, _) in zip(y, rows) if yk and a[j]), Fraction(0)) < cj:
+    # over the lcm of the row scales, row k weighs y_k * (lcm // its scale)
+    cs, c_scale = _scaled(c)
+    common = lcm(*(s for _, s in scaled))
+    weighted = [(yk * (common // s), row) for yk, (row, s) in zip(ys, scaled) if yk]
+    bound = y_scale * common
+    for j, cj in enumerate(cs):
+        if sum(w * row[j] for w, row in weighted) * c_scale < cj * bound:
             raise CertificateError(f"dual solution violates column {j}")
-    value = sum((cj * xj for cj, xj in zip(c, x) if cj), Fraction(0))
-    if sum((yk * b for yk, (_, b) in zip(y, rows) if yk), Fraction(0)) != value:
+    value = sum(cj * xj for cj, xj in zip(cs, xs) if cj)
+    if sum(w * row[-1] for w, row in weighted) * c_scale * x_scale != value * bound:
         raise CertificateError("primal and dual objective values differ")
-    return value
+    return Fraction(value, c_scale * x_scale)
+
+
+def _scaled(row):
+    """The entries (ints or Fractions) times the lcm of their denominators,
+    and that lcm."""
+    s = lcm(*(v.denominator for v in row))
+    return [v.numerator * (s // v.denominator) for v in row], s
 
 
 def _simplex(c, eq_rows, ge_rows) -> tuple[list[Fraction], list[Fraction]]:
     """Optimal primal vertex x and the duals y of all rows, eq rows first."""
     n = len(c)
     n_eq = len(eq_rows)
-    n_ge = len(ge_rows)
     rows = list(eq_rows) + list(ge_rows)
     m = len(rows)
 
-    # Scale each row to integers (by `scale`, times -1 where `sign` says).
-    # Columns: x, the surplus of each ge row, the artificials, the rhs.
-    ints = []
-    scale = []
-    sign = []
-    starts = []  # whether the row's surplus starts in the basis
+    # Labels: x is 0..n-1, the surplus of ge row k is n + k - n_eq, and the
+    # artificials follow from art0.  Each row is scaled to integers (by
+    # `scale`, times -1 where `sign` says) and starts with its own surplus or
+    # a new artificial basic (`ident`).
+    art0 = art = n + m - n_eq
+    ints, scale, sign, ident = [], [], [], []
+    nonbasic = list(range(n))  # x, then the surpluses of rows with artificials
     for k, (a, b) in enumerate(rows):
         if len(a) != n:
             raise ValueError(("equality" if k < n_eq else "inequality") + " row length mismatch")
-        fr = [Fraction(v) for v in a] + [Fraction(b)]
-        s = lcm(*(v.denominator for v in fr))
-        row = [v.numerator * (s // v.denominator) for v in fr]
-        starts.append(k >= n_eq and row[-1] <= 0)
-        flip = row[-1] < 0 or starts[-1]
+        row, s = _scaled([*a, b])
+        starts = k >= n_eq and row[-1] <= 0
+        flip = starts or row[-1] < 0
         scale.append(s)
         sign.append(-1 if flip else 1)
         ints.append([-v for v in row] if flip else row)
-
-    n_art = m - sum(starts)
-    art0 = n + n_ge  # first artificial column
-    width = art0 + n_art + 1
-    artificials = iter(range(art0, width - 1))
-    tab = []
-    ident = []  # the column of the starting identity in each row
-    for k, row in enumerate(ints):
-        full = row[:-1] + [0] * (width - n - 1) + [row[-1]]
-        if k >= n_eq:
-            # the surplus is rescaled with its row, so its coefficient stays
-            # -1 until the row's sign flip
-            full[n + k - n_eq] = -sign[k]
-        ident.append(n + k - n_eq if starts[k] else next(artificials))
-        full[ident[-1]] = 1
-        tab.append(full)
+        if starts:
+            ident.append(n + k - n_eq)
+        else:
+            ident.append(art)
+            art += 1
+            if k >= n_eq:
+                nonbasic.append(n + k - n_eq)
+    # a surplus column is -1 in its own row (rhs > 0, so unflipped), else 0
+    tab = [row[:-1] + [-(k == w - n + n_eq) for w in nonbasic[n:]] + row[-1:] for k, row in enumerate(ints)]
     basis = list(ident)
 
-    fc = [Fraction(v) for v in c]
-    c_scale = lcm(*(v.denominator for v in fc))
-    cost = [v.numerator * (c_scale // v.denominator) for v in fc] + [0] * (width - n)
-    objs = [cost]
+    cost, c_scale = _scaled(c)
+    objs = [cost + [0] * (len(nonbasic) - n + 1)]
     d = 1
-    if n_art:
+    if art > art0:
         # phase 1: maximize -(sum of artificials); its reduced-cost row is
-        # the sum of the artificial rows off the artificial columns
-        infeas = [0] * width
-        for row, var in zip(tab, basis):
-            if var >= art0:
-                infeas = [u + v for u, v in zip(infeas, row)]
-        infeas[art0:-1] = [0] * n_art
-        objs.append(infeas)
-        d = _run(tab, basis, objs, d, art0)
+        # the sum of the artificial rows
+        objs.append([sum(col) for col in zip(*(row for row, v in zip(tab, basis) if v >= art0))])
+        d = _run(tab, basis, nonbasic, objs, d, art0)
         if objs.pop()[-1] > 0:
             raise Infeasible
-        d = _drive_out_artificials(tab, basis, objs, d, art0)
-    d = _run(tab, basis, objs, d, art0)
+        d = _drive_out_artificials(tab, basis, nonbasic, objs, d, art0, sign)
+    d = _run(tab, basis, nonbasic, objs, d, art0)
 
     x = [Fraction(0)] * n
     for row, var in zip(tab, basis):
         if var < n:
             x[var] = Fraction(row[-1], d)
-    # the reduced cost at identity column k is -y_k in the scaled problem
+    # the reduced cost at the column of row k's starting basic variable is
+    # -y_k in the scaled problem
+    column = {var: j for j, var in enumerate(nonbasic)}
     cost = objs[0]
-    y = [Fraction(-cost[ident[k]] * sign[k] * scale[k], d * c_scale) for k in range(m)]
+    y = [
+        Fraction(-cost[column[v]] * sign[k] * scale[k], d * c_scale) if v in column else Fraction(0)
+        for k, v in enumerate(ident)
+    ]
     return x, y
 
 
-def _run(tab, basis, objs, d, enter_limit):
-    """Pivot on objs[-1] until optimal, by Bland's smallest-index rule."""
+def _run(tab, basis, nonbasic, objs, d, art0):
+    """Pivot on objs[-1] until optimal: the largest reduced cost enters, or
+    the smallest label after a degenerate pivot; artificials never enter."""
+    bland = False
     while True:
         obj = objs[-1]
-        col = next((j for j in range(enter_limit) if obj[j] > 0), -1)
-        if col < 0:
+        entering = [j for j, (v, var) in enumerate(zip(obj, nonbasic)) if v > 0 and var < art0]
+        if not entering:
             return d
+        col = min(entering, key=nonbasic.__getitem__) if bland else max(entering, key=obj.__getitem__)
         leaving = -1
         for i, row in enumerate(tab):
             coef = row[col]
@@ -178,10 +202,11 @@ def _run(tab, basis, objs, d, enter_limit):
                     leaving, num, den = i, row[-1], coef
         if leaving < 0:
             raise Unbounded
-        d = _pivot(tab, basis, objs, d, leaving, col)
+        bland = num == 0
+        d = _pivot(tab, basis, nonbasic, objs, d, leaving, col)
 
 
-def _pivot(tab, basis, objs, d, r, col):
+def _pivot(tab, basis, nonbasic, objs, d, r, col):
     """Fraction-free pivot on tab[r][col] > 0; returns the new denominator."""
     prow = tab[r]
     p = prow[col]
@@ -191,27 +216,33 @@ def _pivot(tab, basis, objs, d, r, col):
                 continue
             f = row[col]
             if f:
-                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                row = rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+                row[col] = -f
             elif p != d:
                 rows[i] = [p * a // d for a in row]
-    basis[r] = col
+    prow[col] = d
+    basis[r], nonbasic[col] = nonbasic[col], basis[r]
     return p
 
 
-def _drive_out_artificials(tab, basis, objs, d, art0):
+def _drive_out_artificials(tab, basis, nonbasic, objs, d, art0, sign):
     """Pivot zero-level artificials out of the basis; drop redundant rows."""
     for i in range(len(basis) - 1, -1, -1):
+        # an artificial never re-enters, so a basic one is still in its own
+        # row, and rows are only deleted after i: row i is input row i
         if basis[i] < art0:
             continue
         row = tab[i]
-        col = next((j for j in range(art0) if row[j]), -1)
+        col = next((j for j, (v, var) in enumerate(zip(row, nonbasic)) if v and var < art0), -1)
         if col < 0:
             del tab[i]
             del basis[i]
             continue
         if row[col] < 0:
-            # the row's rhs is 0 and its basic artificial leaves, so the
-            # row may be negated to keep the pivot, hence d, positive
+            # the rhs is 0, so negating the row keeps the pivot, hence d,
+            # positive; it substitutes -a for the artificial a, which leaves
+            # to a column where the dual is read with the opposite sign
             tab[i] = [-v for v in row]
-        d = _pivot(tab, basis, objs, d, i, col)
+            sign[i] = -sign[i]
+        d = _pivot(tab, basis, nonbasic, objs, d, i, col)
     return d

@@ -448,12 +448,18 @@ class EpistemicStructure:
         for p, table in interp_raw.items():
             if not isinstance(table, dict):
                 raise SchemaError(f"structure: interpretation of player {p!r} must be an object")
+            spelled: dict[Formula, str] = {}
             for key in table:
                 if key not in nodes:
                     try:
                         nodes[key] = parse_instance(key, game, signals=signal_names, atoms=atoms)
                     except ParseError as exc:
                         raise SchemaError(f"structure: instance key {key!r}: {exc}") from None
+                first = spelled.setdefault(nodes[key], key)
+                if first != key:
+                    raise SchemaError(
+                        f"structure: interpretation of player {p!r} spells one instance twice: {first!r} and {key!r}"
+                    )
 
         partitions = data.get("partitions")
         if partitions is not None and not isinstance(partitions, dict):

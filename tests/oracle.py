@@ -760,11 +760,17 @@ def naive_from_dict(data, game) -> EpistemicStructure:
         if not isinstance(table, dict):
             raise SchemaError(f"structure: interpretation of player {p!r} must be an object")
         entries = {}
+        keys = {}
         for key, where in table.items():
             try:
                 node = parse_instance(key, game, signals=signal_names, atoms=atoms)
             except ParseError as exc:
                 raise SchemaError(f"structure: instance key {key!r}: {exc}") from None
+            if node in keys:
+                raise SchemaError(
+                    f"structure: interpretation of player {p!r} spells one instance twice: {keys[node]!r} and {key!r}"
+                )
+            keys[node] = key
             if not _strings(where):
                 raise SchemaError(f"structure: value of {key!r} must be a list of states")
             entries[node] = where

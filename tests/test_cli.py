@@ -520,6 +520,20 @@ class TestHostileFiles:
         assert captured.err == f"error: {bad}: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_solve_ce_exits_3_at_once(self, capsys, tmp_path):
+        players = ["1", "2", "3"]
+        actions = {p: ["a1", "a2", "a3", "a4", "a5"] for p in players}
+        profiles = [",".join(a) for a in itertools.product(*actions.values())]
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({"players": players, "actions": actions, "payoffs": {a: ["0"] * 3 for a in profiles}}))
+        start = time.perf_counter()
+        code = main(["solve-ce", "--game", str(game)])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "precondition violated: the game has 125 action profiles, more than the cap of 48\n"
+
     def test_oversized_product_device_exits_3_at_once(self, capsys, tmp_path):
         players = ["1", "2", "3"]
         actions = {p: ["a1", "a2", "a3"] for p in players}

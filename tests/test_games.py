@@ -1,6 +1,8 @@
 """Games, distributions, incentive checks and the equilibrium solver."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +22,7 @@ from ambicoord import (
     validate_game,
 )
 from ambicoord.formulas import optimality_core
-from ambicoord.games import incentive_row, incentive_rows
+from ambicoord.games import MAX_CE_PROFILES, incentive_row, incentive_rows
 from helpers import random_game
 from oracle import naive_is_objective_ce, naive_is_subjective_ce
 
@@ -271,6 +273,23 @@ class TestSolver:
         dist = solve_ce(cycle_game)
         assert dist.total() == 1
         assert check_objective_ce(cycle_game, dist).ok
+
+    def test_a_game_over_the_profile_cap_is_refused_at_once(self):
+        players = ("1", "2", "3")
+        actions = {p: ("a1", "a2", "a3", "a4", "a5") for p in players}
+        game = Game(players, actions, {a: (0, 0, 0) for a in itertools.product(*actions.values())})
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError) as err:
+            solve_ce(game)
+        assert time.perf_counter() - start < 1
+        assert str(err.value) == f"the game has 125 action profiles, more than the cap of {MAX_CE_PROFILES}"
+
+    def test_a_game_at_the_profile_cap_is_solved(self):
+        players = ("1", "2")
+        actions = {"1": ("a1", "a2", "a3", "a4", "a5", "a6"), "2": ("a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8")}
+        game = Game(players, actions, {a: (0, 0) for a in itertools.product(*actions.values())})
+        assert 6 * 8 == MAX_CE_PROFILES
+        assert solve_ce(game).total() == 1
 
     def test_solver_output_is_always_an_equilibrium(self):
         from helpers import random_objective

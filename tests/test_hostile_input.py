@@ -205,8 +205,16 @@ def game_with(player):
     return json.dumps(game).encode()
 
 
+def structure_with_two_spellings():
+    """The weather structure with one of player A's instances under a second key."""
+    tree = json.loads((FIXTURES / "weather_structure.json").read_text())
+    tree["interpretation"]["A"]["rec(1,sp)"] = ["w3"]
+    return json.dumps(tree).encode()
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=mutated_files())
+@example(case=("weather", 1, "check", structure_with_two_spellings()))
 @example(case=("weather", 0, "check", b'\xff\xfe{"players": []}'))
 @example(case=("weather", 0, "check", b'{"players": [' + LONG.encode() + b"]}"))
 @example(case=("weather", 1, "check", b'{"states": [' + LONG.encode() + b"]}"))

@@ -115,6 +115,10 @@ def _weather(edit):
         (lambda d: d["partitions"].update(B={"w1": ["w1"]}), "partition of player 'B' must be a list of lists of states"),
         (lambda d: d["partitions"]["B"][1].append("w9"), "cells of player 'B' do not partition the states"),
         (lambda d: d["partitions"]["B"][1].append("w1"), "cells of player 'B' do not partition the states"),
+        (
+            lambda d: d["interpretation"]["A"].update({"rec(1,sp)": ["w3"]}),
+            "interpretation of player 'A' spells one instance twice: 'rec(A,sp)' and 'rec(1,sp)'",
+        ),
     ],
 )
 def test_listed_breakages(edit, message):

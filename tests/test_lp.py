@@ -1,12 +1,13 @@
 """Exact simplex: known optima, failure modes, degenerate inputs."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ambicoord import lp, solve_ce
+from ambicoord import Game, lp, solve_ce
 from ambicoord.lp import CertificateError, Infeasible, Unbounded, check_certificate, maximize
 from helpers import random_game, random_objective
 from oracle import naive_certificate_holds, naive_lp
@@ -209,3 +210,134 @@ def _outcome(c, eq, ge):
 def test_maximize_agrees_with_the_vertex_oracle(problem):
     c, eq, ge = problem
     assert _outcome(c, eq, ge) == naive_lp(c, eq, ge)
+
+
+@st.composite
+def _ce_shaped_lps(draw):
+    """The shape `solve_ce` builds: one `=` row (the probability simplex),
+    `>=` rows with right-hand side 0, and columns that are zero in every
+    `>=` row; plain ints mixed with Fractions, as `solve_ce` passes them."""
+    n = draw(st.integers(1, 4))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    entries = st.one_of(st.just(0), _RATIONALS)
+    ge = [
+        ([0 if j in zero else draw(entries) for j in range(n)], 0)
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return draw(st.lists(entries, min_size=n, max_size=n)), [([1] * n, 1)], ge
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ce_shaped_lps())
+def test_ce_shaped_lps_agree_with_the_vertex_oracle(problem):
+    c, eq, ge = problem
+    assert _outcome(c, eq, ge) == naive_lp(c, eq, ge)
+
+
+# Beale (1955), again: the largest-coefficient rule cycles on the textbook
+# form of this LP.  Its rows are fractional, so the solver scales them to
+# integers, which rescales their surplus variables and with them the reduced
+# costs that rule compares; the rule-level test below pins the entering rule.
+BEALE = (
+    [F(3, 4), F(-20), F(1, 2), F(-6)],
+    [
+        ([F(-1, 4), F(8), F(1), F(-9)], F(0)),
+        ([F(-1, 2), F(12), F(1, 2), F(-3)], F(0)),
+        ([F(0), F(0), F(-1), F(0)], F(-1)),
+    ],
+)
+
+
+def _tied_game(rng):
+    """2-3 players with 2-3 actions and payoffs in {0, 1}: many incentive
+    rows are equal or zero, so the CE vertices are highly degenerate."""
+    players = ("alice", "bob", "carol")[: rng.randint(2, 3)]
+    actions = {p: ("a1", "a2", "a3")[: rng.randint(2, 3)] for p in players}
+    payoffs = {a: tuple(rng.randint(0, 1) for _ in players) for a in itertools.product(*actions.values())}
+    return Game(players, actions, payoffs)
+
+
+def _degenerate_ce_lps(monkeypatch, count):
+    """(c, eq_rows, ge_rows) of `count` seeded solves of tied games, as
+    `solve_ce` passes them to `lp.maximize`."""
+    problems = []
+    real = lp.maximize
+
+    def recording(c, eq_rows, ge_rows):
+        problems.append((c, eq_rows, ge_rows))
+        return real(c, eq_rows, ge_rows)
+
+    rng = random.Random(77)
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "maximize", recording)
+        for _ in range(count):
+            game = _tied_game(rng)
+            solve_ce(game, random_objective(rng, game))
+    return problems
+
+
+def test_every_solve_stops_within_a_pivot_budget(monkeypatch):
+    problems = _degenerate_ce_lps(monkeypatch, 60)
+    real = lp._pivot
+    pivots = 0
+
+    def counted(*args):
+        nonlocal pivots
+        pivots += 1
+        if pivots > 10_000:
+            raise AssertionError("over 10,000 pivots: the entering rule cycles")
+        return real(*args)
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    c, ge = BEALE
+    assert maximize(c, (), ge) == (F(5, 4), [F(1), F(0), F(1), F(0)])
+    for c, eq, ge in problems:
+        value, x = maximize(c, eq, ge)
+        assert naive_certificate_holds(c, eq, ge, x, lp._simplex(c, eq, ge)[1])
+    assert pivots > 0
+
+
+def test_bland_enters_after_each_degenerate_pivot(monkeypatch):
+    # One phase only: Beale's rows and CE rows with the simplex written as
+    # sum(x) <= 1 all start with their surplus basic, so every pivot comes
+    # from the entering rule.  It takes the largest reduced cost, except
+    # right after a degenerate pivot (leaving rhs 0), where it takes the
+    # smallest label.
+    problems = [BEALE] + [
+        (c, [([-v for v in a], -b) for a, b in eq] + list(ge))
+        for c, eq, ge in _degenerate_ce_lps(monkeypatch, 40)
+    ]
+    real = lp._pivot
+    state = {"degenerate": False, "bland differs": 0, "dantzig differs": 0}
+
+    def checked(tab, basis, nonbasic, objs, d, r, col):
+        eligible = [j for j, v in enumerate(objs[-1][:-1]) if v > 0]
+        bland = min(eligible, key=nonbasic.__getitem__)
+        dantzig = max(eligible, key=objs[-1].__getitem__)
+        assert col == (bland if state["degenerate"] else dantzig)
+        if bland != dantzig:
+            state["bland differs" if state["degenerate"] else "dantzig differs"] += 1
+        state["degenerate"] = tab[r][-1] == 0
+        return real(tab, basis, nonbasic, objs, d, r, col)
+
+    monkeypatch.setattr(lp, "_pivot", checked)
+    for c, ge in problems:
+        state["degenerate"] = False
+        maximize(c, (), ge)
+    # both rules were put to the test where they disagree
+    assert state["bland differs"] > 0 and state["dantzig differs"] > 0
+
+
+def test_the_certificate_reads_only_its_arguments():
+    # the vertex of one problem proves nothing about another, whatever the
+    # solver scaled last
+    c, ge = BEALE
+    x, y = lp._simplex(c, (), ge)
+    assert check_certificate(c, (), ge, x, y) == F(5, 4)
+    halved = [([v / 2 for v in a], b / 2) for a, b in ge]
+    assert check_certificate(c, (), halved, x, [2 * v for v in y]) == F(5, 4)
+    loosened = ge[:2] + [([F(0), F(0), F(-1), F(0)], F(-2))]
+    with pytest.raises(CertificateError, match="objective values differ"):
+        check_certificate(c, (), loosened, x, y)
+    c2, ge2 = [F(2), F(3)], [([F(-1), F(-2)], F(-4)), ([F(-3), F(-1)], F(-6))]
+    assert check_certificate(c2, (), ge2, [F(8, 5), F(6, 5)], [F(-7, 5), F(-1, 5)]) == F(34, 5)
