@@ -25,8 +25,9 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # a player's 1-based position, which may stand for her name
 NUMERAL_RE = re.compile(r"[0-9]+")
 # the most action profiles `solve_ce` takes on: its time grows steeply with
-# the count, from 0.4 s or less at 36 profiles to 3 s at 48, 10 s at 64 and
-# minutes at 100 (seeded random games, 2-vCPU host)
+# the count; the slowest of 10 seeded random games took 0.11 s at 36
+# profiles (6x6), 0.65 s at 48 (6x8), 15 s at 64 (8x8), and 25-56 s at 100
+# (10x10, 4 games) on a 2-vCPU host
 MAX_CE_PROFILES = 48
 
 Profile = tuple[str, ...]
@@ -317,17 +318,26 @@ def incentive_row(game: Game, player: str, action: str, alt: str) -> dict[Profil
     return row
 
 
+def _deviations(game: Game) -> Iterable[tuple[str, str, str]]:
+    """(player, action, alt) for every alt != action, player-major: the
+    incentive inequalities of a correlated equilibrium, in order."""
+    return (
+        (p, action, alt)
+        for p in game.players
+        for action in game.actions_of(p)
+        for alt in game.actions_of(p)
+        if alt != action
+    )
+
+
 def incentive_rows(game: Game) -> tuple[tuple[str, str, str, Mapping[Profile, Fraction]], ...]:
-    """(player, action, alt, incentive_row) for every alt != action,
-    player-major; built once per game, with read-only rows."""
+    """(player, action, alt, incentive_row) for each of the game's
+    `_deviations`; built once per game, with read-only rows."""
     return game.derived(
         "incentive rows",
         lambda: tuple(
             (p, action, alt, MappingProxyType(incentive_row(game, p, action, alt)))
-            for p in game.players
-            for action in game.actions_of(p)
-            for alt in game.actions_of(p)
-            if alt != action
+            for p, action, alt in _deviations(game)
         ),
     )
 
@@ -401,10 +411,11 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
     c = [Fraction(v) if (v := objective.get(a)) else 0 for a in profiles]
 
     eq_rows = [([1] * size, 1)]
+    # built per call, not kept on the game: a game is often solved only once
     ge_rows = []
-    for _, _, _, gains in incentive_rows(game):
+    for p, action, alt in _deviations(game):
         row = [0] * size
-        for a, gain in gains.items():
+        for a, gain in incentive_row(game, p, action, alt).items():
             row[index[a]] = gain
         ge_rows.append((row, 0))
     try:

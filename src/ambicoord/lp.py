@@ -16,13 +16,24 @@ starts basic; every other row gets an artificial.  Phase 1 maximizes minus
 their sum.  An artificial that leaves never re-enters, and those left basic
 at level 0 are pivoted out, or their rows dropped as redundant.
 
-The largest positive reduced cost enters (Dantzig), but after a degenerate
+Among the columns with a positive reduced cost, a column is blocked when
+some row with right-hand side 0 has a positive entry in it, and free
+otherwise.  The free column with the largest reduced cost enters.  With
+none free, the largest reduced cost enters (Dantzig), but after a degenerate
 pivot (leaving right-hand side 0) the smallest label enters (Bland) until a
 pivot is not degenerate.  The minimum ratio leaves, ties going to the
-smallest basic label.  This terminates: the objective grows at every
-non-degenerate pivot, so a cycle is made of degenerate pivots only.  In a
-run of them every pivot after the first is Bland's, so a basis met twice in
-the run would go on from its second visit by Bland's rule alone and come
+smallest basic label.  A CE vertex lies on many rows of right-hand side 0,
+so this steps off it where it can instead of walking through its bases; at
+the start of phase 1 of a CE LP the free columns are the pure Nash profiles,
+so one pivot ends phase 1 when there is one.
+
+This terminates.  A free column never pivots degenerately: every row where
+it is positive has a positive right-hand side, so its step is positive and
+the objective grows, or no row limits it and the LP is unbounded.  The
+objective grows at every non-degenerate pivot, so a cycle is made of
+degenerate pivots only, in bases that have no free column.  In a run of
+them every pivot after the first is therefore Bland's, so a basis met twice
+in the run would go on from its second visit by Bland's rule alone and come
 round again, and Bland's rule cannot cycle (Bland 1977).
 
 The duals are the final reduced costs at each row's starting basic variable,
@@ -181,15 +192,24 @@ def _simplex(c, eq_rows, ge_rows) -> tuple[list[Fraction], list[Fraction]]:
 
 
 def _run(tab, basis, nonbasic, objs, d, art0):
-    """Pivot on objs[-1] until optimal: the largest reduced cost enters, or
-    the smallest label after a degenerate pivot; artificials never enter."""
+    """Pivot on objs[-1] until optimal: the free column (positive in no row
+    of rhs 0) with the largest reduced cost enters; with none free, the
+    largest reduced cost, or the smallest label after a degenerate pivot.
+    Artificials never enter."""
     bland = False
     while True:
         obj = objs[-1]
         entering = [j for j, (v, var) in enumerate(zip(obj, nonbasic)) if v > 0 and var < art0]
         if not entering:
             return d
-        col = min(entering, key=nonbasic.__getitem__) if bland else max(entering, key=obj.__getitem__)
+        free = entering
+        for row in tab:
+            if not row[-1]:
+                free = [j for j in free if row[j] <= 0]
+        if free:
+            col = max(free, key=obj.__getitem__)
+        else:
+            col = min(entering, key=nonbasic.__getitem__) if bland else max(entering, key=obj.__getitem__)
         leaving = -1
         for i, row in enumerate(tab):
             coef = row[col]

@@ -291,6 +291,13 @@ class TestSolver:
         assert 6 * 8 == MAX_CE_PROFILES
         assert solve_ce(game).total() == 1
 
+    def test_a_solve_keeps_no_incentive_rows_on_the_game(self, cycle_game):
+        game = Game.from_dict(cycle_game.to_dict())
+        solve_ce(game, {("T", "C"): F(1)})
+        assert "incentive rows" not in game._memo
+        check_objective_ce(game, solve_ce(game))
+        assert "incentive rows" in game._memo
+
     def test_solver_output_is_always_an_equilibrium(self):
         from helpers import random_objective
 

@@ -297,26 +297,33 @@ def test_every_solve_stops_within_a_pivot_budget(monkeypatch):
     assert pivots > 0
 
 
-def test_bland_enters_after_each_degenerate_pivot(monkeypatch):
+def test_free_columns_enter_first_then_dantzig_then_bland(monkeypatch):
     # One phase only: Beale's rows and CE rows with the simplex written as
     # sum(x) <= 1 all start with their surplus basic, so every pivot comes
-    # from the entering rule.  It takes the largest reduced cost, except
-    # right after a degenerate pivot (leaving rhs 0), where it takes the
-    # smallest label.
+    # from the entering rule.  A column is free when no row of rhs 0 has a
+    # positive entry in it.  The free column with the largest reduced cost
+    # enters; with none free, the largest reduced cost, except right after a
+    # degenerate pivot (leaving rhs 0), where the smallest label.
     problems = [BEALE] + [
         (c, [([-v for v in a], -b) for a, b in eq] + list(ge))
         for c, eq, ge in _degenerate_ce_lps(monkeypatch, 40)
     ]
     real = lp._pivot
-    state = {"degenerate": False, "bland differs": 0, "dantzig differs": 0}
+    state = {"degenerate": False, "free": 0, "dantzig": 0, "bland": 0}
 
     def checked(tab, basis, nonbasic, objs, d, r, col):
-        eligible = [j for j, v in enumerate(objs[-1][:-1]) if v > 0]
-        bland = min(eligible, key=nonbasic.__getitem__)
-        dantzig = max(eligible, key=objs[-1].__getitem__)
-        assert col == (bland if state["degenerate"] else dantzig)
-        if bland != dantzig:
-            state["bland differs" if state["degenerate"] else "dantzig differs"] += 1
+        obj = objs[-1]
+        eligible = [j for j, v in enumerate(obj[:-1]) if v > 0]
+        free = [j for j in eligible if all(row[j] <= 0 for row in tab if row[-1] == 0)]
+        choices = {
+            "free": max(free, key=obj.__getitem__) if free else None,
+            "dantzig": max(eligible, key=obj.__getitem__),
+            "bland": min(eligible, key=nonbasic.__getitem__),
+        }
+        rule = "free" if free else "bland" if state["degenerate"] else "dantzig"
+        assert col == choices[rule]
+        if list(choices.values()).count(col) == 1:
+            state[rule] += 1
         state["degenerate"] = tab[r][-1] == 0
         return real(tab, basis, nonbasic, objs, d, r, col)
 
@@ -324,8 +331,86 @@ def test_bland_enters_after_each_degenerate_pivot(monkeypatch):
     for c, ge in problems:
         state["degenerate"] = False
         maximize(c, (), ge)
-    # both rules were put to the test where they disagree
-    assert state["bland differs"] > 0 and state["dantzig differs"] > 0
+    # each branch was put to the test where it disagrees with the other two
+    assert state["free"] > 0 and state["dantzig"] > 0 and state["bland"] > 0, state
+
+
+def _has_pure_nash(game):
+    """Some profile where no player gains by deviating alone, read straight
+    off the payoff table."""
+    return any(
+        all(
+            game.payoffs[a][k] >= game.payoffs[a[:k] + (alt,) + a[k + 1:]][k]
+            for k, p in enumerate(game.players)
+            for alt in game.actions_of(p)
+        )
+        for a in game.profiles()
+    )
+
+
+def _phase_one_pivots(monkeypatch, game, objective):
+    """The pivots that `solve_ce(game, objective)` makes before phase 2
+    starts, and its result."""
+    runs, pivots = [], 0
+    real_run, real_pivot = lp._run, lp._pivot
+
+    def run(*args):
+        runs.append(pivots)
+        return real_run(*args)
+
+    def pivot(*args):
+        nonlocal pivots
+        pivots += 1
+        return real_pivot(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_run", run)
+        patch.setattr(lp, "_pivot", pivot)
+        dist = solve_ce(game, objective)
+    # the probability row always has an artificial: phase 1, then phase 2
+    assert len(runs) == 2
+    return runs[1], dist
+
+
+def test_a_pure_nash_profile_ends_phase_one_in_one_pivot(monkeypatch):
+    # At the start of phase 1 the free columns are the pure Nash profiles:
+    # a profile's column is positive in a zero-rhs incentive row exactly
+    # where its player gains by deviating.  One enters at level 1 and the
+    # probability row's artificial leaves.
+    rng = random.Random(11)
+    seen = {2: 0, 3: 0}
+    for _ in range(80):
+        game = random_game(rng)
+        objective = random_objective(rng, game)
+        if _has_pure_nash(game):
+            assert _phase_one_pivots(monkeypatch, game, objective)[0] == 1
+            seen[game.n] += 1
+    assert seen[2] >= 10 and seen[3] >= 10, seen
+
+
+def test_games_without_a_pure_nash_profile_still_solve(monkeypatch, cycle_game):
+    pennies = Game(
+        ("row", "col"),
+        {"row": ("h", "t"), "col": ("h", "t")},
+        {("h", "h"): (1, -1), ("h", "t"): (-1, 1), ("t", "h"): (-1, 1), ("t", "t"): (1, -1)},
+    )
+    problems = []
+    real = lp.maximize
+
+    def recording(c, eq_rows, ge_rows):
+        problems.append((c, eq_rows, ge_rows))
+        return real(c, eq_rows, ge_rows)
+
+    monkeypatch.setattr(lp, "maximize", recording)
+    for game in (pennies, cycle_game):
+        assert not _has_pure_nash(game)
+        for objective in ({}, {a: F(k) for k, a in enumerate(game.profiles())}):
+            pivots, dist = _phase_one_pivots(monkeypatch, game, objective)
+            assert pivots > 1 and dist.total() == 1
+    assert len(problems) == 4
+    for c, eq, ge in problems:
+        x, y = lp._simplex(c, eq, ge)
+        assert naive_certificate_holds(c, eq, ge, x, y)
 
 
 def test_the_certificate_reads_only_its_arguments():
