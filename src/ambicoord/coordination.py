@@ -177,8 +177,13 @@ def induce(m: EpistemicStructure, viewer: str) -> Distribution:
     bad = 0
     for seen, dup in folds:
         bad |= dup | (m.full ^ seen)
-    if bad:  # raises: some player plays zero or several actions there
-        m.seen_profile(viewer, m.states[low_state(bad)])
+    if bad:  # some player plays zero or several actions there
+        for p, row in zip(players, rows):
+            state, n = m._first_bad(bad, [mask for _, mask in row])
+            if n != 1:
+                raise PreconditionError(
+                    f"viewer {viewer!r} sees {n} actions for player {p!r} at state {state!r}"
+                )
     # one action per player at every state: intersect the action masks
     # along the profiles, keeping the nonempty ones in first-state order
     seen_at = [((), m.full)]

@@ -166,15 +166,19 @@ class Evaluator:
 
 
 def posterior(m, player: str, event: Iterable[str], state: str) -> Fraction:
-    """P(event | player's information cell at state) under the prior."""
-    cell = m.cell(player, state)
-    cell_mass = m.mass(cell)
+    """P(event | player's information cell at state) under the prior; the
+    event is a collection of state names."""
+    masks, sums = m.cells(player)
+    k = m.state_index(state)
+    emask = 0
+    for s in event:
+        emask |= 1 << m.state_index(s)
+    cell, cell_mass = next((c, w) for c, w in zip(masks, sums) if c >> k & 1)
     if cell_mass == 0:
         raise PreconditionError(
             f"information cell of player {player!r} at state {state!r} has zero prior mass"
         )
-    hits = frozenset(event) & cell
-    return m.mass(hits) / cell_mass
+    return Fraction(mask_mass(m.prior_num, emask & cell), cell_mass)
 
 
 def holds(m, state: str, player: str, f: Formula) -> bool:

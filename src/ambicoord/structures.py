@@ -15,7 +15,9 @@ and the prior is integer numerators over one common denominator, in lowest
 terms.  The audits below are whole-mask folds over these tables; per-state
 work is left only to name offending states, always in state order.  Derived
 data is built on first use and kept: each player's information cells, for
-her alone, and the evaluator's memo of intensions.
+her alone, and the evaluator's memo of intensions.  Beside the compiled form
+a structure answers by name only for single lookups: a state's index and
+prior, a mask's states and a proposition's truth set.
 """
 
 from __future__ import annotations
@@ -246,6 +248,8 @@ class EpistemicStructure:
         self.intensions: dict = {}
 
     def _check_instance(self, node: Formula) -> None:
+        if isinstance(node, (Play, Receive)) and node.player not in self.masks:
+            raise SchemaError(f"structure: {node} names unknown player {node.player!r}")
         if isinstance(node, Prim):
             if node.name not in self.atoms:
                 raise SchemaError(f"structure: undeclared atom {node.name!r}")
@@ -253,7 +257,6 @@ class EpistemicStructure:
             if node.action not in self.game.actions_of(node.player):
                 raise SchemaError(f"structure: {node.action!r} is not an action of {node.player!r}")
         elif isinstance(node, Receive):
-            self.game.player_index(node.player)
             if node.signal not in self.signals:
                 raise SchemaError(f"structure: undeclared signal {node.signal!r}")
         else:
@@ -282,9 +285,6 @@ class EpistemicStructure:
     def prior_of(self, state: str) -> Fraction:
         return Fraction(self.prior_num[self.state_index(state)], self.prior_denom)
 
-    def mass(self, event: Iterable[str]) -> Fraction:
-        return Fraction(sum(self.prior_num[self.state_index(s)] for s in event), self.prior_denom)
-
     def states_of(self, mask: int) -> frozenset[str]:
         """The states in a mask."""
         return frozenset(compress(self.states, flags(mask)))
@@ -293,36 +293,18 @@ class EpistemicStructure:
         """The states in a mask, in state order."""
         return tuple(compress(self.states, flags(mask)))
 
-    def _table(self, viewer: str) -> dict[Formula, int]:
-        try:
-            return self.masks[viewer]
-        except KeyError:
-            raise KeyError(f"unknown player {viewer!r}") from None
-
     def true_set(self, viewer: str, node: Formula) -> frozenset[str]:
         """States where `viewer` deems the primitive proposition true."""
-        return self.states_of(self._table(viewer).get(node, 0))
+        self.game.player_index(viewer)
+        return self.states_of(self.masks[viewer].get(node, 0))
 
-    def atom_true(self, viewer: str, node: Formula, state: str) -> bool:
-        k = self._state_index.get(state)
-        return k is not None and (self._table(viewer).get(node, 0) >> k) & 1 == 1
+    def _first_bad(self, bad: int, rows: Iterable[int]) -> tuple[str, int]:
+        """The first state of the nonzero mask `bad`, and how many of the
+        rows hold it: what an error message names."""
+        k = low_state(bad)
+        return self.states[k], sum(row >> k & 1 for row in rows)
 
-    def signals_received(self, viewer: str, receiver: str, state: str) -> tuple[str, ...]:
-        """All signals `viewer` thinks `receiver` got at `state`, in alphabet order."""
-        return tuple(
-            s for s in self.signals if self.atom_true(viewer, Receive(receiver, s), state)
-        )
-
-    def received_signal(self, player: str, state: str) -> str:
-        """The one signal `player` thinks she received; errors if not unique."""
-        got = self.signals_received(player, player, state)
-        if len(got) != 1:
-            raise PreconditionError(
-                f"player {player!r} receives {len(got)} signals at state {state!r}"
-            )
-        return got[0]
-
-    # -- partitions -----------------------------------------------------------
+    # -- information cells ----------------------------------------------------
 
     def cells(self, player: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The player's information cells and their prior masses, in numerator
@@ -343,54 +325,10 @@ class EpistemicStructure:
         rows = [table.get(Receive(player, s), 0) for s in self.signals]
         seen, dup = fold(rows)
         bad = dup | (self.full ^ seen)
-        if bad:  # raises: zero or several signals at that state
-            self.received_signal(player, self.states[low_state(bad)])
+        if bad:
+            state, n = self._first_bad(bad, rows)
+            raise PreconditionError(f"player {player!r} receives {n} signals at state {state!r}")
         return tuple(sorted(filter(None, rows), key=low_state))
-
-    def _derived(self) -> dict[str, tuple[int, ...]]:
-        """Every player's signal-derived cell masks; fails at the first player
-        that fails."""
-        return {p: self._derive(p) for p in self.game.players}
-
-    def _cell_sets(self, cells: Mapping[str, tuple[int, ...]]) -> dict[str, tuple[frozenset[str], ...]]:
-        return {p: tuple(map(self.states_of, masks)) for p, masks in cells.items()}
-
-    @property
-    def stored_partitions(self) -> Optional[dict[str, tuple[frozenset[str], ...]]]:
-        """The stored information cells as state sets, or None."""
-        if self.stored_cells is None:
-            return None
-        return self._cell_sets(self.stored_cells)
-
-    def derive_partitions(self) -> dict[str, tuple[frozenset[str], ...]]:
-        """Group states by each player's own received signal.
-
-        Fails if any state gives a player zero or several signals; cells are
-        ordered by first appearance in the state list.
-        """
-        return self._cell_sets(self._derived())
-
-    def partitions(self) -> dict[str, tuple[frozenset[str], ...]]:
-        """Stored partitions when present, otherwise the derived ones."""
-        return {p: tuple(map(self.states_of, self.cells(p)[0])) for p in self.game.players}
-
-    def cell(self, player: str, state: str) -> frozenset[str]:
-        """The player's information cell containing the state."""
-        cells = self.cells(player)[0]
-        k = self.state_index(state)
-        return self.states_of(next(c for c in cells if (c >> k) & 1))
-
-    def seen_profile(self, viewer: str, state: str) -> tuple[str, ...]:
-        """The full action profile `viewer` sees at `state`; errors unless unique."""
-        out = []
-        for p in self.game.players:
-            acts = [a for a in self.game.actions_of(p) if self.atom_true(viewer, Play(p, a), state)]
-            if len(acts) != 1:
-                raise PreconditionError(
-                    f"viewer {viewer!r} sees {len(acts)} actions for player {p!r} at state {state!r}"
-                )
-            out.append(acts[0])
-        return tuple(out)
 
     def evaluator(self):
         """A model checker that reads this structure and fills its memo."""
@@ -584,7 +522,7 @@ def check_partition_consistency(m: EpistemicStructure) -> Report:
     if m.stored_cells is None:
         return Report(True, notes=("no stored partitions; derived partitions are in effect",))
     try:
-        derived = m._derived()
+        derived = {p: m._derive(p) for p in m.game.players}
     except PreconditionError as exc:
         return Report(False, notes=(f"cannot derive partitions: {exc}",))
     failures = []

@@ -12,9 +12,10 @@ received-signal rows here.
 
 The `naive_*` audits further down are the package's structural audits,
 self-enforcement, `induce` and `verify_induced_equilibrium` as per-state
-scans over `true_set`: one state at a time, in state order.  They are the
-reference the package's whole-mask versions must match exactly, failures,
-notes, order and exceptions included.  They evaluate formulas with the
+scans over `true_set` and `stored_cell_sets` (the stored cell masks read as
+state sets, the one place the oracle looks at a mask): one state at a time,
+in state order.  They are the reference the package's whole-mask versions
+must match exactly, failures, notes, order and exceptions included.  They evaluate formulas with the
 package's `holds`, so they check the audit layer, not the evaluator.
 
 `naive_from_dict` and `naive_to_dict` read and write the structure file
@@ -348,10 +349,20 @@ def naive_derive_partitions(m) -> dict:
     return out
 
 
+def stored_cell_sets(m):
+    """The stored information cells as state sets, or None: state k is bit k
+    of each stored cell mask."""
+    if m.stored_cells is None:
+        return None
+    return {
+        p: tuple(frozenset(s for k, s in enumerate(m.states) if c >> k & 1) for c in cells)
+        for p, cells in m.stored_cells.items()
+    }
+
+
 def naive_partitions(m) -> dict:
-    if m.stored_partitions is not None:
-        return m.stored_partitions
-    return naive_derive_partitions(m)
+    stored = stored_cell_sets(m)
+    return naive_derive_partitions(m) if stored is None else stored
 
 
 def naive_seen_profile(m, viewer, state) -> tuple:
@@ -378,7 +389,8 @@ def naive_check_signal_uniqueness(m) -> Report:
 
 
 def naive_check_partition_consistency(m) -> Report:
-    if m.stored_partitions is None:
+    stored = stored_cell_sets(m)
+    if stored is None:
         return Report(True, notes=("no stored partitions; derived partitions are in effect",))
     try:
         derived = naive_derive_partitions(m)
@@ -387,7 +399,7 @@ def naive_check_partition_consistency(m) -> Report:
     failures = []
     for p in m.game.players:
         derived_of = {s: c for c in derived[p] for s in c}
-        stored_of = {s: c for c in m.stored_partitions[p] for s in c}
+        stored_of = {s: c for c in stored[p] for s in c}
         for s in m.states:
             if stored_of[s] != derived_of[s]:
                 failures.append(
@@ -422,7 +434,7 @@ def naive_check_cell_positivity(m) -> Report:
     failures = []
     for p in m.game.players:
         for c in partitions[p]:
-            if m.mass(c) == 0:
+            if sum(m.prior_num[m.states.index(s)] for s in c) == 0:
                 failures.append(CellIssue(p, tuple(_ordered(m, c))))
     return Report(not failures, tuple(failures))
 
@@ -801,9 +813,8 @@ def naive_to_dict(m) -> dict:
     interp = {
         p: {str(node): ordered(m.true_set(p, node)) for node in order if m.true_set(p, node)} for p in m.game.players
     }
-    partitions = None
-    if m.stored_partitions is not None:
-        partitions = {p: [ordered(c) for c in cells] for p, cells in m.stored_partitions.items()}
+    stored = stored_cell_sets(m)
+    partitions = None if stored is None else {p: [ordered(c) for c in cells] for p, cells in stored.items()}
     return {
         "states": list(m.states),
         "prior": {s: str(m.prior_of(s)) for s in m.states},

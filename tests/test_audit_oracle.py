@@ -1,8 +1,9 @@
 """The whole-mask audits, `induce` and `verify_induced_equilibrium` against
 the per-state references in oracle.py.
 
-Inputs are small constructed devices (2 to 64 states) and the fixtures,
-each intact and in three damaged copies, the damage drawn by a seed from six
+Inputs are small constructed devices (2 to 64 states) and the fixtures (also
+with their states reversed, and with no stored cells), each intact and in
+three damaged copies, the damage drawn by a seed from six
 kinds: an interpretation key dropped, a state added to a key, two keys'
 state lists swapped, a state's prior mass moved to another state, the stored
 partitions dropped, and a state moved between cells.
@@ -64,9 +65,9 @@ PAIRS = {
         lambda m, c: check_cell_positivity(m),
         lambda m, c: oracle.naive_check_cell_positivity(m),
     ),
-    "derived partitions": (
-        lambda m, c: m.derive_partitions(),
-        lambda m, c: oracle.naive_derive_partitions(m),
+    "cells": (
+        lambda m, c: {p: tuple(map(m.states_of, m.cells(p)[0])) for p in m.game.players},
+        lambda m, c: oracle.naive_partitions(m),
     ),
     "rationality": (
         lambda m, c: check_rationality(m),
@@ -180,6 +181,9 @@ def devices(objective_instances, subjective_instances, weather_game, cycle_game,
         # the same structure with its states listed backwards: state order,
         # not profile or cell order, decides the order of every result
         out.append((f"{name} reversed", game, {**data, "states": data["states"][::-1]}, strategy))
+        # and with no stored cells: each player's cells are derived from her
+        # received signals, so damage to those rows reaches them
+        out.append((f"{name} derived", game, {**data, "partitions": None}, strategy))
     return out
 
 

@@ -94,6 +94,15 @@ class TestPosteriors:
         with pytest.raises(PreconditionError):
             posterior(starved, "A", {"w3"}, "w3")
 
+    def test_posterior_refuses_names_that_are_not_states(self, weather):
+        with pytest.raises(KeyError) as exc:
+            posterior(weather, "A", ["nope"], "w1")
+        assert exc.value.args == ("unknown state 'nope'",)
+        # a bare string is a collection of one-letter names
+        with pytest.raises(KeyError) as exc:
+            posterior(weather, "A", "w1", "w1")
+        assert exc.value.args == ("unknown state 'w'",)
+
 
 class TestProbabilityFacts:
     def test_nonnegativity_is_trivially_valid(self, weather):

@@ -1,4 +1,4 @@
-"""Source hygiene: no module keeps a private name it never uses."""
+"""Source hygiene: no module keeps a private name or method it never uses."""
 
 import ast
 from pathlib import Path
@@ -39,9 +39,31 @@ def unused_private_names(source: str) -> list[str]:
     ]
 
 
+def unused_private_methods(source: str) -> list[str]:
+    """`Class._name`s: private methods of module-level classes that no code
+    of the module outside their own definition reads as an attribute."""
+    tree = ast.parse(source)
+    out = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not fn.name.startswith("_") or fn.name.endswith("__"):
+                continue
+            own = set(map(id, ast.walk(fn)))
+            if not any(
+                isinstance(n, ast.Attribute) and n.attr == fn.name and id(n) not in own for n in ast.walk(tree)
+            ):
+                out.append(f"{cls.name}.{fn.name}")
+    return out
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_private_names(path):
-    assert unused_private_names(path.read_text()) == []
+    source = path.read_text()
+    assert unused_private_names(source) + unused_private_methods(source) == []
 
 
 def test_the_check_sees_dead_and_self_referencing_names():
@@ -54,3 +76,18 @@ def test_the_check_sees_dead_and_self_referencing_names():
         "    return _LIVE\n"
     )
     assert unused_private_names(source) == ["_DEAD", "_recursive"]
+
+
+def test_the_check_sees_uncalled_private_methods():
+    source = (
+        "class Box:\n"
+        "    def _dead(self):\n"
+        "        return self._dead()\n"
+        "    def _live(self):\n"
+        "        return 1\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def public(box):\n"
+        "    return box._live()\n"
+    )
+    assert unused_private_methods(source) == ["Box._dead"]

@@ -18,6 +18,7 @@ from ambicoord import (
     check_rationality,
     check_signal_definitions,
     check_signal_uniqueness,
+    induce,
     is_common_interpretation,
 )
 from conftest import load_fixture
@@ -101,6 +102,13 @@ class TestConstruction:
                 weather_game,
                 truth={"A": {Play("A", "run"): {"w1"}}, "B": {}},
             )
+        for node in (Play("Z", "stay"), Receive("Z", "sp")):
+            with pytest.raises(SchemaError) as exc:
+                rebuild(weather_game, truth={"A": {node: {"w1"}}, "B": {}})
+            assert str(exc.value) == f"structure: {node} names unknown player 'Z'"
+            with pytest.raises(SchemaError) as exc:
+                EpistemicStructure.from_masks(weather_game, ["w1"], [1], 1, ["sp"], {"A": {node: 1}})
+            assert str(exc.value) == f"structure: {node} names unknown player 'Z'"
 
     def test_partitions_must_cover_and_not_overlap(self, weather_game):
         with pytest.raises(SchemaError):
@@ -118,59 +126,54 @@ class TestConstruction:
             EpistemicStructure.from_dict(data, weather_game)
 
 
+def cell_sets(m, player):
+    """The player's information cells as state sets, in cell order."""
+    return tuple(map(m.states_of, m.cells(player)[0]))
+
+
 class TestAccessors:
     def test_signal_and_cell_lookups(self, weather):
-        assert weather.signals_received("A", "B", "w1") == ("sp",)
-        assert weather.received_signal("B", "w2") == "snp"
-        assert weather.cell("A", "w1") == frozenset({"w1", "w2"})
-        assert weather.cell("B", "w1") == frozenset({"w1", "w3"})
-        assert weather.mass(["w1", "w3"]) == F(1, 2)
+        assert "w1" in weather.true_set("A", Receive("B", "sp"))
+        assert weather.true_set("B", Receive("B", "snp")) == frozenset({"w2", "w4"})
+        assert cell_sets(weather, "A") == (frozenset({"w1", "w2"}), frozenset({"w3", "w4"}))
+        assert cell_sets(weather, "B") == (frozenset({"w1", "w3"}), frozenset({"w2", "w4"}))
+        # masses in units of the prior's denominator, 4
+        assert weather.cells("B")[1] == (2, 2)
+        assert weather.prior_denom == 4
 
-    def test_derived_partitions_match_stored_ones(self, weather):
-        derived = weather.derive_partitions()
-        assert set(derived["A"]) == {
-            frozenset({"w1", "w2"}),
-            frozenset({"w3", "w4"}),
-        }
-        assert set(derived["B"]) == {
-            frozenset({"w1", "w3"}),
-            frozenset({"w2", "w4"}),
-        }
+    def test_derived_partitions_match_stored_ones(self, weather_game, weather):
+        derived = rebuild(weather_game, partitions=None)
+        assert derived.stored_cells is None
+        for p in ("A", "B"):
+            assert derived.cells(p)[0] == weather.stored_cells[p]
 
     def test_partitions_fall_back_to_derivation(self, weather_common):
-        assert weather_common.stored_partitions is None
-        cells = weather_common.partitions()
-        assert set(cells["B"]) == {frozenset({"w1", "w2"}), frozenset({"w3", "w4"})}
+        assert weather_common.stored_cells is None
+        assert cell_sets(weather_common, "B") == (frozenset({"w1", "w2"}), frozenset({"w3", "w4"}))
 
     def test_received_signal_needs_uniqueness(self, weather_game):
-        broken = rebuild(
-            weather_game,
-            truth={
-                "A": {
-                    Receive("A", "sp"): {"w1", "w2"},
-                    Receive("A", "snp"): {"w1", "w4"},  # w1 gets both, w3 none
-                    Receive("B", "sp"): {"w1", "w3"},
-                    Receive("B", "snp"): {"w2", "w4"},
-                },
-                "B": {
-                    Receive("A", "sp"): {"w1", "w2"},
-                    Receive("A", "snp"): {"w3", "w4"},
-                    Receive("B", "sp"): {"w1", "w3"},
-                    Receive("B", "snp"): {"w2", "w4"},
-                },
-            },
-            partitions=None,
-        )
-        with pytest.raises(PreconditionError):
-            broken.received_signal("A", "w1")
-        with pytest.raises(PreconditionError):
-            broken.received_signal("A", "w3")
+        def broken(snp):
+            table = {
+                Receive("A", "sp"): {"w1", "w2"},
+                Receive("A", "snp"): snp,
+                Receive("B", "sp"): {"w1", "w3"},
+                Receive("B", "snp"): {"w2", "w4"},
+            }
+            return rebuild(weather_game, truth={"A": table, "B": {}}, partitions=None)
+
+        with pytest.raises(PreconditionError) as exc:
+            broken({"w1", "w4"}).cells("A")  # w1 gets both signals, w3 none
+        assert str(exc.value) == "player 'A' receives 2 signals at state 'w1'"
+        with pytest.raises(PreconditionError) as exc:
+            broken({"w4"}).cells("A")
+        assert str(exc.value) == "player 'A' receives 0 signals at state 'w3'"
 
     def test_seen_profile_requires_action_atoms(self, weather, coord):
-        with pytest.raises(PreconditionError):
-            weather.seen_profile("A", "w1")
-        assert coord.seen_profile("1", "wp") == ("D", "R")
-        assert coord.seen_profile("2", "wp") == ("U", "L")
+        with pytest.raises(PreconditionError) as exc:
+            induce(weather, "A")
+        assert str(exc.value) == "viewer 'A' sees 0 actions for player 'A' at state 'w1'"
+        assert induce(coord, "1").weights == {("U", "L"): F(1, 2), ("D", "R"): F(1, 2)}
+        assert induce(coord, "2").weights == {("U", "L"): F(1)}
 
 
 class TestChecks:
