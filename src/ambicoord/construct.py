@@ -7,11 +7,11 @@ Two constructions, both refusing inputs that fail the corresponding CE check:
   Every player is told (only) her own recommended action, encoded through a
   canonical action->signal map.
 
-* `from_subjective_ce`: states are tuples of support profiles, one coordinate
-  per player; the prior is the product of the players' distributions, and
-  each player interprets signals and play according to her own coordinate.
-  Players may thus disagree about what is played; each one's induced
-  distribution is exactly her own input.
+* `from_subjective_ce`: the quantile coupling of the players' distributions,
+  at most sum(|support_i|) - n + 1 states.  Each player interprets signals
+  and play according to her own layout of her support, so players may
+  disagree about what is played; each one's induced distribution is exactly
+  her own input, and identical inputs give a common interpretation.
 
 Both reuse one signal alphabet sig1..sigK with K = max action-set size, and
 map each player's k-th declared action to sigK's k-th signal.  Signals beyond
@@ -22,8 +22,9 @@ returned strategy total.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate
 from typing import Sequence
 
 from .coordination import CoordinationStrategy
@@ -31,9 +32,6 @@ from .errors import PreconditionError
 from .formulas import Play, Receive
 from .games import Distribution, Game, Profile, check_subjective_ce, profile_key, require_valid_game
 from .structures import EpistemicStructure
-
-# `from_subjective_ce` refuses a product of the supports with more states
-MAX_PRODUCT_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -97,30 +95,23 @@ def from_objective_ce(game: Game, dist: Distribution) -> ConstructionResult:
 
 
 def from_subjective_ce(game: Game, dists: Sequence[Distribution]) -> ConstructionResult:
-    """Product structure realizing one subjective distribution per player.
+    """Coupled structure realizing one subjective distribution per player.
 
-    Each state fixes, for every player, a support profile of her own
-    distribution; player i's interpretation reads signals and play off her
-    coordinate alone.  The prior is the product of the coordinates' weights.
-    A product of more than MAX_PRODUCT_STATES states is refused before it
-    is built.
-    """
+    Player i lays her support out along [0, 1] in declared profile order, a
+    stretch per profile as long as its weight.  Each stretch between
+    consecutive breakpoints of all players is a state, with its length as
+    prior, where player i reads signals and play off the profile her layout
+    puts there.  Each breakpoint moves some player on to her next profile,
+    so state names are distinct and priors positive."""
     dists = list(dists)
     _require_ce(game, dists, "a subjective")
     supports, nums, denoms = zip(*(_support(game, d) for d in dists))
-    size = math.prod(map(len, supports))
-    if size > MAX_PRODUCT_STATES:
-        raise PreconditionError(
-            f"the product device would have {size} states, more than the cap of {MAX_PRODUCT_STATES}"
-        )
-    keys = [[profile_key(a) for a in support] for support in supports]
-    return _device(
-        game,
-        ["|".join(w) for w in product(*keys)],
-        [math.prod(w) for w in product(*nums)],
-        math.prod(denoms),
-        list(product(*supports)),
-    )
+    denom = math.lcm(*denoms)
+    ends = [list(accumulate(w * (denom // d) for w in num)) for num, d in zip(nums, denoms)]
+    cuts = sorted(set().union(*ends))
+    views = [tuple(s[bisect_left(e, c)] for s, e in zip(supports, ends)) for c in cuts]
+    names = ["|".join(map(profile_key, view)) for view in views]
+    return _device(game, names, [hi - lo for lo, hi in zip([0, *cuts], cuts)], denom, views)
 
 
 def _device(

@@ -311,10 +311,14 @@ def incentive_row(game: Game, player: str, action: str, alt: str) -> dict[Profil
     to u(profile) - u(profile with `alt` in her place).  The CE checks, the
     rows of `solve_ce`, the `opt_i(a)` core and the rationality gap read it."""
     k = game.player_index(player)
+    payoffs = game.payoffs
     row = {}
-    for combo in game.opponent_profiles(player):
-        told = combo[:k] + (action,) + combo[k:]
-        row[told] = game.payoff(player, told) - game.payoff(player, combo[:k] + (alt,) + combo[k:])
+    try:
+        for combo in game.opponent_profiles(player):
+            told = combo[:k] + (action,) + combo[k:]
+            row[told] = payoffs[told][k] - payoffs[combo[:k] + (alt,) + combo[k:]][k]
+    except KeyError as exc:
+        raise KeyError(f"no payoff entry for profile {profile_key(exc.args[0])!r}") from None
     return row
 
 

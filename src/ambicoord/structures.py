@@ -99,6 +99,7 @@ def _compile(bit: Mapping[str, int], truth: Mapping, partitions: Optional[Mappin
         row = masks[p] = {}
         for key, names in table.items():
             node = nodes[key] if json else key
+            names = names if json else tuple(names)  # a failed compile reads them again
             mask = row[node] = _mask(bit, names, json)
             if mask is None:
                 if json and not _strings(names):

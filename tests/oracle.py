@@ -649,10 +649,10 @@ def naive_gate(m, strategy) -> tuple[list, list, int]:
 
 # ------------------------------------------------------------ constructions
 #
-# The devices of `ambicoord.construct`, built the way they were before the
-# constructions wrote the compiled form: one Receive and one Play node per
-# state, player and player, collected in frozensets of state names and
-# handed to the name-based constructor.  No CE checks: callers pass
+# The devices of `ambicoord.construct`, built without its compiled form:
+# one Receive and one Play node per state, player and player, collected in
+# frozensets of state names and handed to the name-based constructor, the
+# subjective layout worked out in Fractions.  No CE checks: callers pass
 # equilibria.
 
 
@@ -699,14 +699,24 @@ def naive_objective_device(game, dist) -> ConstructionResult:
 
 
 def naive_subjective_device(game, dists) -> ConstructionResult:
-    """One state per tuple of support profiles, with the product prior."""
-    supports = [[a for a in game.profiles() if d.weight(a) > 0] for d in dists]
-    states = []
-    for w in itertools.product(*supports):
-        weight = Fraction(1)
-        for d, a in zip(dists, w):
-            weight *= d.weight(a)
-        states.append(("|".join(map(profile_key, w)), weight, w))
+    """The quantile coupling, with Fractions: each player's support profiles,
+    in profile order, end at the running sums of their weights; one state
+    per stretch between consecutive ends of any player, weighing the
+    stretch's length, where each player reads the first of her profiles that
+    ends at or after the stretch's end."""
+    layouts = []
+    for d in dists:
+        total, layout = Fraction(0), []
+        for a in game.profiles():
+            if d.weight(a) > 0:
+                total += d.weight(a)
+                layout.append((total, a))
+        layouts.append(layout)
+    states, start = [], Fraction(0)
+    for end in sorted({total for layout in layouts for total, _ in layout}):
+        views = tuple(next(a for total, a in layout if total >= end) for layout in layouts)
+        states.append(("|".join(map(profile_key, views)), end - start, views))
+        start = end
     return naive_device(game, states)
 
 

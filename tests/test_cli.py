@@ -534,7 +534,7 @@ class TestHostileFiles:
         assert captured.out == ""
         assert captured.err == "precondition violated: the game has 125 action profiles, more than the cap of 48\n"
 
-    def test_oversized_product_device_exits_3_at_once(self, capsys, tmp_path):
+    def test_uniform_3x3x3_subjective_device_is_built_at_once(self, capsys, tmp_path):
         players = ["1", "2", "3"]
         actions = {p: ["a1", "a2", "a3"] for p in players}
         profiles = [",".join(a) for a in itertools.product(*actions.values())]
@@ -546,11 +546,15 @@ class TestHostileFiles:
         start = time.perf_counter()
         code = main(["construct", "--game", str(game), "--subjective", *[str(uniform)] * 3, "--out", str(out_dir)])
         assert time.perf_counter() - start < 1
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "precondition violated: the product device would have 19683 states, more than the cap of 4096\n"
-        )
-        assert not out_dir.exists()
+        assert code == 0
+        # at most sum(|support_i|) - n + 1 = 27 * 3 - 3 + 1 states
+        assert len(json.loads((out_dir / "structure.json").read_text())["states"]) <= 79
+        files = ["--game", str(game), "--structure", str(out_dir / "structure.json")]
+        files += ["--strategy", str(out_dir / "strategy.json")]
+        assert main(["validate", *files]) == 0
+        assert main(["verify", *files]) == 0
+        # identical inputs give a common interpretation
+        assert "objective CE: true" in capsys.readouterr().out
 
 
 def test_argument_parser_is_built_once_and_reused(capsys):

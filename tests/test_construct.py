@@ -1,10 +1,10 @@
 """Building epistemic structures out of equilibrium distributions."""
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambicoord import (
     Distribution,
@@ -29,7 +29,7 @@ from ambicoord import (
     solve_ce,
     verify_induced_equilibrium,
 )
-from ambicoord.construct import MAX_PRODUCT_STATES
+from ambicoord.coordination import STRUCTURAL, run_audits
 from conftest import load_fixture
 from helpers import random_game, random_objective
 from oracle import naive_objective_device, naive_partitions, naive_subjective_device
@@ -122,13 +122,17 @@ class TestFromSubjective:
         assert induce(m, "2") == g2
         assert not is_common_interpretation(m)
 
-    def test_product_prior_multiplies_the_beliefs(self, coord_game):
+    def test_coupled_prior_cuts_at_every_breakpoint(self, coord_game):
         g = Distribution({("U", "L"): F(1, 2), ("D", "R"): F(1, 2)})
-        out = from_subjective_ce(coord_game, [g, g])
-        m = out.structure
-        assert len(m.states) == 4
-        assert all(m.prior_of(w) == F(1, 4) for w in m.states)
-        assert induce(m, "1") == g
+        m = from_subjective_ce(coord_game, [g, g]).structure
+        assert m.states == ("U,L|U,L", "D,R|D,R")
+        assert all(m.prior_of(w) == F(1, 2) for w in m.states)
+        assert is_common_interpretation(m)
+        h = Distribution({("U", "L"): F(1, 3), ("D", "R"): F(2, 3)})
+        m = from_subjective_ce(coord_game, [h, g]).structure
+        assert m.states == ("U,L|U,L", "D,R|U,L", "D,R|D,R")
+        assert [m.prior_of(w) for w in m.states] == [F(1, 3), F(1, 6), F(1, 2)]
+        assert induce(m, "1") == h
         assert induce(m, "2") == g
 
     def test_identical_point_beliefs_collapse_to_agreement(self, coord_game):
@@ -206,6 +210,20 @@ class TestPipelines:
             for k, p in enumerate(game.players):
                 assert induce(out.structure, p) == dists[k]
 
+    def test_identical_inputs_collapse_to_the_objective_device(self, objective_instances):
+        """Absent ambiguity, the subjective construction is the objective one,
+        its states named "k|...|k" for "k"."""
+        for game, dist, built in objective_instances:
+            out = from_subjective_ce(game, [dist] * game.n)
+            m, ref = out.structure, built.structure
+            assert m.states == tuple("|".join([w] * game.n) for w in ref.states)
+            assert (m.prior_num, m.prior_denom) == (ref.prior_num, ref.prior_denom)
+            assert m.masks == ref.masks
+            assert m.stored_cells == ref.stored_cells
+            assert out.strategy.to_dict() == built.strategy.to_dict()
+            result = verify_induced_equilibrium(m, out.strategy)
+            assert result.ok and result.kind == "objective"
+
 
 def compiled_form(out) -> tuple:
     """Everything a construction hands back, mask tables in insertion order."""
@@ -273,21 +291,33 @@ class TestCompiledConstruction:
             )
 
 
-class TestProductCap:
-    def test_oversized_product_is_refused_before_it_is_built(self):
-        game = zero_game((3, 3, 3))
-        uniform = Distribution({a: F(1, 27) for a in game.profiles()})
-        start = time.perf_counter()
-        with pytest.raises(PreconditionError) as err:
-            from_subjective_ce(game, [uniform] * 3)
-        assert time.perf_counter() - start < 1
-        assert str(err.value) == f"the product device would have 19683 states, more than the cap of {MAX_PRODUCT_STATES}"
+@st.composite
+def coupled_inputs(draw):
+    """A zero game of one of the shapes above and one random distribution per
+    player, on 1..6 profiles with weights 1..6 over their sum."""
+    game = zero_game(draw(st.sampled_from([(3, 2), (2, 3), (2, 3, 2), (3, 1, 2)])))
+    profiles = list(game.profiles())
+    dists = []
+    for _ in game.players:
+        support = draw(st.lists(st.sampled_from(profiles), min_size=1, max_size=6, unique=True))
+        raw = draw(st.lists(st.integers(1, 6), min_size=len(support), max_size=len(support)))
+        dists.append(Distribution({a: F(w, sum(raw)) for a, w in zip(support, raw)}))
+    return game, dists
 
-    def test_a_product_at_the_cap_is_built(self):
-        game = zero_game((4, 4, 4))
-        dists = [Distribution({a: F(1, 16) for a in list(game.profiles())[:16]})] * 3
-        assert 16**3 == MAX_PRODUCT_STATES
-        assert len(from_subjective_ce(game, dists).structure.states) == MAX_PRODUCT_STATES
+
+@settings(max_examples=200, deadline=None)
+@given(coupled_inputs())
+def test_coupled_device_is_linear_in_the_supports_and_implements_each_input(case):
+    game, dists = case
+    out = from_subjective_ce(game, dists)
+    m = out.structure
+    assert len(m.states) <= sum(len(d.support()) for d in dists) - game.n + 1
+    assert all(w > 0 for w in m.prior_num)
+    assert len(set(m.states)) == len(m.states)
+    for p, d in zip(game.players, dists):
+        assert induce(m, p) == d
+    for label, outcome in run_audits(m, out.strategy, STRUCTURAL + ("self-enforcement",)):
+        assert outcome is not None and outcome.ok, label
 
 
 class TestFromMasks:

@@ -50,6 +50,18 @@ def test_game_accessors(cycle_game):
         cycle_game.payoff("1", ("T", "T"))
 
 
+def test_incentive_row_names_a_profile_without_payoffs(cycle_game):
+    payoffs = {a: u for a, u in cycle_game.payoffs.items() if a != ("T", "L")}
+    holed = Game(cycle_game.players, cycle_game.actions, payoffs)
+    for action, alt in (("T", "M"), ("M", "T")):
+        with pytest.raises(KeyError) as err:
+            incentive_row(holed, "1", action, alt)
+        assert err.value.args == ("no payoff entry for profile 'T,L'",)
+    assert incentive_row(cycle_game, "2", "C", "R") == {
+        a: cycle_game.payoff("2", a) - cycle_game.payoff("2", (a[0], "R")) for a in [("T", "C"), ("M", "C"), ("B", "C")]
+    }
+
+
 def test_game_serialization_round_trip(cycle_game):
     assert Game.from_dict(cycle_game.to_dict()) == cycle_game
 

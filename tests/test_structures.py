@@ -110,6 +110,11 @@ class TestConstruction:
                 EpistemicStructure.from_masks(weather_game, ["w1"], [1], 1, ["sp"], {"A": {node: 1}})
             assert str(exc.value) == f"structure: {node} names unknown player 'Z'"
 
+    def test_unknown_states_are_named_from_a_one_shot_iterable(self, weather_game):
+        with pytest.raises(SchemaError) as exc:
+            rebuild(weather_game, truth={"A": {Prim("p"): (s for s in ["w1", "zz"])}, "B": {}})
+        assert str(exc.value) == "structure: unknown states ['zz'] for p"
+
     def test_partitions_must_cover_and_not_overlap(self, weather_game):
         with pytest.raises(SchemaError):
             rebuild(
