@@ -177,16 +177,19 @@ def _cmd_construct(args) -> int:
     else:
         dists = [_load(p, Distribution.from_dict, game) for p in args.subjective]
         result = from_subjective_ce(game, dists)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, payload in (
-        ("structure.json", result.structure.to_dict()),
-        ("strategy.json", result.strategy.to_dict()),
-        ("signal_map.json", result.signal_maps_dict()),
-    ):
-        path = out / name
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {path}", file=sys.stderr)
+    out = path = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in (
+            ("structure.json", result.structure.to_dict()),
+            ("strategy.json", result.strategy.to_dict()),
+            ("signal_map.json", result.signal_maps_dict()),
+        ):
+            path = out / name
+            path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+            print(f"wrote {path}", file=sys.stderr)
+    except OSError as exc:
+        raise SchemaError(f"{path}: {exc.strerror or exc}") from None
     return 0
 
 

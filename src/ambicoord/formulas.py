@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .games import incentive_row
+from .games import player_incentive_rows
 
 if TYPE_CHECKING:
     from .games import Game
@@ -298,10 +298,8 @@ def optimality_core(player: str, action: str, game: Game) -> Formula:
         if not others:
             raise ValueError("optimality needs at least one opponent")
         events = [conj(Play(j, b) for j, b in zip(others, combo)) for combo in game.opponent_profiles(player)]
-        return conj(
-            ProbGe(player, tuple(zip(incentive_row(game, player, action, alt).values(), events)), Fraction(0))
-            for alt in game.actions_of(player)
-        )
+        rows = player_incentive_rows(game, player, [(action, alt) for alt in game.actions_of(player)])
+        return conj(ProbGe(player, tuple(zip(row.values(), events)), Fraction(0)) for row in rows)
 
     return game.derived(("optimality core", player, action), build)
 

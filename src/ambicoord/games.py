@@ -305,33 +305,63 @@ def require_valid_game(game: Game) -> None:
         raise PreconditionError("game is not valid: " + "; ".join(map(str, report.failures)))
 
 
+def _gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> tuple[int, dict, list[list[int]]]:
+    """The player's incentive rows in integers, read in one pass of her payoffs.
+
+    Returns (L, told, gains).  L is the lcm of the denominators of her
+    payoffs at the profiles where she plays an action of `pairs`; told maps
+    each of those actions to its profiles, in `opponent_profiles` order; and
+    gains[i], for pairs[i] = (action, alt), lists L * (u(profile) -
+    u(profile with `alt` in her place)) over told[action].
+    """
+    k = game.player_index(player)
+    payoffs = game.payoffs
+    told = {a: [] for pair in pairs for a in pair}
+    # combo by combo, each in `told` order, so that one pair's first missing
+    # entry is the one a scan of told, then alt, at each combo meets first;
+    # values[c * len(told) + j] is her payoff at combo c and told's j-th action
+    values = []
+    try:
+        for combo in game.opponent_profiles(player):
+            head, tail = combo[:k], combo[k:]
+            for a, profiles in told.items():
+                profile = head + (a,) + tail
+                profiles.append(profile)
+                values.append(payoffs[profile][k])
+    except KeyError as exc:
+        raise KeyError(f"no payoff entry for profile {profile_key(exc.args[0])!r}") from None
+    scale = math.lcm(*[v.denominator for v in values])
+    values = [v.numerator * (scale // v.denominator) for v in values]
+    m = len(told)
+    column = {a: values[j::m] for j, a in enumerate(told)}
+    return scale, told, [[u - v for u, v in zip(column[a], column[b])] for a, b in pairs]
+
+
+def player_incentive_rows(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> list[dict[Profile, Fraction]]:
+    """`incentive_row` of the player for each (action, alt) of `pairs`, read
+    in one pass of her payoffs."""
+    scale, told, gains = _gains(game, player, pairs)
+    return [
+        dict(zip(told[action], [Fraction(g, scale) for g in row])) for (action, _), row in zip(pairs, gains)
+    ]
+
+
 def incentive_row(game: Game, player: str, action: str, alt: str) -> dict[Profile, Fraction]:
     """The player's payoff gain from following `action` instead of `alt`:
     each profile where she plays `action`, in `opponent_profiles` order, maps
-    to u(profile) - u(profile with `alt` in her place).  The CE checks, the
-    rows of `solve_ce`, the `opt_i(a)` core and the rationality gap read it."""
-    k = game.player_index(player)
-    payoffs = game.payoffs
-    row = {}
-    try:
-        for combo in game.opponent_profiles(player):
-            told = combo[:k] + (action,) + combo[k:]
-            row[told] = payoffs[told][k] - payoffs[combo[:k] + (alt,) + combo[k:]][k]
-    except KeyError as exc:
-        raise KeyError(f"no payoff entry for profile {profile_key(exc.args[0])!r}") from None
-    return row
+    to u(profile) - u(profile with `alt` in her place).  This is the
+    `Fraction` view of `_gains`, which `solve_ce` reads for its rows; the CE
+    checks, the `opt_i(a)` core and the rationality gap read the view."""
+    return player_incentive_rows(game, player, [(action, alt)])[0]
 
 
-def _deviations(game: Game) -> Iterable[tuple[str, str, str]]:
-    """(player, action, alt) for every alt != action, player-major: the
-    incentive inequalities of a correlated equilibrium, in order."""
-    return (
-        (p, action, alt)
-        for p in game.players
-        for action in game.actions_of(p)
-        for alt in game.actions_of(p)
-        if alt != action
-    )
+def _deviations(game: Game) -> Iterable[tuple[str, list[tuple[str, str]]]]:
+    """Each player with her (action, alt) pairs for every alt != action,
+    player-major: the incentive inequalities of a correlated equilibrium, in
+    order."""
+    for p in game.players:
+        acts = game.actions_of(p)
+        yield p, [(action, alt) for action in acts for alt in acts if alt != action]
 
 
 def incentive_rows(game: Game) -> tuple[tuple[str, str, str, Mapping[Profile, Fraction]], ...]:
@@ -340,8 +370,9 @@ def incentive_rows(game: Game) -> tuple[tuple[str, str, str, Mapping[Profile, Fr
     return game.derived(
         "incentive rows",
         lambda: tuple(
-            (p, action, alt, MappingProxyType(incentive_row(game, p, action, alt)))
-            for p, action, alt in _deviations(game)
+            (p, action, alt, MappingProxyType(row))
+            for p, pairs in _deviations(game)
+            for (action, alt), row in zip(pairs, player_incentive_rows(game, p, pairs))
         ),
     )
 
@@ -401,6 +432,10 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
     Returns a vertex, exactly.  The polytope is never empty for a complete
     game, so infeasibility indicates a malformed input.  A game of more than
     MAX_CE_PROFILES action profiles is refused before any row is built.
+
+    The LP is built in integers: each incentive row and the objective are
+    reduced to the integer rows that `lp` would scale them to, so `lp` takes
+    them as they are and pivots exactly as on the `Fraction` rows.
     """
     require_valid_game(game)
     size = math.prod(len(game.actions_of(p)) for p in game.players)
@@ -408,20 +443,30 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
         raise PreconditionError(f"the game has {size} action profiles, more than the cap of {MAX_CE_PROFILES}")
     profiles = list(game.profiles())
     index = {a: k for k, a in enumerate(profiles)}
-    objective = dict(objective or {})
+    objective = objective or {}
     for a in objective:
         if tuple(a) not in index:
             raise PreconditionError(f"objective names unknown profile {profile_key(a)!r}")
-    c = [Fraction(v) if (v := objective.get(a)) else 0 for a in profiles]
-
+    # c and the rows as `lp` would scale them, each by the lcm of its
+    # denominators: a row of gains G over L has lcm L / gcd(L, *G), so it
+    # becomes G / gcd(L, *G); a different scale would change the pivots
+    weights = [(index[tuple(a)], Fraction(v)) for a, v in objective.items() if v]
+    c_scale = math.lcm(*(v.denominator for _, v in weights))
+    c = [0] * size
+    for k, v in weights:
+        c[k] = v.numerator * (c_scale // v.denominator)
     eq_rows = [([1] * size, 1)]
     # built per call, not kept on the game: a game is often solved only once
     ge_rows = []
-    for p, action, alt in _deviations(game):
-        row = [0] * size
-        for a, gain in incentive_row(game, p, action, alt).items():
-            row[index[a]] = gain
-        ge_rows.append((row, 0))
+    for p, pairs in _deviations(game):
+        scale, told, gains = _gains(game, p, pairs)
+        spots = {a: [index[t] for t in at] for a, at in told.items()}
+        for (action, _), row_gains in zip(pairs, gains):
+            g = math.gcd(scale, *row_gains)
+            row = [0] * size
+            for k, v in zip(spots[action], row_gains):
+                row[k] = v // g
+            ge_rows.append((row, 0))
     try:
         _, x = lp.maximize(c, eq_rows, ge_rows)
     except lp.Infeasible:

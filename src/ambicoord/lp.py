@@ -1,7 +1,10 @@
 """Exact two-phase simplex on a condensed integer tableau, with a checked
 certificate.
 
-Rows and objective are scaled to integers.  The tableau is condensed (a
+Rows and objective are scaled to integers, each by the lcm of its
+denominators; a row or objective of ints is taken as it is, so a caller that
+builds them in integers pays no `Fraction` per entry, and `maximize` returns
+the value of the LP it was given.  The tableau is condensed (a
 dictionary, as in lrs): a basic column is a multiple of a unit vector, so
 only the nonbasic columns and the right-hand side are stored, with a
 `nonbasic` label list next to `basis`.  Pivots are fraction-free (Edmonds
@@ -40,8 +43,8 @@ The duals are the final reduced costs at each row's starting basic variable,
 0 where it is basic.  Every result is checked on the caller's data before it
 is returned: x >= 0 and the rows hold, y <= 0 on `>=` rows, A^T y >= c and
 b.y == c.x prove the vertex optimal.  The check scales each row, c, x and y
-to integers by its own lcm and compares by cross-multiplication.  No floats
-anywhere.
+to integers by its own lcm, as above, and compares by cross-multiplication.
+No floats anywhere.
 """
 
 from __future__ import annotations
@@ -72,9 +75,10 @@ def maximize(
 ) -> tuple[Fraction, list[Fraction]]:
     """Maximize c.x subject to eq rows (a.x == b), ge rows (a.x >= b), x >= 0.
 
-    Entries may be ints or Fractions.  Returns (optimal value, x at an
-    optimal vertex), all exact, after checking the vertex's optimality
-    certificate.  Raises Infeasible or Unbounded.
+    Entries may be ints or Fractions; a row, or c, of ints alone is taken as
+    it is.  Returns (optimal value, x at an optimal vertex), all exact,
+    after checking the vertex's optimality certificate.  Raises Infeasible
+    or Unbounded.
     """
     x, y = _simplex(c, eq_rows, ge_rows)
     return check_certificate(c, eq_rows, ge_rows, x, y), x
@@ -124,7 +128,9 @@ def check_certificate(
 
 def _scaled(row):
     """The entries (ints or Fractions) times the lcm of their denominators,
-    and that lcm."""
+    and that lcm; entries that are all ints come back as they are, with 1."""
+    if set(map(type, row)) <= {int}:
+        return list(row), 1
     s = lcm(*(v.denominator for v in row))
     return [v.numerator * (s // v.denominator) for v in row], s
 

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import PreconditionError, SchemaError
 from .formulas import And, Formula, Implies, Not, Optimal, Play, Prim, Rationality, Receive
-from .games import Game, expected_gain, incentive_row
+from .games import Game, expected_gain, player_incentive_rows
 from .parser import ParseError, parse_formula, parse_instance, usable_name
 from .rationals import ratio, ratio_text
 from .reports import Report
@@ -633,6 +633,8 @@ def check_rationality(m: EpistemicStructure) -> Report:
         others = [j for j in game.players if j != p]
         plays = [m.masks[p].get(Play(p, a), 0) for a in acts]
         optimal = [ev.intension_mask(p, Optimal(p, a)) for a in acts]
+        pairs = [(a, b) for a, play, opt in zip(acts, plays, optimal) if bad & play & ~opt for b in acts]
+        rows = dict(zip(pairs, player_incentive_rows(game, p, pairs)))
         found = []
         for cell, cell_mass in zip(*m.cells(p)):
             if not cell & bad:
@@ -652,7 +654,7 @@ def check_rationality(m: EpistemicStructure) -> Report:
                 # what switching a -> b gains in expectation: minus what
                 # following a gains over b
                 told = {game.profile_with(p, a, combo): w for combo, w in masses.items()}
-                gains = {b: -expected_gain(incentive_row(game, p, a, b), told) / cell_mass for b in acts}
+                gains = {b: -expected_gain(rows[a, b], told) / cell_mass for b in acts}
                 better = max(gains, key=lambda b: (gains[b], b))
                 for k in states_in(m, wrong):
                     found.append((k, RationalityIssue(p, m.states[k], a, better, gains[better])))

@@ -211,6 +211,19 @@ def naive_cb_set(m, arg: Formula) -> frozenset:
 # ---------------------------------------------------------- incentive checks
 
 
+def naive_incentive_row(game, player, action, alt) -> dict:
+    """u(told) - u(alt), read from `game.payoffs`, for each profile `told`
+    where the player plays `action`, in `opponent_profiles` order; `alt` is
+    `told` with `alt` in her place."""
+    k = game.players.index(player)
+    row = {}
+    for combo in game.opponent_profiles(player):
+        told = (*combo[:k], action, *combo[k:])
+        swapped = tuple(alt if i == k else a for i, a in enumerate(told))
+        row[told] = game.payoffs[told][k] - game.payoffs[swapped][k]
+    return row
+
+
 def naive_deviation_ok(game, dist, player, action, alt) -> bool:
     """Conditional-expected-payoff route: follow vs deviate given the draw."""
     k = game.player_index(player)

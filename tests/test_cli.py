@@ -374,6 +374,23 @@ class TestConstruct:
         assert code == 3
         assert "precondition violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "make, out, failing",
+        [
+            (lambda root: (root / "taken").write_text(""), "taken", "taken"),
+            (lambda root: (root / "taken").write_text(""), "taken/sub", "taken/sub"),
+            (lambda root: (root / "built" / "structure.json").mkdir(parents=True), "built", "built/structure.json"),
+        ],
+        ids=["out-is-a-file", "out-under-a-file", "output-is-a-directory"],
+    )
+    def test_an_unwritable_out_exits_2_with_one_line(self, capsys, tmp_path, make, out, failing):
+        make(tmp_path)
+        code = main(["construct", "--game", CG, "--objective", CCE, "--out", str(tmp_path / out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / failing}: ")
+
     def test_wrong_subjective_arity_exits_3(self, tmp_path):
         g1 = tmp_path / "g1.json"
         g1.write_text(json.dumps({"weights": {"U,L": "1"}}))

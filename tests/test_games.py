@@ -4,8 +4,10 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambicoord import (
     Distribution,
@@ -21,10 +23,11 @@ from ambicoord import (
     solve_ce,
     validate_game,
 )
+from ambicoord import lp
 from ambicoord.formulas import optimality_core
-from ambicoord.games import MAX_CE_PROFILES, incentive_row, incentive_rows
+from ambicoord.games import MAX_CE_PROFILES, incentive_row, incentive_rows, player_incentive_rows
 from helpers import random_game
-from oracle import naive_is_objective_ce, naive_is_subjective_ce
+from oracle import naive_incentive_row, naive_is_objective_ce, naive_is_subjective_ce
 
 F = Fraction
 
@@ -319,3 +322,53 @@ class TestSolver:
             dist = solve_ce(game, random_objective(rng, game))
             assert dist.total() == 1
             assert check_objective_ce(game, dist).ok
+
+
+@st.composite
+def _small_games(draw):
+    """2 or 3 players with 1-3 actions each, so counts differ and some player
+    may have one action; payoffs and an objective over denominators 1-6."""
+    players = ("1", "2", "3")[: draw(st.integers(2, 3))]
+    actions = {p: tuple(f"a{i}" for i in range(draw(st.integers(1, 3)))) for p in players}
+    rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+    profiles = list(itertools.product(*(actions[p] for p in players)))
+    game = Game(players, actions, {a: tuple(draw(rationals) for _ in players) for a in profiles})
+    objective = {a: draw(rationals) for a in profiles if draw(st.booleans())}
+    return game, objective
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_games())
+def test_solve_ce_gives_lp_the_rows_it_would_scale(case):
+    game, objective = case
+    with mock.patch.object(lp, "maximize", wraps=lp.maximize) as maximize:
+        solve_ce(game, objective)
+    [((c, eq_rows, ge_rows), _)] = maximize.call_args_list
+    profiles = list(game.profiles())
+
+    def scaled(row):
+        return lp._scaled([*(row.get(a, F(0)) for a in profiles), F(0)])[0]
+
+    assert c == scaled(objective)[:-1]
+    assert eq_rows == [([1] * len(profiles), 1)]
+    assert [[*row, b] for row, b in ge_rows] == [
+        scaled(incentive_row(game, p, action, alt))
+        for p in game.players
+        for action in game.actions_of(p)
+        for alt in game.actions_of(p)
+        if alt != action
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_games())
+def test_incentive_row_matches_the_naive_reference(case):
+    game, _ = case
+    for p in game.players:
+        acts = game.actions_of(p)
+        pairs = [(action, alt) for action in acts for alt in acts]
+        naive = [list(naive_incentive_row(game, p, action, alt).items()) for action, alt in pairs]
+        assert [list(incentive_row(game, p, action, alt).items()) for action, alt in pairs] == naive
+        assert [list(row.items()) for row in player_incentive_rows(game, p, pairs)] == naive
+        for (action, alt), row in zip(pairs, naive):
+            assert alt != action or all(gain == 0 for _, gain in row)
