@@ -31,6 +31,7 @@ from .coordination import CoordinationStrategy
 from .errors import PreconditionError
 from .formulas import Play, Receive
 from .games import Distribution, Game, Profile, check_subjective_ce, profile_key, require_valid_game
+from .rationals import scaled
 from .structures import EpistemicStructure
 
 
@@ -78,9 +79,7 @@ def _support(game: Game, dist: Distribution) -> tuple[list[Profile], list[int], 
     """The support in declared profile order, with its weights as integer
     numerators over their least common denominator, and that denominator."""
     support = [a for a in game.profiles() if dist.weight(a) > 0]
-    weights = [dist.weight(a) for a in support]
-    denom = math.lcm(*(w.denominator for w in weights))
-    return support, [w.numerator * (denom // w.denominator) for w in weights], denom
+    return support, *scaled([dist.weight(a) for a in support])
 
 
 def from_objective_ce(game: Game, dist: Distribution) -> ConstructionResult:

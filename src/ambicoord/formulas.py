@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .games import player_incentive_rows
+from .games import incentive_gains
 
 if TYPE_CHECKING:
     from .games import Game
@@ -286,8 +286,8 @@ def _everybody_believes(sub: Formula, game: Game) -> Formula:
 def optimality_core(player: str, action: str, game: Game) -> Formula:
     """Core form of "action is a best response under player's beliefs".
 
-    One inequality per alternative: the expected `incentive_row` gain against
-    the believed opponent play is >= 0.  The alternative equal to the action
+    One inequality per alternative: the expected incentive gain
+    (`incentive_gains`) against the believed opponent play is >= 0.  The alternative equal to the action
     itself yields the trivially true all-zero inequality and is kept, so the
     conjunction always ranges over the player's whole action set.  Built once
     per game, player and action.
@@ -298,8 +298,10 @@ def optimality_core(player: str, action: str, game: Game) -> Formula:
         if not others:
             raise ValueError("optimality needs at least one opponent")
         events = [conj(Play(j, b) for j, b in zip(others, combo)) for combo in game.opponent_profiles(player)]
-        rows = player_incentive_rows(game, player, [(action, alt) for alt in game.actions_of(player)])
-        return conj(ProbGe(player, tuple(zip(row.values(), events)), Fraction(0)) for row in rows)
+        scale, _, gains = incentive_gains(game, player, [(action, alt) for alt in game.actions_of(player)])
+        return conj(
+            ProbGe(player, tuple((Fraction(g, scale), e) for g, e in zip(row, events)), Fraction(0)) for row in gains
+        )
 
     return game.derived(("optimality core", player, action), build)
 

@@ -12,12 +12,13 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import lp
 from .errors import PreconditionError, SchemaError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, scaled
 from .reports import Report
 
 # player, action, signal and atom names: the identifiers of the formula grammar
@@ -40,8 +41,8 @@ def profile_key(profile: Sequence[str]) -> str:
 class Game:
     """n-player normal-form game with named players and actions.
 
-    Its tables are read-only, so what they determine, such as the incentive
-    rows and the `opt_i(a)` cores, is derived once per game (`derived`).
+    Its tables are read-only, so the `opt_i(a)` cores they determine are
+    derived once per game (`derived`); nothing else is kept on a game.
     """
 
     def __init__(
@@ -305,14 +306,15 @@ def require_valid_game(game: Game) -> None:
         raise PreconditionError("game is not valid: " + "; ".join(map(str, report.failures)))
 
 
-def _gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> tuple[int, dict, list[list[int]]]:
+def incentive_gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> tuple[int, dict, list[list[int]]]:
     """The player's incentive rows in integers, read in one pass of her payoffs.
 
     Returns (L, told, gains).  L is the lcm of the denominators of her
     payoffs at the profiles where she plays an action of `pairs`; told maps
     each of those actions to its profiles, in `opponent_profiles` order; and
     gains[i], for pairs[i] = (action, alt), lists L * (u(profile) -
-    u(profile with `alt` in her place)) over told[action].
+    u(profile with `alt` in her place)) over told[action].  The CE checks,
+    the LP rows, the `opt_i(a)` core and the rationality gap all read these.
     """
     k = game.player_index(player)
     payoffs = game.payoffs
@@ -330,29 +332,10 @@ def _gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> tuple[i
                 values.append(payoffs[profile][k])
     except KeyError as exc:
         raise KeyError(f"no payoff entry for profile {profile_key(exc.args[0])!r}") from None
-    scale = math.lcm(*[v.denominator for v in values])
-    values = [v.numerator * (scale // v.denominator) for v in values]
+    values, scale = scaled(values)
     m = len(told)
     column = {a: values[j::m] for j, a in enumerate(told)}
     return scale, told, [[u - v for u, v in zip(column[a], column[b])] for a, b in pairs]
-
-
-def player_incentive_rows(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> list[dict[Profile, Fraction]]:
-    """`incentive_row` of the player for each (action, alt) of `pairs`, read
-    in one pass of her payoffs."""
-    scale, told, gains = _gains(game, player, pairs)
-    return [
-        dict(zip(told[action], [Fraction(g, scale) for g in row])) for (action, _), row in zip(pairs, gains)
-    ]
-
-
-def incentive_row(game: Game, player: str, action: str, alt: str) -> dict[Profile, Fraction]:
-    """The player's payoff gain from following `action` instead of `alt`:
-    each profile where she plays `action`, in `opponent_profiles` order, maps
-    to u(profile) - u(profile with `alt` in her place).  This is the
-    `Fraction` view of `_gains`, which `solve_ce` reads for its rows; the CE
-    checks, the `opt_i(a)` core and the rationality gap read the view."""
-    return player_incentive_rows(game, player, [(action, alt)])[0]
 
 
 def _deviations(game: Game) -> Iterable[tuple[str, list[tuple[str, str]]]]:
@@ -364,22 +347,17 @@ def _deviations(game: Game) -> Iterable[tuple[str, list[tuple[str, str]]]]:
         yield p, [(action, alt) for action in acts for alt in acts if alt != action]
 
 
-def incentive_rows(game: Game) -> tuple[tuple[str, str, str, Mapping[Profile, Fraction]], ...]:
-    """(player, action, alt, incentive_row) for each of the game's
-    `_deviations`; built once per game, with read-only rows."""
-    return game.derived(
-        "incentive rows",
-        lambda: tuple(
-            (p, action, alt, MappingProxyType(row))
-            for p, pairs in _deviations(game)
-            for (action, alt), row in zip(pairs, player_incentive_rows(game, p, pairs))
-        ),
-    )
-
-
-def expected_gain(row: Mapping[Profile, Fraction], weights: Mapping[Profile, Fraction | int]) -> Fraction:
-    """The row's gains weighted by the profiles' weights (absent ones weigh 0)."""
-    return sum((gain * w for a, gain in row.items() if (w := weights.get(a))), Fraction(0))
+def _slacks(
+    game: Game, player: str, pairs: Sequence[tuple[str, str]], weights: Mapping[Profile, Fraction]
+) -> list[Fraction]:
+    """The expected gain of each (action, alt) of `pairs` under `weights`:
+    the player's `incentive_gains` weighted by the profiles' weights (absent
+    ones weigh 0), summed in integers over the weights' common denominator."""
+    scale, told, gains = incentive_gains(game, player, pairs)
+    nums, denom = scaled(list(weights.values()))
+    num = dict(zip(weights, nums))
+    at = {a: [num.get(t, 0) for t in profiles] for a, profiles in told.items()}
+    return [Fraction(sum(map(mul, row, at[action])), scale * denom) for (action, _), row in zip(pairs, gains)]
 
 
 @dataclass(frozen=True)
@@ -394,7 +372,7 @@ class DeviationIssue:
 
 def deviation_slack(game: Game, dist: Distribution, player: str, action: str, alt: str) -> Fraction:
     """Expected payoff loss of switching action->alt on the event "told action"."""
-    return expected_gain(incentive_row(game, player, action, alt), dist.weights)
+    return _slacks(game, player, [(action, alt)], dist.weights)[0]
 
 
 def check_objective_ce(game: Game, dist: Distribution) -> Report:
@@ -417,12 +395,12 @@ def check_subjective_ce(game: Game, dists: Sequence[Distribution]) -> Report:
                 raise PreconditionError(
                     f"distribution profile {profile_key(profile)!r}: {a!r} is not an action of player {p!r}"
                 )
-    weights = dict(zip(game.players, (d.weights for d in dists)))
-    failures = []
-    for p, action, alt, row in incentive_rows(game):
-        slack = expected_gain(row, weights[p])
-        if slack < 0:
-            failures.append(DeviationIssue(p, action, alt, slack))
+    failures = [
+        DeviationIssue(p, action, alt, slack)
+        for (p, pairs), d in zip(_deviations(game), dists)
+        for (action, alt), slack in zip(pairs, _slacks(game, p, pairs, d.weights))
+        if slack < 0
+    ]
     return Report(not failures, tuple(failures))
 
 
@@ -443,23 +421,21 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
         raise PreconditionError(f"the game has {size} action profiles, more than the cap of {MAX_CE_PROFILES}")
     profiles = list(game.profiles())
     index = {a: k for k, a in enumerate(profiles)}
-    objective = objective or {}
-    for a in objective:
-        if tuple(a) not in index:
-            raise PreconditionError(f"objective names unknown profile {profile_key(a)!r}")
     # c and the rows as `lp` would scale them, each by the lcm of its
     # denominators: a row of gains G over L has lcm L / gcd(L, *G), so it
     # becomes G / gcd(L, *G); a different scale would change the pivots
-    weights = [(index[tuple(a)], Fraction(v)) for a, v in objective.items() if v]
-    c_scale = math.lcm(*(v.denominator for _, v in weights))
     c = [0] * size
-    for k, v in weights:
-        c[k] = v.numerator * (c_scale // v.denominator)
+    for a, v in (objective or {}).items():
+        k = index.get(tuple(a))
+        if k is None:
+            raise PreconditionError(f"objective names unknown profile {profile_key(a)!r}")
+        c[k] = Fraction(v)
+    c, _ = scaled(c)
     eq_rows = [([1] * size, 1)]
     # built per call, not kept on the game: a game is often solved only once
     ge_rows = []
     for p, pairs in _deviations(game):
-        scale, told, gains = _gains(game, p, pairs)
+        scale, told, gains = incentive_gains(game, p, pairs)
         spots = {a: [index[t] for t in at] for a, at in told.items()}
         for (action, _), row_gains in zip(pairs, gains):
             g = math.gcd(scale, *row_gains)

@@ -53,6 +53,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .rationals import scaled
+
 Row = Sequence[Fraction]
 
 
@@ -101,21 +103,21 @@ def check_certificate(
     n = len(c)
     if len(x) != n or len(y) != len(rows) or any(len(a) != n for a, _ in rows):
         raise CertificateError("certificate has the wrong shape")
-    xs, x_scale = _scaled(x)
+    xs, x_scale = scaled(x)
     if any(v < 0 for v in xs):
         raise CertificateError("primal solution has a negative entry")
-    scaled = [_scaled([*a, b]) for a, b in rows]
-    for k, (row, _) in enumerate(scaled):
+    int_rows = [scaled([*a, b]) for a, b in rows]
+    for k, (row, _) in enumerate(int_rows):
         lhs, rhs = sum(v * xv for v, xv in zip(row, xs) if v), row[-1] * x_scale
         if lhs < rhs or (k < len(eq_rows) and lhs != rhs):
             raise CertificateError(f"primal solution violates row {k}")
-    ys, y_scale = _scaled(y)
+    ys, y_scale = scaled(y)
     if any(v > 0 for v in ys[len(eq_rows):]):
         raise CertificateError("dual solution is positive on a >= row")
     # over the lcm of the row scales, row k weighs y_k * (lcm // its scale)
-    cs, c_scale = _scaled(c)
-    common = lcm(*(s for _, s in scaled))
-    weighted = [(yk * (common // s), row) for yk, (row, s) in zip(ys, scaled) if yk]
+    cs, c_scale = scaled(c)
+    common = lcm(*(s for _, s in int_rows))
+    weighted = [(yk * (common // s), row) for yk, (row, s) in zip(ys, int_rows) if yk]
     bound = y_scale * common
     for j, cj in enumerate(cs):
         if sum(w * row[j] for w, row in weighted) * c_scale < cj * bound:
@@ -124,15 +126,6 @@ def check_certificate(
     if sum(w * row[-1] for w, row in weighted) * c_scale * x_scale != value * bound:
         raise CertificateError("primal and dual objective values differ")
     return Fraction(value, c_scale * x_scale)
-
-
-def _scaled(row):
-    """The entries (ints or Fractions) times the lcm of their denominators,
-    and that lcm; entries that are all ints come back as they are, with 1."""
-    if set(map(type, row)) <= {int}:
-        return list(row), 1
-    s = lcm(*(v.denominator for v in row))
-    return [v.numerator * (s // v.denominator) for v in row], s
 
 
 def _simplex(c, eq_rows, ge_rows) -> tuple[list[Fraction], list[Fraction]]:
@@ -152,7 +145,7 @@ def _simplex(c, eq_rows, ge_rows) -> tuple[list[Fraction], list[Fraction]]:
     for k, (a, b) in enumerate(rows):
         if len(a) != n:
             raise ValueError(("equality" if k < n_eq else "inequality") + " row length mismatch")
-        row, s = _scaled([*a, b])
+        row, s = scaled([*a, b])
         starts = k >= n_eq and row[-1] <= 0
         flip = starts or row[-1] < 0
         scale.append(s)
@@ -169,7 +162,7 @@ def _simplex(c, eq_rows, ge_rows) -> tuple[list[Fraction], list[Fraction]]:
     tab = [row[:-1] + [-(k == w - n + n_eq) for w in nonbasic[n:]] + row[-1:] for k, row in enumerate(ints)]
     basis = list(ident)
 
-    cost, c_scale = _scaled(c)
+    cost, c_scale = scaled(c)
     objs = [cost + [0] * (len(nonbasic) - n + 1)]
     d = 1
     if art > art0:

@@ -2,7 +2,8 @@
 
 `ratio` and `ratio_text` read and write the form as integer pairs, so a
 prior of many weights loads and saves without a Fraction per weight;
-`parse_rational` and `format_rational` are their Fraction forms.
+`parse_rational` and `format_rational` are their Fraction forms.  `scaled`
+puts exact values on their least common denominator.
 """
 
 from __future__ import annotations
@@ -41,3 +42,12 @@ def format_rational(value: Fraction) -> str:
     """Canonical string for a Fraction: "p" when integral, else "p/q"."""
     value = Fraction(value)
     return ratio_text(value.numerator, value.denominator)
+
+
+def scaled(values) -> tuple[list[int], int]:
+    """The values (ints or Fractions) times the lcm of their denominators,
+    and that lcm; values that are all ints come back as they are, with 1."""
+    if set(map(type, values)) <= {int}:
+        return list(values), 1
+    s = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s

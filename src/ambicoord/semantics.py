@@ -15,7 +15,6 @@ at the fixed point, the intersection of all levels.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -36,6 +35,7 @@ from .formulas import (
     Receive,
     rewrite,
 )
+from .rationals import scaled
 from .structures import mask_mass
 
 # node kinds whose truth cannot depend on who evaluates them
@@ -106,11 +106,10 @@ class Evaluator:
     def _probge(self, f: ProbGe) -> int:
         if f.owner not in self.m.masks:  # refused before the operands
             raise PreconditionError(f"unknown player {f.owner!r} in probability formula")
-        terms = [(coef, self._mask(f.owner, sub)) for coef, sub in f.terms]
+        masks = [self._mask(f.owner, sub) for _, sub in f.terms]
         # scaled by the lcm of their denominators, coefficients and bound are ints
-        scale = math.lcm(f.bound.denominator, *(c.denominator for c, _ in terms))
-        terms = [(c.numerator * (scale // c.denominator), emask) for c, emask in terms if c]
-        bound = f.bound.numerator * (scale // f.bound.denominator)
+        (*coefs, bound), _ = scaled([*(c for c, _ in f.terms), f.bound])
+        terms = [(c, emask) for c, emask in zip(coefs, masks) if c]
         num = self.m.prior_num
         out = 0
         for cmask, csum in self._positive_cells(f.owner):

@@ -27,12 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import mul, or_
 from typing import Iterable, Mapping, Optional
 
 from .errors import PreconditionError, SchemaError
 from .formulas import And, Formula, Implies, Not, Optimal, Play, Prim, Rationality, Receive
-from .games import Game, expected_gain, player_incentive_rows
+from .games import Game, incentive_gains
 from .parser import ParseError, parse_formula, parse_instance, usable_name
 from .rationals import ratio, ratio_text
 from .reports import Report
@@ -634,29 +634,29 @@ def check_rationality(m: EpistemicStructure) -> Report:
         plays = [m.masks[p].get(Play(p, a), 0) for a in acts]
         optimal = [ev.intension_mask(p, Optimal(p, a)) for a in acts]
         pairs = [(a, b) for a, play, opt in zip(acts, plays, optimal) if bad & play & ~opt for b in acts]
-        rows = dict(zip(pairs, player_incentive_rows(game, p, pairs)))
+        scale, _, gains = incentive_gains(game, p, pairs)
+        rows = dict(zip(pairs, gains))
         found = []
         for cell, cell_mass in zip(*m.cells(p)):
             if not cell & bad:
                 continue
-            # the prior mass, in the cell, of each opponent play p sees
-            masses = {}
+            # the prior mass, in the cell, of each opponent play p sees, in
+            # `opponent_profiles` order, as the gains are
+            masses = []
             for combo in game.opponent_profiles(p):
                 event = cell
                 for j, b in zip(others, combo):
                     event &= ev.intension_mask(p, Play(j, b))
-                if w := mask_mass(m.prior_num, event):
-                    masses[combo] = w
+                masses.append(mask_mass(m.prior_num, event))
             for a, play, opt in zip(acts, plays, optimal):
                 wrong = cell & bad & play & ~opt
                 if not wrong:
                     continue
                 # what switching a -> b gains in expectation: minus what
                 # following a gains over b
-                told = {game.profile_with(p, a, combo): w for combo, w in masses.items()}
-                gains = {b: -expected_gain(rows[a, b], told) / cell_mass for b in acts}
-                better = max(gains, key=lambda b: (gains[b], b))
+                gaps = {b: Fraction(-sum(map(mul, rows[a, b], masses)), scale * cell_mass) for b in acts}
+                better = max(gaps, key=lambda b: (gaps[b], b))
                 for k in states_in(m, wrong):
-                    found.append((k, RationalityIssue(p, m.states[k], a, better, gains[better])))
+                    found.append((k, RationalityIssue(p, m.states[k], a, better, gaps[better])))
         failures += [issue for _, issue in sorted(found, key=lambda t: t[0])]
     return Report(not failures, tuple(failures))

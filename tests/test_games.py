@@ -25,7 +25,8 @@ from ambicoord import (
 )
 from ambicoord import lp
 from ambicoord.formulas import optimality_core
-from ambicoord.games import MAX_CE_PROFILES, incentive_row, incentive_rows, player_incentive_rows
+from ambicoord.games import MAX_CE_PROFILES, incentive_gains
+from ambicoord.rationals import scaled
 from helpers import random_game
 from oracle import naive_incentive_row, naive_is_objective_ce, naive_is_subjective_ce
 
@@ -58,11 +59,13 @@ def test_incentive_row_names_a_profile_without_payoffs(cycle_game):
     holed = Game(cycle_game.players, cycle_game.actions, payoffs)
     for action, alt in (("T", "M"), ("M", "T")):
         with pytest.raises(KeyError) as err:
-            incentive_row(holed, "1", action, alt)
+            incentive_gains(holed, "1", [(action, alt)])
         assert err.value.args == ("no payoff entry for profile 'T,L'",)
-    assert incentive_row(cycle_game, "2", "C", "R") == {
-        a: cycle_game.payoff("2", a) - cycle_game.payoff("2", (a[0], "R")) for a in [("T", "C"), ("M", "C"), ("B", "C")]
-    }
+    scale, told, [gains] = incentive_gains(cycle_game, "2", [("C", "R")])
+    assert told["C"] == [("T", "C"), ("M", "C"), ("B", "C")]
+    assert [F(g, scale) for g in gains] == [
+        cycle_game.payoff("2", a) - cycle_game.payoff("2", (a[0], "R")) for a in told["C"]
+    ]
 
 
 def test_game_serialization_round_trip(cycle_game):
@@ -103,16 +106,7 @@ class TestReadOnlyGame:
         assert cycle_game.payoff("1", ("T", "C")) == 2
 
     def test_derived_data_is_built_once_per_game(self, cycle_game):
-        assert incentive_rows(cycle_game) is incentive_rows(cycle_game)
         assert optimality_core("1", "T", cycle_game) is optimality_core("1", "T", cycle_game)
-        copy = Game.from_dict(cycle_game.to_dict())
-        assert incentive_rows(copy) == incentive_rows(cycle_game)
-        assert incentive_rows(copy) is not incentive_rows(cycle_game)
-        assert [row for *_, row in incentive_rows(cycle_game)] == [
-            incentive_row(cycle_game, p, a, b) for p, a, b, _ in incentive_rows(cycle_game)
-        ]
-        with pytest.raises(TypeError):
-            incentive_rows(cycle_game)[0][3][("T", "L")] = F(0)
 
 
 class TestValidateGame:
@@ -309,9 +303,9 @@ class TestSolver:
     def test_a_solve_keeps_no_incentive_rows_on_the_game(self, cycle_game):
         game = Game.from_dict(cycle_game.to_dict())
         solve_ce(game, {("T", "C"): F(1)})
-        assert "incentive rows" not in game._memo
-        check_objective_ce(game, solve_ce(game))
-        assert "incentive rows" in game._memo
+        assert game._memo == {}
+        assert check_objective_ce(game, solve_ce(game)).ok
+        assert game._memo == {}
 
     def test_solver_output_is_always_an_equilibrium(self):
         from helpers import random_objective
@@ -346,13 +340,13 @@ def test_solve_ce_gives_lp_the_rows_it_would_scale(case):
     [((c, eq_rows, ge_rows), _)] = maximize.call_args_list
     profiles = list(game.profiles())
 
-    def scaled(row):
-        return lp._scaled([*(row.get(a, F(0)) for a in profiles), F(0)])[0]
+    def scaled_row(row):
+        return scaled([*(row.get(a, F(0)) for a in profiles), F(0)])[0]
 
-    assert c == scaled(objective)[:-1]
+    assert c == scaled_row(objective)[:-1]
     assert eq_rows == [([1] * len(profiles), 1)]
     assert [[*row, b] for row, b in ge_rows] == [
-        scaled(incentive_row(game, p, action, alt))
+        scaled_row(naive_incentive_row(game, p, action, alt))
         for p in game.players
         for action in game.actions_of(p)
         for alt in game.actions_of(p)
@@ -362,13 +356,48 @@ def test_solve_ce_gives_lp_the_rows_it_would_scale(case):
 
 @settings(max_examples=100, deadline=None)
 @given(_small_games())
-def test_incentive_row_matches_the_naive_reference(case):
+def test_incentive_gains_match_the_naive_reference(case):
     game, _ = case
     for p in game.players:
         acts = game.actions_of(p)
         pairs = [(action, alt) for action in acts for alt in acts]
         naive = [list(naive_incentive_row(game, p, action, alt).items()) for action, alt in pairs]
-        assert [list(incentive_row(game, p, action, alt).items()) for action, alt in pairs] == naive
-        assert [list(row.items()) for row in player_incentive_rows(game, p, pairs)] == naive
+        scale, told, gains = incentive_gains(game, p, pairs)
+        assert [
+            list(zip(told[action], [F(g, scale) for g in row])) for (action, _), row in zip(pairs, gains)
+        ] == naive
         for (action, alt), row in zip(pairs, naive):
             assert alt != action or all(gain == 0 for _, gain in row)
+
+
+@st.composite
+def _games_with_beliefs(draw):
+    """A `_small_games` game with one distribution per player, each over a
+    drawn set of profiles with weights over denominators 1-6."""
+    game, _ = draw(_small_games())
+    profiles = list(game.profiles())
+    dists = []
+    for _ in game.players:
+        weights = {a: draw(st.builds(F, st.integers(0, 6), st.integers(1, 6))) for a in profiles}
+        total = sum(weights.values())
+        dists.append(Distribution({a: w / total for a, w in weights.items()} if total else {profiles[0]: 1}))
+    return game, dists
+
+
+@settings(max_examples=100, deadline=None)
+@given(_games_with_beliefs())
+def test_slacks_match_the_naive_reference(case):
+    game, dists = case
+    expected = []
+    for p, dist in zip(game.players, dists):
+        acts = game.actions_of(p)
+        for action in acts:
+            for alt in acts:
+                row = naive_incentive_row(game, p, action, alt)
+                naive = sum((gain * dist.weight(a) for a, gain in row.items()), F(0))
+                assert deviation_slack(game, dist, p, action, alt) == naive
+                if alt != action and naive < 0:
+                    expected.append((p, action, alt, naive))
+    report = check_subjective_ce(game, dists)
+    assert [(i.player, i.action, i.deviation, i.slack) for i in report.failures] == expected
+    assert report.ok == (not expected)

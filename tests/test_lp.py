@@ -216,7 +216,8 @@ def test_maximize_agrees_with_the_vertex_oracle(problem):
 def _ce_shaped_lps(draw):
     """The shape `solve_ce` builds: one `=` row (the probability simplex),
     `>=` rows with right-hand side 0, and columns that are zero in every
-    `>=` row; plain ints mixed with Fractions, as `solve_ce` passes them."""
+    `>=` row.  `solve_ce` passes ints only; the entries here mix ints with
+    Fractions, so a drawn row takes either the int-only path or scaling."""
     n = draw(st.integers(1, 4))
     zero = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
     entries = st.one_of(st.just(0), _RATIONALS)
