@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .games import incentive_gains
+from .rationals import fraction
 
 if TYPE_CHECKING:
     from .games import Game
@@ -106,11 +107,11 @@ class ProbGe(Formula):
     bound: Fraction
 
     def __post_init__(self):
-        terms = tuple((Fraction(c), f) for c, f in self.terms)
+        terms = tuple((fraction(c), f) for c, f in self.terms)
         if not terms:
             raise ValueError("probability inequality needs at least one term")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "bound", Fraction(self.bound))
+        object.__setattr__(self, "bound", fraction(self.bound))
 
 
 @_node
@@ -287,10 +288,12 @@ def optimality_core(player: str, action: str, game: Game) -> Formula:
     """Core form of "action is a best response under player's beliefs".
 
     One inequality per alternative: the expected incentive gain
-    (`incentive_gains`) against the believed opponent play is >= 0.  The alternative equal to the action
-    itself yields the trivially true all-zero inequality and is kept, so the
-    conjunction always ranges over the player's whole action set.  Built once
-    per game, player and action.
+    (`incentive_gains`) against the believed opponent play is >= 0.  The
+    alternative equal to the action itself yields the trivially true all-zero
+    inequality and is kept, so the conjunction always ranges over the
+    player's whole action set.  This is the form `expand` prints, built once
+    per game, player and action; the evaluator decides `opt_i(a)` from the
+    same integer gains without building it.
     """
 
     def build():

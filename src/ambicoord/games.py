@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import lp
 from .errors import PreconditionError, SchemaError
-from .rationals import format_rational, parse_rational, scaled
+from .rationals import format_rational, fraction, parse_rational, scaled
 from .reports import Report
 
 # player, action, signal and atom names: the identifiers of the formula grammar
@@ -41,8 +41,8 @@ def profile_key(profile: Sequence[str]) -> str:
 class Game:
     """n-player normal-form game with named players and actions.
 
-    Its tables are read-only, so the `opt_i(a)` cores they determine are
-    derived once per game (`derived`); nothing else is kept on a game.
+    Its tables are read-only, so the `opt_i(a)` cores that `expand` prints
+    are derived once per game (`derived`); nothing else is kept on a game.
     """
 
     def __init__(
@@ -54,7 +54,7 @@ class Game:
         self.players = tuple(players)
         self.actions = MappingProxyType({p: tuple(actions[p]) for p in self.players if p in actions})
         self.payoffs = MappingProxyType(
-            {tuple(profile): tuple(Fraction(v) for v in values) for profile, values in payoffs.items()}
+            {tuple(profile): tuple(map(fraction, values)) for profile, values in payoffs.items()}
         )
         self._index = {p: k for k, p in enumerate(self.players)}
         self._by_position = {str(k): p for k, p in enumerate(self.players, 1)}

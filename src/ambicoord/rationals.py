@@ -3,7 +3,8 @@
 `ratio` and `ratio_text` read and write the form as integer pairs, so a
 prior of many weights loads and saves without a Fraction per weight;
 `parse_rational` and `format_rational` are their Fraction forms.  `scaled`
-puts exact values on their least common denominator.
+puts exact values on their least common denominator, and `fraction` makes a
+value a Fraction without copying one that already is.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ def format_rational(value: Fraction) -> str:
     """Canonical string for a Fraction: "p" when integral, else "p/q"."""
     value = Fraction(value)
     return ratio_text(value.numerator, value.denominator)
+
+
+def fraction(value) -> Fraction:
+    """The value as a Fraction; one that is already a Fraction is kept."""
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def scaled(values) -> tuple[list[int], int]:

@@ -8,14 +8,18 @@ coefficients once, so every comparison is exact integer arithmetic.
 
 Probability inequalities are evaluated per information cell of their owner
 (their truth is constant on each cell and independent of the viewer), then
-broadcast to states.  `EB^k` and common belief read one walk over the
-shrinking levels EB(f), EB^2(f), ...: `EB^k` stops at level k, common belief
-at the fixed point, the intersection of all levels.
+broadcast to states.  So is `opt_i(a)`, without its core formula: one pass
+over i's cells reads the integer incentive gains of all of i's actions
+against each cell's masses of the opponent plays i sees, and every
+`opt_i(b)` goes into the memo.  `EB^k` and common belief read one walk over
+the shrinking levels EB(f), EB^2(f), ...: `EB^k` stops at level k, common
+belief at the fixed point, the intersection of all levels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional
 
 from .errors import PreconditionError
@@ -35,8 +39,9 @@ from .formulas import (
     Receive,
     rewrite,
 )
+from .games import incentive_gains
 from .rationals import scaled
-from .structures import mask_mass
+from .structures import mask_mass, opponent_masses
 
 # node kinds whose truth cannot depend on who evaluates them
 _VIEWER_FREE = (ProbGe, Belief, MutualBelief, CommonBelief, Optimal)
@@ -98,10 +103,44 @@ class Evaluator:
             return self._everybody_believes(f.arg, f.order)
         if isinstance(f, CommonBelief):
             return self._everybody_believes(f.arg, None)
-        if isinstance(f, (Optimal, Rationality)):
+        if isinstance(f, Optimal):
+            return self._optimal(f.player, f.action)
+        if isinstance(f, Rationality):
             # through its definition, built on a memo miss only
             return self._mask(viewer, rewrite(f, m.game, lambda g: g))
         raise TypeError(f"not a formula node: {f!r}")
+
+    def _optimal(self, player: str, action: str) -> int:
+        """opt_player(action), decided with opt_player(b) for each action b
+        of the player, all of which go into the memo.
+
+        It holds on a cell when the gain of following the action over each
+        alternative, weighted by the cell's masses of the opponent plays she
+        sees, is >= 0: `optimality_core` read in integers, refused where the
+        core is refused and with the same error."""
+        game = self.m.game
+        if all(j == player for j in game.players):
+            raise ValueError("optimality needs at least one opponent")
+        alts = game.actions_of(player)
+        # the action first, as in its core, so a missing payoff is named alike
+        told = (action, *(a for a in alts if a != action))
+        _, _, gains = incentive_gains(game, player, [(a, b) for a in told for b in alts])
+        # what building the core raises, in a game `validate_game` refuses
+        if not alts:
+            raise ValueError("empty conjunction")
+        if not all(map(game.actions_of, game.players)):
+            raise ValueError("probability inequality needs at least one term")
+        n = len(alts)
+        rows = [gains[k : k + n] for k in range(0, len(gains), n)]
+        out = dict.fromkeys(told, 0)
+        for cell, _, masses in opponent_masses(self.m, player, self._positive_cells(player)):
+            for a, a_rows in zip(told, rows):
+                if all(sum(map(mul, row, masses)) >= 0 for row in a_rows):
+                    out[a] |= cell
+        memo = self.m.intensions
+        for a, mask in out.items():
+            memo[None, Optimal(player, a)] = mask
+        return out[action]
 
     def _probge(self, f: ProbGe) -> int:
         if f.owner not in self.m.masks:  # refused before the operands

@@ -616,6 +616,22 @@ def is_common_interpretation(m: EpistemicStructure) -> bool:
     return True
 
 
+def opponent_masses(m: EpistemicStructure, player: str, cells: Iterable[tuple[int, int]]):
+    """For each (cell mask, cell mass) pair of `cells`: the pair, and the
+    prior mass in the cell of each opponent play the player sees, in
+    `opponent_profiles` order, as `incentive_gains` lists its gains.  Her
+    expected incentive gain in a cell is then sum(gain * mass) / mass of the
+    cell; `opt_i(a)` and the rationality gap both read it so."""
+    table = m.masks[player]
+    events = [m.full]
+    for j in m.game.players:
+        if j != player:
+            events = [e & table.get(Play(j, b), 0) for e in events for b in m.game.actions_of(j)]
+    num = m.prior_num
+    for cell, cell_mass in cells:
+        yield cell, cell_mass, [mask_mass(num, e & cell) for e in events]
+
+
 def check_rationality(m: EpistemicStructure) -> Report:
     """Each player, by her own lights, never plays a suboptimal action.
 
@@ -630,24 +646,14 @@ def check_rationality(m: EpistemicStructure) -> Report:
         if not bad:
             continue
         acts = game.actions_of(p)
-        others = [j for j in game.players if j != p]
         plays = [m.masks[p].get(Play(p, a), 0) for a in acts]
         optimal = [ev.intension_mask(p, Optimal(p, a)) for a in acts]
         pairs = [(a, b) for a, play, opt in zip(acts, plays, optimal) if bad & play & ~opt for b in acts]
         scale, _, gains = incentive_gains(game, p, pairs)
         rows = dict(zip(pairs, gains))
         found = []
-        for cell, cell_mass in zip(*m.cells(p)):
-            if not cell & bad:
-                continue
-            # the prior mass, in the cell, of each opponent play p sees, in
-            # `opponent_profiles` order, as the gains are
-            masses = []
-            for combo in game.opponent_profiles(p):
-                event = cell
-                for j, b in zip(others, combo):
-                    event &= ev.intension_mask(p, Play(j, b))
-                masses.append(mask_mass(m.prior_num, event))
+        suspects = ((c, w) for c, w in zip(*m.cells(p)) if c & bad)
+        for cell, cell_mass, masses in opponent_masses(m, p, suspects):
             for a, play, opt in zip(acts, plays, optimal):
                 wrong = cell & bad & play & ~opt
                 if not wrong:

@@ -1,10 +1,11 @@
 """Truth evaluation: posteriors, belief operators and common belief."""
 
-import itertools
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambicoord import (
     And,
@@ -23,6 +24,7 @@ from ambicoord import (
     Rationality,
     Receive,
     cb_intension,
+    expand,
     from_objective_ce,
     from_subjective_ce,
     holds,
@@ -32,7 +34,8 @@ from ambicoord import (
     solve_ce,
     valid,
 )
-from helpers import random_formula, random_game, random_objective
+from ambicoord.semantics import Evaluator
+from helpers import random_formula, random_game, random_objective, random_structure
 from oracle import cells_of, naive_cb_set, naive_holds, naive_posterior
 
 F = Fraction
@@ -247,51 +250,6 @@ class TestGameFormulas:
                     assert holds(m, w, i, f) == naive_holds(m, w, i, f)
 
 
-def _random_structure(rng: random.Random) -> EpistemicStructure:
-    """3 players, 1-7 states, cells derived from each player's own signals.
-
-    Each player's cells are runs of consecutive states cut at random, so the
-    players' cells overlap in staggered chains and some walks take several
-    levels to settle.  About one state in six has zero prior mass, so
-    zero-mass states sit inside positive-mass cells and some players get a
-    whole zero-mass cell.
-    """
-    players = ("A", "B", "C")
-    actions = {p: ("x", "y") for p in players}
-    payoffs = {
-        profile: tuple(F(rng.randint(-2, 2)) for _ in players)
-        for profile in itertools.product(*actions.values())
-    }
-    game = Game(players, actions, payoffs)
-    states = [f"w{k}" for k in range(rng.randint(1, 7))]
-    weights = [rng.choice((0, 1, 1, 2, 3, 4)) for _ in states]
-    if not any(weights):
-        weights[rng.randrange(len(states))] = 1
-    prior = {s: F(w, sum(weights)) for s, w in zip(states, weights)}
-    signals = ("s0", "s1", "s2", "s3")
-    atoms = ("p", "q")
-
-    def some(share):
-        return [s for s in states if rng.random() < share]
-
-    truth = {}
-    for p in players:
-        own, run = [], 0
-        for _ in states:
-            own.append(signals[run % len(signals)])
-            run += rng.random() < 0.7
-        table = {Prim(a): some(0.9) for a in atoms}
-        for j in players:
-            for sig in signals:
-                table[Receive(j, sig)] = (
-                    [s for s, got in zip(states, own) if got == sig] if j == p else some(0.5)
-                )
-            for a in actions[j]:
-                table[Play(j, a)] = some(0.5)
-        truth[p] = table
-    return EpistemicStructure(game, states, prior, signals, atoms, truth)
-
-
 def _plain_levels(m, f, k):
     """EB^1(f) .. EB^k(f), one everybody-believes step at a time, from the
     oracle's cells and posteriors; refuses any zero-mass cell up front."""
@@ -318,7 +276,7 @@ class TestEverybodyBelievesWalk:
         rng = random.Random(2015)
         refused = answered = longest = 0
         for _ in range(150):
-            m = _random_structure(rng)
+            m = random_structure(rng)
             f = rng.choice([P, random_formula(rng, m.game, m.signals, m.atoms, depth=1)])
             top = len(m.states) + 3
             try:
@@ -339,7 +297,7 @@ class TestEverybodyBelievesWalk:
     def test_huge_orders_read_the_fixed_point(self):
         rng = random.Random(1974)
         for _ in range(100):
-            m = _random_structure(rng)
+            m = random_structure(rng)
             f = rng.choice([P, Q, Receive("B", "s1"), Not(Play("C", "x"))])
             try:
                 fixed = intension(m, "A", MutualBelief(len(m.states) + 2, f))
@@ -384,7 +342,7 @@ class TestIntegerProbGe:
     def structures():
         rng = random.Random(1015)
         for _ in range(60):
-            yield rng, _random_structure(rng)
+            yield rng, random_structure(rng)
         for _ in range(12):
             game = random_game(rng)
             dists = [solve_ce(game, random_objective(rng, game)) for _ in game.players]
@@ -432,3 +390,47 @@ class TestIntegerProbGe:
         with pytest.raises(PreconditionError) as exc:
             holds(starved, "w1", "B", good)
         assert str(exc.value) == "zero-mass information cell of player 'A'; posterior undefined"
+
+
+def _outcome(compute):
+    """compute()'s value, or the type and message of what it raised."""
+    try:
+        return compute()
+    except (PreconditionError, KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans(), st.booleans())
+def test_optimality_kernel_matches_the_core_route(rng, stored, doubled, holed):
+    """`opt_i(a)` and `rat_i` as the evaluator decides them equal the masks
+    of their expansions, errors included, and leave the game as it was."""
+    game = random_game(rng)
+    if holed:  # a missing payoff, named by both routes
+        dropped = rng.choice(sorted(game.payoffs))
+        game = Game(game.players, game.actions, {a: v for a, v in game.payoffs.items() if a != dropped})
+    m = random_structure(rng, game, stored=stored, doubled=doubled)
+    formulas = [Optimal(p, a) for p in game.players for a in (*game.actions_of(p), "zz")]
+    formulas += [Optimal("nobody", "a1")] + [Rationality(p) for p in game.players]
+    kept = {k: dict(v) if isinstance(v, Mapping) else v for k, v in vars(game).items()}
+    direct = {
+        (p, f): _outcome(lambda: Evaluator(m).intension_mask(p, f)) for f in formulas for p in game.players
+    }
+    assert {k: dict(v) if isinstance(v, Mapping) else v for k, v in vars(game).items()} == kept
+    for (p, f), got in direct.items():
+        assert got == _outcome(lambda: Evaluator(m).intension_mask(p, expand(f, game))), (str(f), p)
+
+
+@pytest.mark.parametrize(
+    "actions",
+    [{"A": ("a", "b")}, {"A": (), "B": ("b",)}, {"A": ("a",), "B": ()}, {"A": ("a", "b"), "B": ("b",)}],
+    ids=["one player", "no actions", "no opponent actions", "no payoffs"],
+)
+def test_degenerate_games_are_refused_as_their_cores_are(actions):
+    game = Game(list(actions), actions, {})
+    m = EpistemicStructure.from_masks(game, ["w"], [1], 1, ["s"], {p: {Receive(p, "s"): 1} for p in game.players})
+    for p in game.players:
+        for f in [Optimal(p, a) for a in (*game.actions_of(p), "zz")] + [Rationality(p)]:
+            got = _outcome(lambda: Evaluator(m).intension_mask(p, f))
+            assert isinstance(got, tuple)
+            assert got == _outcome(lambda: Evaluator(m).intension_mask(p, expand(f, game))), str(f)
