@@ -31,7 +31,6 @@ from .coordination import CoordinationStrategy
 from .errors import PreconditionError
 from .formulas import Play, Receive
 from .games import Distribution, Game, Profile, check_subjective_ce, profile_key, require_valid_game
-from .rationals import scaled
 from .structures import EpistemicStructure
 
 
@@ -63,7 +62,7 @@ def _require_ce(game: Game, dists: Sequence[Distribution], kind: str) -> None:
     correlated equilibrium (one per player; an objective CE repeats one)."""
     require_valid_game(game)
     for d in dists:
-        if any(w < 0 for w in d.weights.values()) or d.total() != 1:
+        if any(w < 0 for w in d.num.values()) or sum(d.num.values()) != d.denom:
             raise PreconditionError("distribution is not a probability distribution")
     verdict = check_subjective_ce(game, dists)
     if not verdict.ok:
@@ -78,8 +77,9 @@ def _require_ce(game: Game, dists: Sequence[Distribution], kind: str) -> None:
 def _support(game: Game, dist: Distribution) -> tuple[list[Profile], list[int], int]:
     """The support in declared profile order, with its weights as integer
     numerators over their least common denominator, and that denominator."""
-    support = [a for a in game.profiles() if dist.weight(a) > 0]
-    return support, *scaled([dist.weight(a) for a in support])
+    num = dist.num
+    support = [a for a in game.profiles() if num.get(a, 0) > 0]
+    return support, [num[a] for a in support], dist.denom
 
 
 def from_objective_ce(game: Game, dist: Distribution) -> ConstructionResult:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence
 
 from .errors import PreconditionError, SchemaError
@@ -100,14 +99,21 @@ class ValidityIssue:
 
 
 def check_strategy_valid(m: EpistemicStructure, c: CoordinationStrategy) -> Report:
-    """Every instruction formula is valid: true for every viewer at every state."""
-    ev = m.evaluator()
+    """Every instruction formula is valid: true for every viewer at every state.
+
+    An instruction fails for a viewer where she sees the receipt and not the
+    play, read off her row; its formula is built only to name a failure."""
     failures = []
-    for f in as_formulas(c):
-        for viewer in m.game.players:
-            mask = ev.intension_mask(viewer, f)
-            for k in states_in(m, m.full ^ mask):
-                failures.append(ValidityIssue(f, viewer, m.states[k]))
+    for p in c.players:
+        for s in c.signals:
+            a = c.action(p, s)
+            receipt, play = m.receipt_at(p, s), m.play_at(p, a)
+            for viewer in m.game.players:
+                row = m.rows[viewer]
+                bad = row[receipt] & ~row[play]
+                if bad:
+                    f = Implies(Receive(p, s), Play(p, a))
+                    failures += [ValidityIssue(f, viewer, m.states[k]) for k in states_in(m, bad)]
     return Report(not failures, tuple(failures))
 
 
@@ -124,13 +130,14 @@ class EnforcementIssue:
 
 def check_self_enforcing(m: EpistemicStructure, c: CoordinationStrategy) -> Report:
     """At each state every player follows her recommendation and deems it optimal."""
-    ev = None
+    ev = m.evaluator()
     failures = []
     for p in m.game.players:
-        rows = {s: m.masks[p].get(Receive(p, s), 0) for s in m.signals}
-        seen, dup = fold(rows.values())
+        row = m.rows[p]
+        receipts = m.receipts(p, p)
+        seen, dup = fold(receipts)
         unique = seen & ~dup
-        regions = {s: row & unique for s, row in rows.items()}
+        regions = {s: receipt & unique for s, receipt in zip(m.signals, receipts)}
         # Look up each signal's action, its plays mask and its optimality
         # mask at the first state that needs them, so that whatever raises
         # first, state by state, raises here too.
@@ -140,10 +147,11 @@ def check_self_enforcing(m: EpistemicStructure, c: CoordinationStrategy) -> Repo
         while steps:
             _, step, s = heapq.heappop(steps)
             if step == 0:
-                action[s] = c.action(p, s)
-                if ev is None:
-                    ev = m.evaluator()
-                plays[s] = ev.intension_mask(p, Play(p, action[s]))
+                try:
+                    action[s] = c.action(p, s)
+                except KeyError as exc:  # a strategy over other signals
+                    raise PreconditionError(exc.args[0]) from None
+                plays[s] = row[m.play_at(p, action[s])]
                 if regions[s] & plays[s]:
                     heapq.heappush(steps, (low_state(regions[s] & plays[s]), 1, s))
             else:
@@ -170,16 +178,15 @@ def induce(m: EpistemicStructure, viewer: str) -> Distribution:
     sees there; a state with no unique seen profile is an error.
     """
     m.game.player_index(viewer)  # an unknown viewer raises KeyError
-    table = m.masks[viewer]
     players = m.game.players
-    rows = [[(a, table.get(Play(p, a), 0)) for a in m.game.actions_of(p)] for p in players]
-    folds = [fold(mask for _, mask in row) for row in rows]
+    rows = [m.plays(viewer, p) for p in players]
+    folds = [fold(row) for row in rows]
     bad = 0
     for seen, dup in folds:
         bad |= dup | (m.full ^ seen)
     if bad:  # some player plays zero or several actions there
         for p, row in zip(players, rows):
-            state, n = m._first_bad(bad, [mask for _, mask in row])
+            state, n = m._first_bad(bad, row)
             if n != 1:
                 raise PreconditionError(
                     f"viewer {viewer!r} sees {n} actions for player {p!r} at state {state!r}"
@@ -187,16 +194,17 @@ def induce(m: EpistemicStructure, viewer: str) -> Distribution:
     # one action per player at every state: intersect the action masks
     # along the profiles, keeping the nonempty ones in first-state order
     seen_at = [((), m.full)]
-    for row in rows:
+    for p, row in zip(players, rows):
+        plays = list(zip(m.game.actions_of(p), row))
         seen_at = [
             (profile + (a,), both)
             for profile, mask in seen_at
-            for a, action_mask in row
+            for a, action_mask in plays
             if (both := mask & action_mask)
         ]
     seen_at.sort(key=lambda item: low_state(item[1]))
-    return Distribution(
-        {profile: Fraction(mask_mass(m.prior_num, mask), m.prior_denom) for profile, mask in seen_at}
+    return Distribution.from_numerators(
+        {profile: mask_mass(m.prior_num, mask) for profile, mask in seen_at}, m.prior_denom
     )
 
 

@@ -7,6 +7,7 @@ action names in player order; their JSON key form joins the names with ",".
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import math
 import re
@@ -18,7 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import lp
 from .errors import PreconditionError, SchemaError
-from .rationals import format_rational, fraction, parse_rational, scaled
+from .rationals import format_rational, fraction, parse_rational, ratio, ratio_text, scaled
 from .reports import Report
 
 # player, action, signal and atom names: the identifiers of the formula grammar
@@ -227,52 +228,99 @@ def validate_game(game: Game) -> Report:
 
 
 class Distribution:
-    """Exact probability weights on full action profiles; zeros are implicit."""
+    """Exact probability weights on full action profiles; zeros are implicit.
+
+    The stored form is integer: `num` maps each profile of nonzero weight,
+    in insertion order, to its numerator over the one positive denominator
+    `denom`, in lowest terms, so equal distributions store equal forms.
+    `weights`, `weight` and `total` are `Fraction` views of it.
+    """
 
     def __init__(self, weights: Mapping[Sequence[str], Fraction | int]):
-        self.weights = {
-            tuple(profile): Fraction(w) for profile, w in weights.items() if w != 0
-        }
+        nonzero = {tuple(profile): w for profile, w in weights.items() if w != 0}
+        nums, denom = scaled(list(nonzero.values()))
+        self._install(dict(zip(nonzero, nums)), denom)
+
+    @classmethod
+    def from_numerators(cls, num: Mapping[Profile, int], denom: int) -> "Distribution":
+        """The weights num[a] / denom, for a positive integer denom."""
+        dist = cls.__new__(cls)
+        dist._install(num, denom)
+        return dist
+
+    def _install(self, num: Mapping[Profile, int], denom: int) -> None:
+        """Keep the nonzero numerators, all reduced with the denominator."""
+        common = math.gcd(denom, *num.values())
+        self.denom = denom // common
+        self.num = {a: w // common for a, w in num.items() if w}
+
+    @property
+    def weights(self) -> Mapping[Profile, Fraction]:
+        """The nonzero weights by profile, in order, as a read-only view."""
+        return _Weights(self.num, self.denom)
 
     def weight(self, profile: Sequence[str]) -> Fraction:
-        return self.weights.get(tuple(profile), Fraction(0))
+        return Fraction(self.num.get(tuple(profile), 0), self.denom)
 
     def support(self) -> tuple[Profile, ...]:
-        return tuple(self.weights)
+        return tuple(self.num)
 
     def total(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+        return Fraction(sum(self.num.values()), self.denom)
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):
             return NotImplemented
-        return self.weights == other.weights
+        return self.denom == other.denom and self.num == other.num
 
     def __repr__(self):
-        inner = ", ".join(f"{profile_key(a)}: {w}" for a, w in self.weights.items())
+        inner = ", ".join(f"{profile_key(a)}: {ratio_text(w, self.denom)}" for a, w in self.num.items())
         return f"Distribution({{{inner}}})"
 
     @classmethod
     def from_dict(cls, data: dict, game: Game) -> "Distribution":
-        weights = _weights_from_dict(data, game, "distribution")
-        dist = cls(weights)
-        for w in dist.weights.values():
-            if w < 0:
-                raise SchemaError("distribution: negative weight")
-        if dist.total() != 1:
+        pairs = _ratios_from_dict(data, game, "distribution")
+        denom = math.lcm(*(q for p, q in pairs.values() if p))
+        dist = cls.from_numerators({a: p * (denom // q) for a, (p, q) in pairs.items()}, denom)
+        if any(w < 0 for w in dist.num.values()):
+            raise SchemaError("distribution: negative weight")
+        if sum(dist.num.values()) != dist.denom:
             raise SchemaError(f"distribution: weights sum to {dist.total()}, not 1")
         return dist
 
     def to_dict(self, game: Game) -> dict:
-        ordered = {
-            profile_key(a): format_rational(self.weights[a])
-            for a in game.profiles()
-            if a in self.weights
-        }
+        num = self.num
+        ordered = {profile_key(a): ratio_text(num[a], self.denom) for a in game.profiles() if a in num}
         return {"weights": ordered}
 
 
-def _weights_from_dict(data: dict, game: Game, what: str) -> dict[Profile, Fraction]:
+class _Weights(collections.abc.Mapping):
+    """A distribution's weights as Fractions, each built when it is read."""
+
+    __slots__ = ("_num", "_denom")
+
+    def __init__(self, num: Mapping[Profile, int], denom: int):
+        self._num, self._denom = num, denom
+
+    def __getitem__(self, profile: Profile) -> Fraction:
+        return Fraction(self._num[profile], self._denom)
+
+    def __contains__(self, profile) -> bool:
+        return profile in self._num
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _ratios_from_dict(data: dict, game: Game, what: str) -> dict[Profile, tuple[int, int]]:
+    """The weights of a distribution-shaped object as (numerator,
+    denominator) pairs, not reduced, by profile."""
     if not isinstance(data, dict):
         raise SchemaError(f"{what}: expected an object")
     extra = set(data) - {"weights"}
@@ -285,7 +333,7 @@ def _weights_from_dict(data: dict, game: Game, what: str) -> dict[Profile, Fract
     for key, value in raw.items():
         profile = parse_profile_key(key, game)
         try:
-            out[profile] = parse_rational(value)
+            out[profile] = ratio(value)
         except ValueError as exc:
             raise SchemaError(f"{what}: weight for {key!r}: {exc}") from None
     return out
@@ -293,7 +341,7 @@ def _weights_from_dict(data: dict, game: Game, what: str) -> dict[Profile, Fract
 
 def load_objective(data: dict, game: Game) -> dict[Profile, Fraction]:
     """Objective vectors share the distribution file shape, minus its invariants."""
-    return _weights_from_dict(data, game, "objective")
+    return {a: Fraction(p, q) for a, (p, q) in _ratios_from_dict(data, game, "objective").items()}
 
 
 # ---------------------------------------------------------------- CE checks
@@ -347,17 +395,17 @@ def _deviations(game: Game) -> Iterable[tuple[str, list[tuple[str, str]]]]:
         yield p, [(action, alt) for action in acts for alt in acts if alt != action]
 
 
-def _slacks(
-    game: Game, player: str, pairs: Sequence[tuple[str, str]], weights: Mapping[Profile, Fraction]
-) -> list[Fraction]:
-    """The expected gain of each (action, alt) of `pairs` under `weights`:
-    the player's `incentive_gains` weighted by the profiles' weights (absent
-    ones weigh 0), summed in integers over the weights' common denominator."""
+def _expected_gains(
+    game: Game, player: str, pairs: Sequence[tuple[str, str]], dist: Distribution
+) -> tuple[list[int], int]:
+    """The expected gain of each (action, alt) of `pairs` under `dist`, as
+    integer numerators over one positive denominator: the player's
+    `incentive_gains` weighted by the distribution's numerators (absent
+    profiles weigh 0)."""
     scale, told, gains = incentive_gains(game, player, pairs)
-    nums, denom = scaled(list(weights.values()))
-    num = dict(zip(weights, nums))
+    num = dist.num
     at = {a: [num.get(t, 0) for t in profiles] for a, profiles in told.items()}
-    return [Fraction(sum(map(mul, row, at[action])), scale * denom) for (action, _), row in zip(pairs, gains)]
+    return [sum(map(mul, row, at[action])) for (action, _), row in zip(pairs, gains)], scale * dist.denom
 
 
 @dataclass(frozen=True)
@@ -372,7 +420,8 @@ class DeviationIssue:
 
 def deviation_slack(game: Game, dist: Distribution, player: str, action: str, alt: str) -> Fraction:
     """Expected payoff loss of switching action->alt on the event "told action"."""
-    return _slacks(game, player, [(action, alt)], dist.weights)[0]
+    (gain,), denom = _expected_gains(game, player, [(action, alt)], dist)
+    return Fraction(gain, denom)
 
 
 def check_objective_ce(game: Game, dist: Distribution) -> Report:
@@ -395,12 +444,14 @@ def check_subjective_ce(game: Game, dists: Sequence[Distribution]) -> Report:
                 raise PreconditionError(
                     f"distribution profile {profile_key(profile)!r}: {a!r} is not an action of player {p!r}"
                 )
-    failures = [
-        DeviationIssue(p, action, alt, slack)
-        for (p, pairs), d in zip(_deviations(game), dists)
-        for (action, alt), slack in zip(pairs, _slacks(game, p, pairs, d.weights))
-        if slack < 0
-    ]
+    failures = []
+    for (p, pairs), d in zip(_deviations(game), dists):
+        gains, denom = _expected_gains(game, p, pairs, d)
+        failures += [
+            DeviationIssue(p, action, alt, Fraction(gain, denom))
+            for (action, alt), gain in zip(pairs, gains)
+            if gain < 0
+        ]
     return Report(not failures, tuple(failures))
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .formulas import (
     And,
@@ -129,18 +129,21 @@ def _int(tok: _Token) -> int:
         raise ParseError(f"integer of {len(tok.text)} digits is too long", tok.pos) from None
 
 
-def _tokenize(text: str) -> list[_Token]:
-    out = []
+def _tokenize(text: str) -> Iterator[_Token]:
+    """The tokens of `text`, read one at a time as the parser asks for them,
+    then the end token for good: input past a refusal is never read, so a
+    fault is reported where reading first meets one."""
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup != "ws":
-            out.append(_Token(m.lastgroup, m.group(), pos))
+            yield _Token(m.lastgroup, m.group(), pos)
         pos = m.end()
-    out.append(_Token("end", "", len(text)))
-    return out
+    end = _Token("end", "", len(text))
+    while True:
+        yield end
 
 
 class _Vocabulary:
@@ -179,17 +182,17 @@ class _Parser(_Vocabulary):
         super().__init__(game, signals, atoms)
         self.text = text
         self.tokens = _tokenize(text)
-        self.idx = 0
+        self.tok = next(self.tokens)  # the one token of lookahead
         self.depth = 0  # levels above the sub-formula being parsed
 
     # token plumbing
 
     def peek(self) -> _Token:
-        return self.tokens[self.idx]
+        return self.tok
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
+        tok = self.tok
+        self.tok = next(self.tokens)
         return tok
 
     def expect(self, text: str) -> _Token:

@@ -2,9 +2,10 @@
 
 The evaluator works on a structure's compiled form: states are bit
 positions, events are int bitmasks, leaf propositions read their masks off
-the structure's interpretation tables, and the prior is integer numerators
-over a common denominator.  A probability inequality is scaled to integer
-coefficients once, so every comparison is exact integer arithmetic.
+the viewer's row of the structure at their position, and the prior is
+integer numerators over a common denominator.  A probability inequality is
+scaled to integer coefficients once, so every comparison is exact integer
+arithmetic.
 
 Probability inequalities are evaluated per information cell of their owner
 (their truth is constant on each cell and independent of the viewer), then
@@ -75,19 +76,8 @@ class Evaluator:
 
     def _compute(self, viewer: str, f: Formula) -> int:
         m = self.m
-        if isinstance(f, Prim):
-            if f.name not in m.atoms:
-                raise PreconditionError(f"formula references undeclared atom {f.name!r}")
-            return m.masks[viewer].get(f, 0)
-        if isinstance(f, Play):
-            if f.action not in m.game.actions_of(f.player):
-                raise PreconditionError(f"{f.action!r} is not an action of player {f.player!r}")
-            return m.masks[viewer].get(f, 0)
-        if isinstance(f, Receive):
-            m.game.player_index(f.player)
-            if f.signal not in m.signals:
-                raise PreconditionError(f"formula references undeclared signal {f.signal!r}")
-            return m.masks[viewer].get(f, 0)
+        if isinstance(f, (Prim, Play, Receive)):
+            return m.rows[viewer][m.position(f)]
         if isinstance(f, Not):
             return m.full ^ self._mask(viewer, f.arg)
         if isinstance(f, And):
@@ -143,7 +133,7 @@ class Evaluator:
         return out[action]
 
     def _probge(self, f: ProbGe) -> int:
-        if f.owner not in self.m.masks:  # refused before the operands
+        if f.owner not in self.m.rows:  # refused before the operands
             raise PreconditionError(f"unknown player {f.owner!r} in probability formula")
         masks = [self._mask(f.owner, sub) for _, sub in f.terms]
         # scaled by the lcm of their denominators, coefficients and bound are ints

@@ -9,10 +9,11 @@ or derived from each player's own received-signal atoms.
 Structures are immutable once built.  The constructor compiles the
 interpretation to bitmasks, which `from_masks` takes directly, and both run
 the same checks on them.  The masks are the one stored form: state k is bit k,
-each player's table maps a primitive proposition to the int mask of the
-states where she deems it true, stored partitions are tuples of cell masks,
-and the prior is integer numerators over one common denominator, in lowest
-terms.  The audits below are whole-mask folds over these tables; per-state
+each player has one row of int masks, one per primitive proposition at a
+fixed position, of the states where she deems it true, stored partitions are
+tuples of cell masks, and the prior is integer numerators over one common
+denominator, in lowest terms.  The audits below are whole-mask folds over
+slices of these rows, read by player and position; per-state
 work is left only to name offending states, always in state order.  Derived
 data is built on first use and kept: each player's information cells, for
 her alone, and the evaluator's memo of intensions.  Beside the compiled form
@@ -121,13 +122,17 @@ def _compile(bit: Mapping[str, int], truth: Mapping, partitions: Optional[Mappin
 
 class EpistemicStructure:
     """A game, a finite state space with a common prior, and one compiled
-    interpretation table per player.
+    interpretation row per player.
 
-    Compiled form (see the module docstring): `masks[player][node]` is the
-    mask of the states where `player` deems the primitive proposition `node`
-    true (absent nodes are false everywhere), `stored_cells[player]` is the
-    tuple of stored cell masks or None when cells are derived, and the prior
-    of state k is `prior_num[k] / prior_denom`.
+    Compiled form (see the module docstring): `rows[viewer]` holds the masks
+    of the states where `viewer` deems each primitive proposition true, in
+    the order `to_dict` writes them: the atoms, then each player's receipt of
+    each signal, then each player's play of each of her actions, each group
+    in declared order.  `receipts(viewer, player)` and `plays(viewer,
+    player)` are a player's slices of it, and `position(node)` is where a
+    proposition sits.  `stored_cells[player]` is the tuple of stored cell
+    masks or None when cells are derived, and the prior of state k is
+    `prior_num[k] / prior_denom`.
     """
 
     def __init__(
@@ -171,9 +176,11 @@ class EpistemicStructure:
         masks: Mapping[str, Mapping[Formula, int]],
         cells: Optional[Mapping[str, Iterable[int]]] = None,
     ) -> "EpistemicStructure":
-        """The structure, without atoms, given in compiled form (see the class
-        docstring): state k of `states` is bit k of every mask, and has prior
-        `prior_num[k] / prior_denom`.  It is checked as `__init__` checks it."""
+        """The structure, without atoms, given by masks: state k of `states`
+        is bit k of every mask, and has prior `prior_num[k] / prior_denom`;
+        `masks[viewer][node]` is the mask of the states where the viewer
+        deems the primitive proposition `node` true (absent nodes are false
+        everywhere).  It is checked as `__init__` checks it."""
         m = cls.__new__(cls)
         m._install(game, states, prior_num, prior_denom, signals, (), masks, cells, None)
         return m
@@ -210,21 +217,40 @@ class EpistemicStructure:
             if not usable_name(name):
                 raise SchemaError(f"structure: {name!r} is not a usable signal/atom name")
 
-        self.masks: dict[str, dict[Formula, int]] = {p: {} for p in game.players}
+        # row positions: atoms first, then each player's receipts, then her plays
+        self._atom_at = {a: k for k, a in enumerate(self.atoms)}
+        self._signal_at = {s: k for k, s in enumerate(self.signals)}
+        n_signals = len(self.signals)
+        self._receipts_at: dict[str, int] = {}
+        self._plays_at: dict[str, tuple[int, int, dict[str, int]]] = {}
+        at = len(self.atoms)
+        for p in game.players:
+            self._receipts_at[p] = at
+            at += n_signals
+        for p in game.players:
+            acts = game.actions_of(p)
+            self._plays_at[p] = (at, at + len(acts), {a: k for k, a in enumerate(acts)})
+            at += len(acts)
+        rows = {p: [0] * at for p in game.players}
         for p, table in masks.items():
-            if p not in self.masks:
+            row = rows.get(p)
+            if row is None:
                 raise SchemaError(f"structure: interpretation for unknown player {p!r}")
             for node, mask in table.items():
-                self._check_instance(node)
+                try:
+                    k = self.position(node)
+                except (KeyError, PreconditionError, TypeError):
+                    raise self._instance_error(node) from None
                 if not 0 <= mask <= self.full:
                     raise SchemaError(f"structure: the mask for {node} names states beyond the last")
-                self.masks[p][node] = mask
+                row[k] = mask
+        self.rows: dict[str, tuple[int, ...]] = {p: tuple(row) for p, row in rows.items()}
 
         self.stored_cells: Optional[dict[str, tuple[int, ...]]] = None
         if cells is not None:
             self.stored_cells = {}
             for p, row in cells.items():
-                if p not in self.masks:
+                if p not in self.rows:
                     raise SchemaError(f"structure: partition for unknown player {p!r}")
                 row = self.stored_cells[p] = tuple(row)
                 if 0 in row:
@@ -248,20 +274,17 @@ class EpistemicStructure:
         self._cells: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.intensions: dict = {}
 
-    def _check_instance(self, node: Formula) -> None:
-        if isinstance(node, (Play, Receive)) and node.player not in self.masks:
-            raise SchemaError(f"structure: {node} names unknown player {node.player!r}")
+    def _instance_error(self, node) -> SchemaError:
+        """Why an interpretation table may not hold a node `position` refuses."""
+        if isinstance(node, (Play, Receive)) and node.player not in self.game.players:
+            return SchemaError(f"structure: {node} names unknown player {node.player!r}")
         if isinstance(node, Prim):
-            if node.name not in self.atoms:
-                raise SchemaError(f"structure: undeclared atom {node.name!r}")
-        elif isinstance(node, Play):
-            if node.action not in self.game.actions_of(node.player):
-                raise SchemaError(f"structure: {node.action!r} is not an action of {node.player!r}")
-        elif isinstance(node, Receive):
-            if node.signal not in self.signals:
-                raise SchemaError(f"structure: undeclared signal {node.signal!r}")
-        else:
-            raise SchemaError(f"structure: {node} is not a primitive proposition")
+            return SchemaError(f"structure: undeclared atom {node.name!r}")
+        if isinstance(node, Play):
+            return SchemaError(f"structure: {node.action!r} is not an action of {node.player!r}")
+        if isinstance(node, Receive):
+            return SchemaError(f"structure: undeclared signal {node.signal!r}")
+        return SchemaError(f"structure: {node} is not a primitive proposition")
 
     def _check_signal_def(self, f: Formula) -> None:
         if isinstance(f, Prim):
@@ -297,7 +320,55 @@ class EpistemicStructure:
     def true_set(self, viewer: str, node: Formula) -> frozenset[str]:
         """States where `viewer` deems the primitive proposition true."""
         self.game.player_index(viewer)
-        return self.states_of(self.masks[viewer].get(node, 0))
+        return self.states_of(self.rows[viewer][self.position(node)])
+
+    # -- row positions ----------------------------------------------------------
+
+    def position(self, node: Formula) -> int:
+        """Where a primitive proposition's mask sits in every viewer's row.
+
+        An undeclared atom, signal or action is refused with
+        PreconditionError, an unknown player with KeyError."""
+        if isinstance(node, Play):
+            return self.play_at(node.player, node.action)
+        if isinstance(node, Receive):
+            return self.receipt_at(node.player, node.signal)
+        if isinstance(node, Prim):
+            k = self._atom_at.get(node.name)
+            if k is None:
+                raise PreconditionError(f"formula references undeclared atom {node.name!r}")
+            return k
+        raise TypeError(f"not a primitive proposition: {node!r}")
+
+    def play_at(self, player: str, action: str) -> int:
+        """The row position of pl(player, action)."""
+        if player not in self._plays_at:
+            raise KeyError(f"unknown player {player!r}")
+        first, _, index = self._plays_at[player]
+        k = index.get(action)
+        if k is None:
+            raise PreconditionError(f"{action!r} is not an action of player {player!r}")
+        return first + k
+
+    def receipt_at(self, player: str, signal: str) -> int:
+        """The row position of rec(player, signal)."""
+        if player not in self._receipts_at:
+            raise KeyError(f"unknown player {player!r}")
+        k = self._signal_at.get(signal)
+        if k is None:
+            raise PreconditionError(f"formula references undeclared signal {signal!r}")
+        return self._receipts_at[player] + k
+
+    def plays(self, viewer: str, player: str) -> tuple[int, ...]:
+        """The viewer's masks of the player's actions, in declared order."""
+        first, end, _ = self._plays_at[player]
+        return self.rows[viewer][first:end]
+
+    def receipts(self, viewer: str, player: str) -> tuple[int, ...]:
+        """The viewer's masks of the player's receipt of each signal, in
+        declared order."""
+        first = self._receipts_at[player]
+        return self.rows[viewer][first : first + len(self.signals)]
 
     def _first_bad(self, bad: int, rows: Iterable[int]) -> tuple[str, int]:
         """The first state of the nonzero mask `bad`, and how many of the
@@ -322,8 +393,7 @@ class EpistemicStructure:
         """The player's cell masks, grouped by her own received signal and
         ordered by their first state; fails at her first state with zero or
         several signals."""
-        table = self.masks[player]
-        rows = [table.get(Receive(player, s), 0) for s in self.signals]
+        rows = self.receipts(player, player)
         seen, dup = fold(rows)
         bad = dup | (self.full ^ seen)
         if bad:
@@ -408,11 +478,13 @@ class EpistemicStructure:
         return m
 
     def to_dict(self) -> dict:
-        order = [(node, str(node)) for node in self._instance_order()]
-        interp = {}
-        for p in self.game.players:
-            table = self.masks[p]
-            interp[p] = {key: list(self._names(mask)) for node, key in order if (mask := table.get(node))}
+        players = self.game.players
+        keys = [
+            *self.atoms,
+            *(f"rec({p},{s})" for p in players for s in self.signals),
+            *(f"pl({p},{a})" for p in players for a in self.game.actions_of(p)),
+        ]
+        interp = {p: {key: list(self._names(mask)) for key, mask in zip(keys, self.rows[p]) if mask} for p in players}
         partitions = None
         if self.stored_cells is not None:
             partitions = {
@@ -428,14 +500,6 @@ class EpistemicStructure:
             "interpretation": interp,
             "partitions": partitions,
         }
-
-    def _instance_order(self) -> list[Formula]:
-        out: list[Formula] = [Prim(a) for a in self.atoms]
-        for p in self.game.players:
-            out.extend(Receive(p, s) for s in self.signals)
-        for p in self.game.players:
-            out.extend(Play(p, a) for a in self.game.actions_of(p))
-        return out
 
 
 # ------------------------------------------------------------------- checks
@@ -507,10 +571,8 @@ def check_signal_uniqueness(m: EpistemicStructure) -> Report:
     """
     failures = []
     for receiver in m.game.players:
-        keys = [Receive(receiver, s) for s in m.signals]
         for viewer in m.game.players:
-            table = m.masks[viewer]
-            rows = [table.get(key, 0) for key in keys]
+            rows = m.receipts(viewer, receiver)
             seen, dup = fold(rows)
             for k in states_in(m, dup | (m.full ^ seen)):
                 got = tuple(s for s, row in zip(m.signals, rows) if (row >> k) & 1)
@@ -546,12 +608,10 @@ def check_action_uniqueness(m: EpistemicStructure) -> Report:
     unmodeled there); they are listed in the notes for visibility.
     """
     players = m.game.players
-    keys = {p: [Play(p, a) for a in m.game.actions_of(p)] for p in players}
     failures = []
     notes = []
     for viewer in players:
-        table = m.masks[viewer]
-        rows = {p: [table.get(key, 0) for key in keys[p]] for p in players}
+        rows = {p: m.plays(viewer, p) for p in players}
         folds = {p: fold(rows[p]) for p in players}
         bad = 0
         for seen, dup in folds.values():
@@ -592,14 +652,14 @@ def check_signal_definitions(m: EpistemicStructure) -> Report:
     ev = m.evaluator()
     failures = []
     notes = []
-    for sig in m.signals:
+    for k, sig in enumerate(m.signals):
         df = m.signal_defs.get(sig)
         if df is None:
             notes.append(f"signal {sig!r} has no definition; skipped")
             continue
         for p in m.game.players:
             expected = ev.intension_mask(p, df)
-            actual = m.masks[p].get(Receive(p, sig), 0)
+            actual = m.receipts(p, p)[k]
             if expected != actual:
                 failures.append(SignalDefIssue(p, sig, m._names(expected), m._names(actual)))
     return Report(not failures, tuple(failures), tuple(notes))
@@ -607,13 +667,8 @@ def check_signal_definitions(m: EpistemicStructure) -> Report:
 
 def is_common_interpretation(m: EpistemicStructure) -> bool:
     """True when all players' interpretation tables agree everywhere."""
-    players = m.game.players
-    first = m.masks[players[0]]
-    for p in players[1:]:
-        table = m.masks[p]
-        if any(table.get(node, 0) != first.get(node, 0) for node in table.keys() | first.keys()):
-            return False
-    return True
+    first, *rest = m.rows.values()
+    return all(row == first for row in rest)
 
 
 def opponent_masses(m: EpistemicStructure, player: str, cells: Iterable[tuple[int, int]]):
@@ -622,11 +677,10 @@ def opponent_masses(m: EpistemicStructure, player: str, cells: Iterable[tuple[in
     `opponent_profiles` order, as `incentive_gains` lists its gains.  Her
     expected incentive gain in a cell is then sum(gain * mass) / mass of the
     cell; `opt_i(a)` and the rationality gap both read it so."""
-    table = m.masks[player]
     events = [m.full]
     for j in m.game.players:
         if j != player:
-            events = [e & table.get(Play(j, b), 0) for e in events for b in m.game.actions_of(j)]
+            events = [e & play for e in events for play in m.plays(player, j)]
     num = m.prior_num
     for cell, cell_mass in cells:
         yield cell, cell_mass, [mask_mass(num, e & cell) for e in events]
@@ -646,7 +700,7 @@ def check_rationality(m: EpistemicStructure) -> Report:
         if not bad:
             continue
         acts = game.actions_of(p)
-        plays = [m.masks[p].get(Play(p, a), 0) for a in acts]
+        plays = m.plays(p, p)
         optimal = [ev.intension_mask(p, Optimal(p, a)) for a in acts]
         pairs = [(a, b) for a, play, opt in zip(acts, plays, optimal) if bad & play & ~opt for b in acts]
         scale, _, gains = incentive_gains(game, p, pairs)

@@ -48,7 +48,7 @@ from ambicoord.formulas import (
     Receive,
     conj,
 )
-from ambicoord.games import Distribution, check_objective_ce, check_subjective_ce, profile_key
+from ambicoord.games import Distribution, check_objective_ce, check_subjective_ce, parse_profile_key, profile_key
 from ambicoord.parser import ParseError, parse_formula, parse_instance
 from ambicoord.reports import Report
 from ambicoord.semantics import holds, intension, posterior
@@ -519,7 +519,10 @@ def naive_check_self_enforcing(m, c) -> Report:
             except PreconditionError:
                 failures.append(EnforcementIssue(p, state, None, None, "signal"))
                 continue
-            action = c.action(p, signal)
+            try:
+                action = c.action(p, signal)
+            except KeyError as exc:
+                raise PreconditionError(exc.args[0]) from None
             if not holds(m, state, p, Play(p, action)):
                 failures.append(EnforcementIssue(p, state, signal, action, "plays"))
             elif not holds(m, state, p, Optimal(p, action)):
@@ -535,12 +538,19 @@ def naive_induce(m, viewer) -> Distribution:
     return Distribution(weights)
 
 
-def naive_is_common_interpretation(m) -> bool:
+def instances(m) -> list:
+    """Every primitive proposition the structure declares, in the order its
+    JSON form lists them: atoms, receipts, plays."""
     players = m.game.players
     nodes = [Prim(a) for a in m.atoms]
     nodes += [Receive(j, s) for j in players for s in m.signals]
     nodes += [Play(j, a) for j in players for a in m.game.actions_of(j)]
-    return all(m.true_set(p, node) == m.true_set(players[0], node) for p in players for node in nodes)
+    return nodes
+
+
+def naive_is_common_interpretation(m) -> bool:
+    players = m.game.players
+    return all(m.true_set(p, node) == m.true_set(players[0], node) for p in players for node in instances(m))
 
 
 def naive_verify_induced_equilibrium(m, c) -> VerifyResult:
@@ -751,6 +761,33 @@ def _rational(text) -> Fraction:
     return Fraction(text)
 
 
+def naive_distribution_from_dict(data, game) -> dict:
+    """The weights of a distribution file as a {profile: Fraction} dict in
+    file order, zeros dropped, refused as `Distribution.from_dict` refuses it."""
+    if not isinstance(data, dict):
+        raise SchemaError("distribution: expected an object")
+    extra = set(data) - {"weights"}
+    if extra:
+        raise SchemaError(f"distribution: unknown keys {sorted(extra)}")
+    raw = data.get("weights")
+    if not isinstance(raw, dict):
+        raise SchemaError("distribution: 'weights' must be an object")
+    weights = {}
+    for key, value in raw.items():
+        profile = parse_profile_key(key, game)
+        try:
+            weights[profile] = _rational(value)
+        except ValueError as exc:
+            raise SchemaError(f"distribution: weight for {key!r}: {exc}") from None
+    weights = {a: w for a, w in weights.items() if w != 0}
+    if any(w < 0 for w in weights.values()):
+        raise SchemaError("distribution: negative weight")
+    total = sum(weights.values(), Fraction(0))
+    if total != 1:
+        raise SchemaError(f"distribution: weights sum to {total}, not 1")
+    return weights
+
+
 def naive_from_dict(data, game) -> EpistemicStructure:
     if not isinstance(data, dict):
         raise SchemaError("structure: expected an object")
@@ -830,11 +867,9 @@ def naive_to_dict(m) -> dict:
     def ordered(states):
         return sorted(states, key=rank.__getitem__)
 
-    order = [Prim(a) for a in m.atoms]
-    order += [Receive(p, s) for p in m.game.players for s in m.signals]
-    order += [Play(p, a) for p in m.game.players for a in m.game.actions_of(p)]
     interp = {
-        p: {str(node): ordered(m.true_set(p, node)) for node in order if m.true_set(p, node)} for p in m.game.players
+        p: {str(node): ordered(m.true_set(p, node)) for node in instances(m) if m.true_set(p, node)}
+        for p in m.game.players
     }
     stored = stored_cell_sets(m)
     partitions = None if stored is None else {p: [ordered(c) for c in cells] for p, cells in stored.items()}

@@ -240,7 +240,7 @@ def test_self_enforcement_raises_what_a_state_by_state_scan_meets_first(coord_ga
     want = _outcome(
         lambda: oracle.naive_check_self_enforcing(EpistemicStructure.from_dict(m_data, coord_game), strategy)
     )
-    assert want[:2] == ("raised", KeyError)
+    assert want == ("raised", PreconditionError, "strategy has no entry for ('1', 't')")
     assert got == want
 
 

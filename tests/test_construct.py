@@ -218,7 +218,7 @@ class TestPipelines:
             m, ref = out.structure, built.structure
             assert m.states == tuple("|".join([w] * game.n) for w in ref.states)
             assert (m.prior_num, m.prior_denom) == (ref.prior_num, ref.prior_denom)
-            assert m.masks == ref.masks
+            assert m.rows == ref.rows
             assert m.stored_cells == ref.stored_cells
             assert out.strategy.to_dict() == built.strategy.to_dict()
             result = verify_induced_equilibrium(m, out.strategy)
@@ -226,13 +226,13 @@ class TestPipelines:
 
 
 def compiled_form(out) -> tuple:
-    """Everything a construction hands back, mask tables in insertion order."""
+    """Everything a construction hands back."""
     m = out.structure
     return (
         m.states,
         m.prior_num,
         m.prior_denom,
-        {p: list(table.items()) for p, table in m.masks.items()},
+        m.rows,
         m.stored_cells,
         m.to_dict(),
         out.strategy.to_dict(),

@@ -22,6 +22,7 @@ from ambicoord import (
     induce,
     verify_induced_equilibrium,
 )
+from ambicoord.coordination import run_audits
 
 F = Fraction
 
@@ -169,6 +170,36 @@ class TestSelfEnforcement:
             (i.player, i.state, i.conjunct) == ("2", "wp", "signal")
             for i in report.failures
         )
+
+
+class TestStrategyErrors:
+    """A strategy the structure cannot read is refused with PreconditionError,
+    so that `run_audits` reports it as the step's outcome."""
+
+    AUDITS = (check_strategy_valid, check_self_enforcing, verify_induced_equilibrium)
+
+    def test_a_signal_the_strategy_does_not_map(self, coord):
+        strategy = CoordinationStrategy(("1", "2"), ("zz",), {"1": {"zz": "U"}, "2": {"zz": "L"}})
+        for audit in (check_strategy_valid, verify_induced_equilibrium):
+            with pytest.raises(PreconditionError) as exc:
+                audit(coord, strategy)
+            assert str(exc.value) == "formula references undeclared signal 'zz'"
+        # self-enforcement meets player 1's signal s at state w first
+        with pytest.raises(PreconditionError) as exc:
+            check_self_enforcing(coord, strategy)
+        assert str(exc.value) == "strategy has no entry for ('1', 's')"
+        [(label, outcome)] = run_audits(coord, strategy, ("self-enforcement",))
+        assert label == "self-enforcement" and isinstance(outcome, PreconditionError)
+        assert str(outcome) == "strategy has no entry for ('1', 's')"
+
+    def test_an_undeclared_action(self, coord):
+        strategy = CoordinationStrategy(
+            ("1", "2"), ("s", "sp"), {"1": {"s": "nope", "sp": "D"}, "2": {"s": "L", "sp": "R"}}
+        )
+        for audit in self.AUDITS:
+            with pytest.raises(PreconditionError) as exc:
+                audit(coord, strategy)
+            assert str(exc.value) == "'nope' is not an action of player '1'"
 
 
 class TestInduce:

@@ -1,6 +1,8 @@
 """Games, distributions, incentive checks and the equilibrium solver."""
 
 import itertools
+import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -28,7 +30,7 @@ from ambicoord.formulas import optimality_core
 from ambicoord.games import MAX_CE_PROFILES, incentive_gains
 from ambicoord.rationals import scaled
 from helpers import random_game
-from oracle import naive_incentive_row, naive_is_objective_ce, naive_is_subjective_ce
+from oracle import naive_distribution_from_dict, naive_incentive_row, naive_is_objective_ce, naive_is_subjective_ce
 
 F = Fraction
 
@@ -401,3 +403,83 @@ def test_slacks_match_the_naive_reference(case):
     report = check_subjective_ce(game, dists)
     assert [(i.player, i.action, i.deviation, i.slack) for i in report.failures] == expected
     assert report.ok == (not expected)
+
+
+# ----------------------------------------------------- the integer form
+
+
+_ZERO_GAME = Game(
+    ["1", "2"], {"1": ("a", "b"), "2": ("c", "d", "e")}, {a: (0, 0) for a in itertools.product("ab", "cde")}
+)
+_PROFILES = list(_ZERO_GAME.profiles())
+_WEIGHTS = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.integers(1, 12)))
+
+
+@st.composite
+def _weight_dicts(draw):
+    """Two {profile: weight} dicts over `_ZERO_GAME`, ints and Fractions,
+    zeros and negatives included, each in a drawn order; the second is
+    sometimes the first reordered, with a zero added or one weight moved."""
+    chosen = draw(st.lists(st.sampled_from(_PROFILES), unique=True))
+    first = {a: draw(_WEIGHTS) for a in chosen}
+    how = draw(st.sampled_from(["drawn", "reordered", "moved"]))
+    if how == "drawn":
+        return first, {a: draw(_WEIGHTS) for a in draw(st.lists(st.sampled_from(_PROFILES), unique=True))}
+    second = {a: F(w) for a, w in reversed(first.items())}
+    second.setdefault(draw(st.sampled_from(_PROFILES)), 0)
+    if how == "moved" and second:
+        a = draw(st.sampled_from(sorted(second)))
+        second[a] += draw(st.sampled_from([F(1, 7), F(-1), F(2)]))
+    return first, second
+
+
+def _reference(weights) -> dict:
+    return {a: F(w) for a, w in weights.items() if w != 0}
+
+
+def _outcome(call):
+    try:
+        return "returned", call()
+    except Exception as exc:  # the exception itself is the result compared
+        return "raised", type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weight_dicts())
+def test_distribution_matches_a_fraction_reference(pair):
+    first, second = pair
+    d1, d2 = Distribution(first), Distribution(second)
+    ref1, ref2 = _reference(first), _reference(second)
+    assert list(d1.weights.items()) == list(ref1.items())
+    assert d1.weights == ref1 and len(d1.weights) == len(ref1)
+    assert (d1 == d2) == (ref1 == ref2)
+    assert d1.total() == sum(ref1.values(), F(0))
+    assert all(d1.weight(a) == ref1.get(a, 0) for a in _PROFILES)
+    assert d1.denom > 0 and math.gcd(d1.denom, *d1.num.values()) == 1
+    # a probability distribution round-trips through its file form
+    total = d1.total()
+    if total > 0 and all(w > 0 for w in d1.num.values()):
+        dist = Distribution({a: w / total for a, w in ref1.items()})
+        assert Distribution.from_dict(json.loads(json.dumps(dist.to_dict(_ZERO_GAME))), _ZERO_GAME) == dist
+
+
+_TEXTS = st.one_of(
+    st.builds(str, st.integers(-3, 3)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-6, 6), st.integers(0, 12)),
+    st.sampled_from(["1.5", "", "01", "1/-2", " 1", None, 1]),
+)
+# mostly the game's profile keys, so that most draws reach the weights
+_KEYS = st.sampled_from([profile_key(a) for a in _PROFILES] * 4 + ["a,z", "a", "c,a"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_KEYS, _TEXTS, max_size=6), st.sampled_from(["plain"] * 4 + ["extra key", "not an object"]))
+def test_distribution_from_dict_refuses_as_the_fraction_reference_does(weights, shape):
+    data = {"weights": weights}
+    if shape == "extra key":
+        data["total"] = "1"
+    elif shape == "not an object":
+        data = {"weights": list(weights)}
+    got = _outcome(lambda: list(Distribution.from_dict(data, _ZERO_GAME).weights.items()))
+    want = _outcome(lambda: list(naive_distribution_from_dict(data, _ZERO_GAME).items()))
+    assert got == want

@@ -6,14 +6,16 @@ file with the same exception and message."""
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ambicoord import EpistemicStructure, Game, SchemaError, from_objective_ce, from_subjective_ce, solve_ce
+from ambicoord.parser import parse_instance
 from conftest import load_fixture
-from helpers import random_game, random_objective
-from oracle import naive_from_dict, naive_to_dict
+from helpers import random_game, random_objective, random_structure
+from oracle import instances, naive_from_dict, naive_to_dict
 from test_hostile_input import LONG, mutate
 
 FAMILIES = ("weather", "cycle", "coord")
@@ -21,12 +23,12 @@ GAMES = {name: Game.from_dict(load_fixture(f"{name}_game.json")) for name in FAM
 
 
 def compiled(m) -> tuple:
-    """The stored form, every table in insertion order."""
+    """The stored form, the signal definitions in insertion order."""
     return (
         m.states,
         m.prior_num,
         m.prior_denom,
-        {p: list(table.items()) for p, table in m.masks.items()},
+        m.rows,
         m.stored_cells,
         list(m.signal_defs.items()),
     )
@@ -69,9 +71,8 @@ def test_fixtures(family):
 def test_acceptance_battery_devices(objective_instances, subjective_instances):
     for game, _, built in objective_instances + subjective_instances:
         m, b = assert_loads_alike(round_trip(built.structure), game), built.structure
-        # the file lists each table in its own order, so compare them unordered
-        assert (m.states, m.prior_num, m.prior_denom, m.masks, m.stored_cells) == (
-            b.states, b.prior_num, b.prior_denom, b.masks, b.stored_cells
+        assert (m.states, m.prior_num, m.prior_denom, m.rows, m.stored_cells) == (
+            b.states, b.prior_num, b.prior_denom, b.rows, b.stored_cells
         )
 
 
@@ -83,6 +84,51 @@ def test_seeded_random_devices():
         dists = [solve_ce(game, random_objective(rng, game)) for _ in game.players]
         for built in (from_objective_ce(game, dist), from_subjective_ce(game, dists)):
             assert_loads_alike(round_trip(built.structure), game)
+
+
+# ------------------------------------------------------------ the rows
+
+
+def respelled(m, rng) -> dict:
+    """The structure's JSON form with each table's keys in a random order,
+    about half of them naming the player by position, its state lists
+    shuffled, and some propositions the table leaves out listed as empty."""
+    data = m.to_dict()
+    position = {p: str(k) for k, p in enumerate(m.game.players, 1)}
+    for viewer, table in data["interpretation"].items():
+        entries = [(key, rng.sample(states, len(states))) for key, states in table.items()]
+        entries += [(str(node), []) for node in instances(m) if str(node) not in table and rng.random() < 0.3]
+        rng.shuffle(entries)
+        spelled = {}
+        for key, states in entries:
+            if rng.random() < 0.5:
+                key = re.sub(r"\((\w+),", lambda g: f"({position[g[1]]},", key)
+            spelled[key] = states
+        data["interpretation"][viewer] = spelled
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.booleans(), st.booleans())
+def test_rows_hold_the_states_the_json_lists(seed, own_game, stored, doubled):
+    """Each key of the interpretation, however spelled and wherever listed,
+    is true exactly at its listed states, and every proposition no key
+    names is true nowhere."""
+    rng = random.Random(seed)
+    m = random_structure(rng, random_game(rng) if own_game else None, stored=stored, doubled=doubled)
+    data = respelled(m, rng)
+    loaded = EpistemicStructure.from_dict(data, m.game)
+    listed = set()
+    for viewer, table in data["interpretation"].items():
+        for key, states in table.items():
+            node = parse_instance(key, m.game, m.signals, m.atoms)
+            assert loaded.true_set(viewer, node) == frozenset(states), (viewer, key)
+            listed.add((viewer, node))
+    for viewer in m.game.players:
+        for node in instances(m):
+            if (viewer, node) not in listed:
+                assert loaded.true_set(viewer, node) == frozenset(), (viewer, str(node))
+    assert loaded.rows == m.rows
 
 
 # ------------------------------------------------------------ broken files

@@ -169,6 +169,29 @@ class TestDiagnostics:
         assert err.value.position == over(MAX_DEPTH + 1)
         assert f"nested more than {MAX_DEPTH} levels" in str(err.value)
 
+    def test_a_depth_refusal_reads_no_further(self):
+        """The parser reads tokens only as it needs them, so what it refuses
+        at the depth limit is refused after O(MAX_DEPTH) tokens, before the
+        fault a million characters on."""
+        with pytest.raises(ParseError) as err:
+            parse("!" * 10**6 + "#")
+        assert str(err.value) == f"formula nested more than {MAX_DEPTH} levels deep at column {MAX_DEPTH + 1}"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p q #", "unexpected trailing input 'q' at column 3 (expected end of input)"),
+            ("p # q r", "unexpected character '#' at column 3"),
+            ("pl(A,run) & #", "unknown action 'run' at column 6"),
+            ("zz & p $", "unknown atom 'zz' at column 1"),
+            ("p & (q #", "unexpected character '#' at column 8"),
+        ],
+    )
+    def test_the_first_fault_in_reading_order_is_reported(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_expected_hints_are_attached(self):
         with pytest.raises(ParseError) as err:
             parse("p &")

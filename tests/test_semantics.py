@@ -36,7 +36,7 @@ from ambicoord import (
 )
 from ambicoord.semantics import Evaluator
 from helpers import random_formula, random_game, random_objective, random_structure
-from oracle import cells_of, naive_cb_set, naive_holds, naive_posterior
+from oracle import cells_of, instances, naive_cb_set, naive_holds, naive_posterior
 
 F = Fraction
 P = Prim("p")
@@ -355,7 +355,7 @@ class TestIntegerProbGe:
         tight = refused = 0
         for rng, m in self.structures():
             owner = rng.choice(m.game.players)
-            nodes = sorted(m.masks[owner], key=str)
+            nodes = sorted((node for node in instances(m) if m.true_set(owner, node)), key=str)
             events = rng.sample(nodes, min(3, len(nodes)))
             events[0] = Not(events[0])
             terms = tuple((rng.choice(self.COEFS), e) for e in events)
