@@ -59,12 +59,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>->|>=|[()!&*+\-/^,])"
 )
 
-# the canonical spelling of a primitive proposition: pl(<player>,<action>),
-# rec(<player>,<signal>) or a bare identifier, exactly as `str` prints it
-_INSTANCE_RE = re.compile(
-    rf"(?P<head>pl|rec)\((?P<player>{NAME_RE.pattern}|[0-9]+),(?P<name>{NAME_RE.pattern})\)|{NAME_RE.pattern}"
-)
-
 _RESERVED = ("pl", "rec", "EB", "CB")
 _RESERVED_PREFIXES = ("B_", "pr_", "rat_", "opt_")
 
@@ -146,14 +140,33 @@ def _tokenize(text: str) -> Iterator[_Token]:
         yield end
 
 
-class _Vocabulary:
-    """The names a formula may use: the game's players and actions, and the
-    signals and atoms, each None when left open."""
-
-    def __init__(self, game, signals, atoms):
+class _Parser:
+    def __init__(self, text, game, signals, atoms):
+        self.text = text
         self.game = game
         self.signals = None if signals is None else frozenset(signals)
         self.atoms = None if atoms is None else frozenset(atoms)
+        self.tokens = _tokenize(text)
+        self.tok = next(self.tokens)  # the one token of lookahead
+        self.depth = 0  # levels above the sub-formula being parsed
+
+    # token plumbing
+
+    def peek(self) -> _Token:
+        return self.tok
+
+    def advance(self) -> _Token:
+        tok = self.tok
+        self.tok = next(self.tokens)
+        return tok
+
+    def expect(self, text: str) -> _Token:
+        tok = self.peek()
+        if tok.text != text:
+            raise _found(tok, repr(text))
+        return self.advance()
+
+    # vocabulary
 
     def resolve_player(self, name: str, pos: int) -> str:
         player = self.game.player_named(name)
@@ -175,31 +188,6 @@ class _Vocabulary:
         if self.atoms is not None and name not in self.atoms:
             raise UnknownIdentifierError("atom", name, pos)
         return name
-
-
-class _Parser(_Vocabulary):
-    def __init__(self, text, game, signals, atoms):
-        super().__init__(game, signals, atoms)
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.tok = next(self.tokens)  # the one token of lookahead
-        self.depth = 0  # levels above the sub-formula being parsed
-
-    # token plumbing
-
-    def peek(self) -> _Token:
-        return self.tok
-
-    def advance(self) -> _Token:
-        tok = self.tok
-        self.tok = next(self.tokens)
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise _found(tok, repr(text))
-        return self.advance()
 
     # nesting depth
 
@@ -406,20 +394,8 @@ def parse_instance(
     signals: Optional[Iterable[str]] = None,
     atoms: Optional[Iterable[str]] = None,
 ) -> Formula:
-    """Parse a single primitive proposition: a generic atom, pl(...) or rec(...).
-
-    A canonical spelling is read without the tokenizer, with the grammar's
-    vocabulary checks; anything else, errors included, is the grammar's."""
-    spelled = _INSTANCE_RE.fullmatch(text)
-    if spelled is not None and (spelled["head"] or usable_name(text)):
-        vocabulary = _Vocabulary(game, signals, atoms)
-        if spelled["head"] is None:
-            return Prim(vocabulary.check_atom(text, 0))
-        player = vocabulary.resolve_player(spelled["player"], spelled.start("player"))
-        name, pos = spelled["name"], spelled.start("name")
-        if spelled["head"] == "pl":
-            return Play(player, vocabulary.check_action(player, name, pos))
-        return Receive(player, vocabulary.check_signal(name, pos))
+    """Parse a single primitive proposition, a generic atom, pl(...) or rec(...),
+    as `parse_formula` reads it, errors included; refuse any other formula."""
     f = parse_formula(text, game, signals, atoms)
     if not isinstance(f, (Prim, Play, Receive)):
         raise ParseError("expected a primitive proposition", 0)

@@ -19,6 +19,10 @@ data is built on first use and kept: each player's information cells, for
 her alone, and the evaluator's memo of intensions.  Beside the compiled form
 a structure answers by name only for single lookups: a state's index and
 prior, a mask's states and a proposition's truth set.
+
+`to_dict` writes each primitive proposition's canonical key, and `from_dict`
+looks every key up in a table of them; only a key the table lacks goes to
+the grammar.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import PreconditionError, SchemaError
 from .formulas import And, Formula, Implies, Not, Optimal, Play, Prim, Rationality, Receive
-from .games import Game, incentive_gains
+from .games import NAME_RE, NUMERAL_RE, Game, incentive_gains
 from .parser import ParseError, parse_formula, parse_instance, usable_name
 from .rationals import ratio, ratio_text
 from .reports import Report
@@ -118,6 +122,27 @@ def _compile(bit: Mapping[str, int], truth: Mapping, partitions: Optional[Mappin
                 raise SchemaError(f"structure: partition of player {p!r} must be a list of lists of states")
             raise SchemaError(f"structure: cells of player {p!r} do not partition the states")
     return masks, cells
+
+
+def _propositions(players, actions_of, signals, atoms):
+    """Each primitive proposition's canonical key, as `str` prints it, and its
+    node, in row order: the atoms, then each player's receipt of each signal,
+    then each player's play of each of her actions."""
+    yield from ((a, Prim(a)) for a in atoms)
+    yield from ((f"rec({p},{s})", Receive(p, s)) for p in players for s in signals)
+    yield from ((f"pl({p},{a})", Play(p, a)) for p in players for a in actions_of(p))
+
+
+def _key_table(game: Game, signals: Iterable[str], atoms: Iterable[str]) -> dict[str, Formula]:
+    """{key: node} for each canonical key the grammar reads back to its node:
+    the keys of usable atoms, and of players, signals and actions that are one
+    token each, a numeric player only at her own position."""
+    players = [
+        p for p in game.players if NAME_RE.fullmatch(p) or NUMERAL_RE.fullmatch(p) and game.player_named(p) == p
+    ]
+    actions = {p: [a for a in game.actions_of(p) if NAME_RE.fullmatch(a)] for p in players}
+    signals = [s for s in signals if NAME_RE.fullmatch(s)]
+    return dict(_propositions(players, actions.get, signals, filter(usable_name, atoms)))
 
 
 class EpistemicStructure:
@@ -453,7 +478,7 @@ class EpistemicStructure:
         interp_raw = data.get("interpretation")
         if not isinstance(interp_raw, dict):
             raise SchemaError("structure: 'interpretation' must be an object")
-        nodes: dict[str, Formula] = {}  # every player's table repeats the same keys
+        nodes = _key_table(game, signal_names, atoms)  # then each key the grammar reads, for every table
         for p, table in interp_raw.items():
             if not isinstance(table, dict):
                 raise SchemaError(f"structure: interpretation of player {p!r} must be an object")
@@ -479,11 +504,7 @@ class EpistemicStructure:
 
     def to_dict(self) -> dict:
         players = self.game.players
-        keys = [
-            *self.atoms,
-            *(f"rec({p},{s})" for p in players for s in self.signals),
-            *(f"pl({p},{a})" for p in players for a in self.game.actions_of(p)),
-        ]
+        keys = [key for key, _ in _propositions(players, self.game.actions_of, self.signals, self.atoms)]
         interp = {p: {key: list(self._names(mask)) for key, mask in zip(keys, self.rows[p]) if mask} for p in players}
         partitions = None
         if self.stored_cells is not None:

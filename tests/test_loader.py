@@ -7,11 +7,24 @@ file with the same exception and message."""
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ambicoord import EpistemicStructure, Game, SchemaError, from_objective_ce, from_subjective_ce, solve_ce
+from ambicoord import (
+    EpistemicStructure,
+    Game,
+    Play,
+    Prim,
+    Receive,
+    SchemaError,
+    from_objective_ce,
+    from_subjective_ce,
+    solve_ce,
+    structures,
+    validate_game,
+)
 from ambicoord.parser import parse_instance
 from conftest import load_fixture
 from helpers import random_game, random_objective, random_structure
@@ -131,6 +144,24 @@ def test_rows_hold_the_states_the_json_lists(seed, own_game, stored, doubled):
     assert loaded.rows == m.rows
 
 
+def test_written_keys_never_reach_the_grammar(monkeypatch, objective_instances, subjective_instances):
+    """Every key `to_dict` writes for a valid game is in the loader's table,
+    so loading it back never calls the grammar."""
+    written = [
+        (GAMES[family], round_trip(EpistemicStructure.from_dict(load_fixture(f"{family}_structure.json"), GAMES[family])))
+        for family in FAMILIES
+    ]
+    written += [(game, round_trip(built.structure)) for game, _, built in objective_instances + subjective_instances]
+
+    def refuse(key, *args, **kwargs):
+        raise AssertionError(f"the grammar was asked to read {key!r}")
+
+    monkeypatch.setattr(structures, "parse_instance", refuse)
+    for game, data in written:
+        assert validate_game(game)
+        EpistemicStructure.from_dict(data, game)
+
+
 # ------------------------------------------------------------ broken files
 
 
@@ -230,3 +261,99 @@ def edited_structures(draw):
 def test_edited_structures_load_or_fail_alike(case):
     family, data = case
     assert_fails_alike(data, GAMES[family])
+
+
+# ------------------------------------------------------ interpretation keys
+
+# an action that is not one token, and no payoffs
+KEY_GAME = Game(["A", "B"], {"A": ("stay", "go"), "B": ("x_1", "B_1", "go on")}, {})
+# games `validate_game` refuses for their player names, whose keys the
+# grammar reads otherwise than `to_dict` means them
+SPACED_GAME = Game(["x y", "B"], {"x y": ("U",), "B": ("stay",)}, {("U", "stay"): (0, 0)})
+SWAPPED_GAME = Game(
+    ["2", "1"], {"2": ("U", "D"), "1": ("stay", "go")}, {(a, b): (0, 0) for a in ("U", "D") for b in ("stay", "go")}
+)
+
+_space = st.sampled_from(["", "", "", " ", "  ", "\t"])
+_key_players = st.sampled_from(["A", "B", "1", "2", "01", "002", "0", "3", "Z", "a", "pl", "", "x y", "x"])
+_key_names = st.sampled_from(["stay", "go", "x_1", "B_1", "U", "sp", "snp", "nope", "pl", "rec", "9", ""])
+_key_atoms = st.sampled_from(["p", "q", "r", "pl", "rec", "EB", "CB", "B_A", "pr_A", "rat_1", "opt_1", "p1", "_p", "1p", ""])
+_sugar = st.sampled_from(
+    ["rat_1", "opt_1(stay)", "B_A(p)", "EB(p)", "CB(p)", "pr_A(p) >= 1", "!p", "p & q", "(p)", "pl(A,stay)x",
+     "pl(A,stay", "pl(A stay)", "rec(,sp)", "pl(A,stay))", "pl(A,stay) ", "é", "pl(A,é)"]
+)
+
+
+@st.composite
+def _keys(draw):
+    head = draw(st.sampled_from(["pl", "rec", "atom", "sugar"]))
+    if head == "atom":
+        return draw(_space) + draw(_key_atoms) + draw(_space)
+    if head == "sugar":
+        return draw(_sugar)
+    s = [draw(_space) for _ in range(6)]
+    return f"{s[0]}{head}{s[1]}({s[2]}{draw(_key_players)}{s[3]},{s[4]}{draw(_key_names)}{s[5]})"
+
+
+def one_state(game, tables, signals=(), atoms=()) -> dict:
+    """A one-state structure whose k-th player's table lists the k-th list
+    of keys."""
+    return {
+        "states": ["w"],
+        "prior": {"w": "1"},
+        "signals": {s: None for s in signals},
+        "atoms": list(atoms),
+        "interpretation": {p: {key: ["w"] for key in keys} for p, keys in zip(game.players, tables)},
+        "partitions": None,
+    }
+
+
+def written(game, signals, atoms) -> list:
+    """The keys `to_dict` writes for these names, as the printer spells each
+    proposition, and each play and receipt with the player's position."""
+    nodes = [Prim(a) for a in atoms]
+    nodes += [Receive(p, s) for p in game.players for s in signals]
+    nodes += [Play(p, a) for p in game.players for a in game.actions_of(p)]
+    position = {p: str(k) for k, p in enumerate(game.players, 1)}
+    return [str(n) for n in nodes] + [str(replace(n, player=position[n.player])) for n in nodes if hasattr(n, "player")]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([KEY_GAME, SPACED_GAME, SWAPPED_GAME]),
+    st.sampled_from([("sp", "snp"), ("sp", "pl"), ("sp", "9"), ()]),
+    st.sampled_from([("p", "q", "p1"), ("p", "EB", "pl"), ()]),
+    st.data(),
+)
+def test_interpretation_keys_load_as_the_grammar_reads_them(game, signals, atoms, data):
+    """Canonical, spaced, positional, unknown and reserved keys and sugar, in
+    one or two tables that may spell one proposition twice, with atoms and
+    signals the grammar does not take as names: each load matches the
+    reference loader, which reads every key with the grammar."""
+    key = st.one_of(_keys(), st.sampled_from(written(game, signals, atoms)))
+    tables = data.draw(st.lists(st.lists(key, min_size=1, max_size=3), min_size=1, max_size=2))
+    assert_fails_alike(one_state(game, tables, signals, atoms), game)
+
+
+@pytest.mark.parametrize(
+    "game, key, problems, message",
+    [
+        (SPACED_GAME, "pl(x y,U)", ["player name 'x y' is not an identifier"], "unknown player 'x' at column 4"),
+        (
+            SWAPPED_GAME,
+            "pl(2,U)",
+            ["numeric player name '2' must equal its position 1", "numeric player name '1' must equal its position 2"],
+            "unknown action 'U' at column 6",
+        ),
+    ],
+)
+def test_keys_of_refused_games_fail_as_the_grammar_reads_them(game, key, problems, message):
+    """`to_dict` writes these keys, and the grammar does not read them back
+    as the propositions they were written for, so the loader refuses them as
+    the grammar does."""
+    assert list(validate_game(game).failures) == problems
+    data = one_state(game, [[key]])
+    with pytest.raises(SchemaError) as err:
+        EpistemicStructure.from_dict(data, game)
+    assert str(err.value) == f"structure: instance key {key!r}: {message}"
+    assert_fails_alike(data, game)

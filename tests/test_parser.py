@@ -264,52 +264,3 @@ def test_print_parse_round_trip(f):
     text = str(f)
     assert parse_formula(text, RT_GAME, RT_SIGNALS, RT_ATOMS) == f
 
-
-# --------------------------------------------------- primitive-proposition keys
-
-KEY_GAME = Game(["A", "B"], {"A": ("stay", "go"), "B": ("x_1", "B_1")}, {})
-
-
-def _grammar_instance(text, signals, atoms):
-    """A key read by the grammar alone: the formula, if it is primitive."""
-    f = parse_formula(text, KEY_GAME, signals, atoms)
-    if not isinstance(f, (Prim, Play, Receive)):
-        raise ParseError("expected a primitive proposition", 0)
-    return f
-
-
-def _read(parse_key):
-    """The node, or everything a caller can see of the ParseError."""
-    try:
-        return parse_key()
-    except ParseError as exc:
-        seen = (type(exc), str(exc), exc.position, exc.expected)
-        return seen + ((exc.kind, exc.name) if isinstance(exc, UnknownIdentifierError) else ())
-
-
-_space = st.sampled_from(["", "", "", " ", "  ", "\t"])
-_key_players = st.sampled_from(["A", "B", "1", "2", "01", "002", "0", "3", "Z", "a", "pl", ""])
-_key_names = st.sampled_from(["stay", "go", "x_1", "B_1", "sp", "snp", "nope", "pl", "rec", "9", ""])
-_key_atoms = st.sampled_from(["p", "q", "r", "pl", "rec", "EB", "CB", "B_A", "pr_A", "rat_1", "opt_1", "p1", "_p", "1p", ""])
-_sugar = st.sampled_from(
-    ["rat_1", "opt_1(stay)", "B_A(p)", "EB(p)", "CB(p)", "pr_A(p) >= 1", "!p", "p & q", "(p)", "pl(A,stay)x",
-     "pl(A,stay", "pl(A stay)", "rec(,sp)", "pl(A,stay))", "pl(A,stay) ", "é", "pl(A,é)"]
-)
-
-
-@st.composite
-def _keys(draw):
-    head = draw(st.sampled_from(["pl", "rec", "atom", "sugar"]))
-    if head == "atom":
-        return draw(_space) + draw(_key_atoms) + draw(_space)
-    if head == "sugar":
-        return draw(_sugar)
-    s = [draw(_space) for _ in range(6)]
-    return f"{s[0]}{head}{s[1]}({s[2]}{draw(_key_players)}{s[3]},{s[4]}{draw(_key_names)}{s[5]})"
-
-
-@settings(max_examples=400, deadline=None)
-@given(_keys(), st.sampled_from([("sp", "snp"), None]), st.sampled_from([("p", "q", "p1"), None]))
-def test_instance_keys_read_as_the_grammar_reads_them(key, signals, atoms):
-    got = _read(lambda: parse_instance(key, KEY_GAME, signals, atoms))
-    assert got == _read(lambda: _grammar_instance(key, signals, atoms))
