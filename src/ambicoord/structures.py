@@ -20,9 +20,9 @@ her alone, and the evaluator's memo of intensions.  Beside the compiled form
 a structure answers by name only for single lookups: a state's index and
 prior, a mask's states and a proposition's truth set.
 
-`to_dict` writes each primitive proposition's canonical key, and `from_dict`
-looks every key up in a table of them; only a key the table lacks goes to
-the grammar.
+`to_dict` writes each primitive proposition's canonical key; `from_dict`
+takes each key to its row position by a table of them (the grammar reads only
+a key the table lacks) and refuses bad shapes before any state name lookup.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import mul, or_
 from typing import Iterable, Mapping, Optional
 
@@ -45,7 +45,7 @@ from .reports import Report
 
 def _strings(value) -> bool:
     """Is the JSON value a list of strings?"""
-    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))
 
 
 _FLAG = bytes.maketrans(b"01", b"\x00\x01")
@@ -79,70 +79,60 @@ def fold(masks: Iterable[int]) -> tuple[int, int]:
     return seen, dup
 
 
-def _mask(bit: Mapping[str, int], names, json: bool = False) -> Optional[int]:
-    """The mask of the named states, by one C-level pass over the name -> bit
-    table; None if one is not a state, or not even a name.  Read from JSON,
-    `names` must be a list: a string or an object would iterate."""
-    if json and not isinstance(names, list):
-        return None
-    try:
-        return reduce(or_, map(bit.__getitem__, names), 0)
-    except (KeyError, TypeError):
-        return None
-
-
-def _compile(bit: Mapping[str, int], truth: Mapping, partitions: Optional[Mapping], nodes=None):
-    """(masks, cell masks) of the name-based tables `__init__` takes.
-
-    `nodes` maps the keys of tables read from JSON to their propositions.
-    Their lists may hold anything, so a list that fails to compile is scanned
-    then, and only then, to say whether it holds a non-string or an unknown
-    state."""
-    json = nodes is not None
+def _compile(states, prior: Mapping, truth: Mapping, partitions: Optional[Mapping], name=str):
+    """(states, prior numerators in state order, their denominator, masks,
+    cell masks) of a structure whose prior, truth sets and cells name their
+    states, each list by one C-level pass over a name -> bit table.  `prior`
+    maps names to (numerator, denominator); an error calls a key `name(key)`."""
+    states = tuple(states)
+    bit = {s: 1 << k for k, s in enumerate(states)}
+    denom = math.lcm(*(q for _, q in prior.values()))
+    num = [0] * len(states)
+    for s, (p, q) in prior.items():
+        if s not in bit:
+            raise SchemaError(f"structure: prior names unknown state {s!r}")
+        num[bit[s].bit_length() - 1] = p * (denom // q)
     masks = {}
     for p, table in truth.items():
         row = masks[p] = {}
         for key, names in table.items():
-            node = nodes[key] if json else key
-            names = names if json else tuple(names)  # a failed compile reads them again
-            mask = row[node] = _mask(bit, names, json)
-            if mask is None:
-                if json and not _strings(names):
-                    raise SchemaError(f"structure: value of {key!r} must be a list of states")
+            names = tuple(names)  # a failed compile reads them again
+            try:
+                row[key] = reduce(or_, map(bit.__getitem__, names), 0)
+            except (KeyError, TypeError):
                 bad = sorted({s for s in names if s not in bit})
-                raise SchemaError(f"structure: unknown states {bad} for {node}")
-    if partitions is None:
-        return masks, None
-    cells = {}
-    for p, named in partitions.items():
-        listed = not json or isinstance(named, list)
-        row = cells[p] = [_mask(bit, c, json) for c in named] if listed else [None]
-        if None in row:
-            if not listed or json and not all(map(_strings, named)):
-                raise SchemaError(f"structure: partition of player {p!r} must be a list of lists of states")
-            raise SchemaError(f"structure: cells of player {p!r} do not partition the states")
-    return masks, cells
+                raise SchemaError(f"structure: unknown states {bad} for {name(key)}") from None
+    cells = None
+    if partitions is not None:
+        cells = {}
+        for p, named in partitions.items():
+            try:
+                cells[p] = [reduce(or_, map(bit.__getitem__, c), 0) for c in named]
+            except (KeyError, TypeError):
+                raise SchemaError(f"structure: cells of player {p!r} do not partition the states") from None
+    return states, num, denom, masks, cells
 
 
 def _propositions(players, actions_of, signals, atoms):
-    """Each primitive proposition's canonical key, as `str` prints it, and its
-    node, in row order: the atoms, then each player's receipt of each signal,
-    then each player's play of each of her actions."""
-    yield from ((a, Prim(a)) for a in atoms)
-    yield from ((f"rec({p},{s})", Receive(p, s)) for p in players for s in signals)
-    yield from ((f"pl({p},{a})", Play(p, a)) for p in players for a in actions_of(p))
+    """Each primitive proposition's canonical key, the text `str` prints for
+    its node, in row order: the atoms, then each player's receipt of each
+    signal, then each player's play of each of her actions."""
+    yield from atoms
+    yield from (f"rec({p},{s})" for p in players for s in signals)
+    yield from (f"pl({p},{a})" for p in players for a in actions_of(p))
 
 
-def _key_table(game: Game, signals: Iterable[str], atoms: Iterable[str]) -> dict[str, Formula]:
-    """{key: node} for each canonical key the grammar reads back to its node:
-    the keys of usable atoms, and of players, signals and actions that are one
-    token each, a numeric player only at her own position."""
+def _key_table(game: Game, signals: Iterable[str], atoms: Iterable[str], at: Mapping[str, int]) -> dict[str, int]:
+    """{key: position} for each canonical key the grammar reads back to its
+    proposition, `at` giving every canonical key's position: the keys of
+    usable atoms, and of players, signals and actions that are one token
+    each, a numeric player only at her own position."""
     players = [
         p for p in game.players if NAME_RE.fullmatch(p) or NUMERAL_RE.fullmatch(p) and game.player_named(p) == p
     ]
     actions = {p: [a for a in game.actions_of(p) if NAME_RE.fullmatch(a)] for p in players}
     signals = [s for s in signals if NAME_RE.fullmatch(s)]
-    return dict(_propositions(players, actions.get, signals, filter(usable_name, atoms)))
+    return {key: at[key] for key in _propositions(players, actions.get, signals, filter(usable_name, atoms))}
 
 
 class EpistemicStructure:
@@ -174,21 +164,9 @@ class EpistemicStructure:
         """The structure whose prior, truth sets and cells name their states;
         they are compiled to the masks that `from_masks` takes."""
         prior = {s: Fraction(w).as_integer_ratio() for s, w in prior.items()}
-        self._from_names(game, states, prior, signals, atoms, truth or {}, partitions, signal_defs)
-
-    def _from_names(self, game, states, prior, signals, atoms, truth, partitions, signal_defs, nodes=None) -> None:
-        """Compile the name-based form, the prior as (numerator, denominator)
-        pairs by state name, and install it; see `_compile` for `nodes`."""
-        states = tuple(states)
-        bit = {s: 1 << k for k, s in enumerate(states)}
-        denom = math.lcm(*(q for _, q in prior.values()))
-        num = [0] * len(states)
-        for s, (p, q) in prior.items():
-            if s not in bit:
-                raise SchemaError(f"structure: prior names unknown state {s!r}")
-            num[bit[s].bit_length() - 1] = p * (denom // q)
-        masks, cells = _compile(bit, truth, partitions, nodes)
-        self._install(game, states, num, denom, signals, atoms, masks, cells, signal_defs)
+        states, num, denom, masks, cells = _compile(states, prior, truth or {}, partitions)
+        positioned = {p: self._positioned(table) for p, table in masks.items()}
+        self._install(game, states, num, denom, signals, atoms, positioned, cells, signal_defs)
 
     @classmethod
     def from_masks(
@@ -207,11 +185,13 @@ class EpistemicStructure:
         deems the primitive proposition `node` true (absent nodes are false
         everywhere).  It is checked as `__init__` checks it."""
         m = cls.__new__(cls)
-        m._install(game, states, prior_num, prior_denom, signals, (), masks, cells, None)
+        positioned = {p: m._positioned(table) for p, table in masks.items()}
+        m._install(game, states, prior_num, prior_denom, signals, (), positioned, cells, None)
         return m
 
     def _install(self, game, states, prior_num, prior_denom, signals, atoms, masks, cells, signal_defs) -> None:
-        """Check the compiled form and store it, the prior reduced to lowest terms."""
+        """Check the compiled form and store it, the prior reduced to lowest
+        terms; `masks[viewer]` yields (row position, mask) pairs."""
         self.game = game
         self.states = tuple(states)
         if not self.states:
@@ -257,17 +237,11 @@ class EpistemicStructure:
             self._plays_at[p] = (at, at + len(acts), {a: k for k, a in enumerate(acts)})
             at += len(acts)
         rows = {p: [0] * at for p in game.players}
-        for p, table in masks.items():
+        for p, pairs in masks.items():
             row = rows.get(p)
             if row is None:
                 raise SchemaError(f"structure: interpretation for unknown player {p!r}")
-            for node, mask in table.items():
-                try:
-                    k = self.position(node)
-                except (KeyError, PreconditionError, TypeError):
-                    raise self._instance_error(node) from None
-                if not 0 <= mask <= self.full:
-                    raise SchemaError(f"structure: the mask for {node} names states beyond the last")
+            for k, mask in pairs:
                 row[k] = mask
         self.rows: dict[str, tuple[int, ...]] = {p: tuple(row) for p, row in rows.items()}
 
@@ -298,6 +272,18 @@ class EpistemicStructure:
         # evaluator's memo, (viewer or None, formula) -> intension mask
         self._cells: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.intensions: dict = {}
+
+    def _positioned(self, table: Mapping[Formula, int]):
+        """(position, mask) for each (node, mask) of a node-keyed table, each
+        node checked as it is reached: `_install` reads it after the layout."""
+        for node, mask in table.items():
+            try:
+                k = self.position(node)
+            except (KeyError, PreconditionError, TypeError):
+                raise self._instance_error(node) from None
+            if not 0 <= mask <= self.full:
+                raise SchemaError(f"structure: the mask for {node} names states beyond the last")
+            yield k, mask
 
     def _instance_error(self, node) -> SchemaError:
         """Why an interpretation table may not hold a node `position` refuses."""
@@ -436,9 +422,9 @@ class EpistemicStructure:
 
     @classmethod
     def from_dict(cls, data: dict, game: Game) -> "EpistemicStructure":
-        """The structure a JSON object describes, compiled as `__init__`
-        compiles it: each state list straight to its mask, the prior to
-        integer numerators."""
+        """The structure a JSON object describes, checked as `__init__` checks
+        it: one reading pass takes each key to its row position and checks each
+        shape, then the state names are compiled to masks by position."""
         if not isinstance(data, dict):
             raise SchemaError("structure: expected an object")
         allowed = {"states", "prior", "signals", "atoms", "interpretation", "partitions"}
@@ -478,33 +464,46 @@ class EpistemicStructure:
         interp_raw = data.get("interpretation")
         if not isinstance(interp_raw, dict):
             raise SchemaError("structure: 'interpretation' must be an object")
-        nodes = _key_table(game, signal_names, atoms)  # then each key the grammar reads, for every table
-        for p, table in interp_raw.items():
-            if not isinstance(table, dict):
+        keys = list(_propositions(game.players, game.actions_of, signal_names, atoms))
+        at = {key: k for k, key in enumerate(keys)}
+        table = _key_table(game, signal_names, atoms, at)  # then each key the grammar reads, for every table
+        truth = {}
+        for p, entries in interp_raw.items():
+            if not isinstance(entries, dict):
                 raise SchemaError(f"structure: interpretation of player {p!r} must be an object")
-            spelled: dict[Formula, str] = {}
-            for key in table:
-                if key not in nodes:
+            row = truth[p] = {}
+            for key, names in entries.items():
+                k = table.get(key)
+                if k is None:
                     try:
-                        nodes[key] = parse_instance(key, game, signals=signal_names, atoms=atoms)
+                        k = table[key] = at[str(parse_instance(key, game, signals=signal_names, atoms=atoms))]
                     except ParseError as exc:
                         raise SchemaError(f"structure: instance key {key!r}: {exc}") from None
-                first = spelled.setdefault(nodes[key], key)
-                if first != key:
+                if k in row:
+                    first = next(s for s in entries if table[s] == k)
                     raise SchemaError(
                         f"structure: interpretation of player {p!r} spells one instance twice: {first!r} and {key!r}"
                     )
+                if not _strings(names):
+                    raise SchemaError(f"structure: value of {key!r} must be a list of states")
+                row[k] = names
 
         partitions = data.get("partitions")
-        if partitions is not None and not isinstance(partitions, dict):
-            raise SchemaError("structure: 'partitions' must be an object or null")
+        if partitions is not None:
+            if not isinstance(partitions, dict):
+                raise SchemaError("structure: 'partitions' must be an object or null")
+            for p, named in partitions.items():
+                if not isinstance(named, list) or not all(map(_strings, named)):
+                    raise SchemaError(f"structure: partition of player {p!r} must be a list of lists of states")
+        states, num, denom, masks, cells = _compile(states, prior, truth, partitions, keys.__getitem__)
         m = cls.__new__(cls)
-        m._from_names(game, states, prior, signal_names, atoms, interp_raw, partitions, signal_defs, nodes)
+        positioned = {p: row.items() for p, row in masks.items()}
+        m._install(game, states, num, denom, signal_names, atoms, positioned, cells, signal_defs)
         return m
 
     def to_dict(self) -> dict:
         players = self.game.players
-        keys = [key for key, _ in _propositions(players, self.game.actions_of, self.signals, self.atoms)]
+        keys = list(_propositions(players, self.game.actions_of, self.signals, self.atoms))
         interp = {p: {key: list(self._names(mask)) for key, mask in zip(keys, self.rows[p]) if mask} for p in players}
         partitions = None
         if self.stored_cells is not None:
