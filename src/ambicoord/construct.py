@@ -29,9 +29,8 @@ from typing import Sequence
 
 from .coordination import CoordinationStrategy
 from .errors import PreconditionError
-from .formulas import Play, Receive
 from .games import Distribution, Game, Profile, check_subjective_ce, profile_key, require_valid_game
-from .structures import EpistemicStructure
+from .structures import EpistemicStructure, row_layout
 
 
 @dataclass(frozen=True)
@@ -119,29 +118,31 @@ def _device(
     """The device whose state k is named names[k], has prior num[k] / denom,
     and where player i reads signals and play off the profile views[k][i].
     Her cells group the states by her own action there, in order of first
-    appearance.  The masks are written directly: one OR per state and player
-    groups the states by her view, and each distinct view's mask goes into
-    its nodes."""
+    appearance.  The masks are written directly at their row positions: one
+    OR per state and player groups the states by her view, and each distinct
+    view's mask goes to the receipt and play positions of its actions."""
     signals, to_signal, strategy_table = _signal_scheme(game)
     players = game.players
-    nodes = {
-        (q, a): (Receive(q, to_signal[q][a]), Play(q, a)) for q in players for a in game.actions_of(q)
+    receipts, plays, _ = row_layout(game, len(signals))
+    # a player's k-th action is told by the k-th signal
+    spots = {
+        (q, a): (receipts[q][k], plays[q][k]) for q in players for k, a in enumerate(game.actions_of(q))
     }
-    masks, cells = {}, {}
+    rows, cells = {}, {}
     for i, p in enumerate(players):
         by_view: dict[Profile, int] = {}
         for k, views_k in enumerate(views):
             mine = views_k[i]
             by_view[mine] = by_view.get(mine, 0) | 1 << k
-        table: dict = {}
+        row: dict[int, int] = {}
         own: dict[str, int] = {}
         for mine, mask in by_view.items():
             for pair in zip(players, mine):
-                for node in nodes[pair]:
-                    table[node] = table.get(node, 0) | mask
+                for at in spots[pair]:
+                    row[at] = row.get(at, 0) | mask
             own[mine[i]] = own.get(mine[i], 0) | mask
-        masks[p] = table
+        rows[p] = row
         cells[p] = tuple(own.values())
-    structure = EpistemicStructure.from_masks(game, names, num, denom, signals, masks, cells)
+    structure = EpistemicStructure.from_masks(game, names, num, denom, signals, rows, cells)
     strategy = CoordinationStrategy(game.players, signals, strategy_table)
     return ConstructionResult(structure, strategy, to_signal)

@@ -42,8 +42,10 @@ def profile_key(profile: Sequence[str]) -> str:
 class Game:
     """n-player normal-form game with named players and actions.
 
-    Its tables are read-only, so the `opt_i(a)` cores that `expand` prints
-    are derived once per game (`derived`); nothing else is kept on a game.
+    Its tables are read-only, so what is worked out from them is derived
+    once per game (`derived`) and kept: each player's table of incentive
+    gains, which the CE checks, `opt_i(a)` and the rationality gap read, and
+    the `opt_i(a)` cores that `expand` prints.  `solve_ce` keeps nothing.
     """
 
     def __init__(
@@ -355,15 +357,38 @@ def require_valid_game(game: Game) -> None:
 
 
 def incentive_gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> tuple[int, dict, list[list[int]]]:
-    """The player's incentive rows in integers, read in one pass of her payoffs.
+    """The player's incentive rows in integers, picked from her gains table.
 
     Returns (L, told, gains).  L is the lcm of the denominators of her
-    payoffs at the profiles where she plays an action of `pairs`; told maps
-    each of those actions to its profiles, in `opponent_profiles` order; and
-    gains[i], for pairs[i] = (action, alt), lists L * (u(profile) -
-    u(profile with `alt` in her place)) over told[action].  The CE checks,
-    the LP rows, the `opt_i(a)` core and the rationality gap all read these.
+    payoffs; told maps each of her actions to its profiles, in
+    `opponent_profiles` order; and gains[i], for pairs[i] = (action, alt),
+    lists L * (u(profile) - u(profile with `alt` in her place)) over
+    told[action].  The CE checks, the `opt_i(a)` core and the rationality gap
+    all read these.  The table holds every ordered pair of her actions and is
+    kept on the game (`derived`); where it cannot be built, or lacks a pair,
+    the pairs are read from the payoffs alone, so a missing payoff is named
+    as a read of just those pairs names it.
     """
+    try:
+        scale, told, rows = game.derived(("incentive gains", player), lambda: _gains_table(game, player))
+        return scale, told, [rows[pair] for pair in pairs]
+    except KeyError:
+        return _read_gains(game, player, pairs)
+
+
+def _gains_table(game: Game, player: str) -> tuple[int, dict, dict[tuple[str, str], list[int]]]:
+    """(L, told, rows): `_read_gains` over every ordered pair of the player's
+    actions, rows[action, alt] being that pair's gains."""
+    acts = game.actions_of(player)
+    pairs = [(a, b) for a in acts for b in acts]
+    scale, told, gains = _read_gains(game, player, pairs)
+    return scale, told, dict(zip(pairs, gains))
+
+
+def _read_gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> tuple[int, dict, list[list[int]]]:
+    """`incentive_gains` read in one pass of the player's payoffs, kept nowhere:
+    L is the lcm of the denominators of her payoffs at the profiles where she
+    plays an action of `pairs`, and told maps just those actions."""
     k = game.player_index(player)
     payoffs = game.payoffs
     told = {a: [] for pair in pairs for a in pair}
@@ -486,7 +511,7 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
     # built per call, not kept on the game: a game is often solved only once
     ge_rows = []
     for p, pairs in _deviations(game):
-        scale, told, gains = incentive_gains(game, p, pairs)
+        scale, told, gains = _read_gains(game, p, pairs)
         spots = {a: [index[t] for t in at] for a, at in told.items()}
         for (action, _), row_gains in zip(pairs, gains):
             g = math.gcd(scale, *row_gains)

@@ -12,9 +12,11 @@ Probability inequalities are evaluated per information cell of their owner
 broadcast to states.  So is `opt_i(a)`, without its core formula: one pass
 over i's cells reads the integer incentive gains of all of i's actions
 against each cell's masses of the opponent plays i sees, and every
-`opt_i(b)` goes into the memo.  `EB^k` and common belief read one walk over
-the shrinking levels EB(f), EB^2(f), ...: `EB^k` stops at level k, common
-belief at the fixed point, the intersection of all levels.
+`opt_i(b)` goes into the memo.  `rat_i` is read off the viewer's row of i's
+plays and those masks, also without its defining formula.  `EB^k` and
+common belief read one walk over the shrinking levels EB(f), EB^2(f), ...:
+`EB^k` stops at level k, common belief at the fixed point, the intersection
+of all levels.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .formulas import (
     ProbGe,
     Rationality,
     Receive,
-    rewrite,
 )
 from .games import incentive_gains
 from .rationals import scaled
@@ -96,8 +97,7 @@ class Evaluator:
         if isinstance(f, Optimal):
             return self._optimal(f.player, f.action)
         if isinstance(f, Rationality):
-            # through its definition, built on a memo miss only
-            return self._mask(viewer, rewrite(f, m.game, lambda g: g))
+            return self._rational(viewer, f.player)
         raise TypeError(f"not a formula node: {f!r}")
 
     def _optimal(self, player: str, action: str) -> int:
@@ -131,6 +131,21 @@ class Evaluator:
         for a, mask in out.items():
             memo[None, Optimal(player, a)] = mask
         return out[action]
+
+    def _rational(self, viewer: str, player: str) -> int:
+        """rat_player as the viewer sees it: the conjunction, over the
+        player's actions a, of pl(player, a) -> opt_player(a), read off the
+        viewer's play row and the opt masks without building it, and refused
+        where it is refused, with the same error."""
+        m = self.m
+        acts = m.game.actions_of(player)
+        if not acts:
+            raise ValueError("empty conjunction")
+        row = m.rows[viewer]
+        out = m.full
+        for a in acts:
+            out &= (m.full ^ row[m.play_at(player, a)]) | self._mask(viewer, Optimal(player, a))
+        return out
 
     def _probge(self, f: ProbGe) -> int:
         if f.owner not in self.m.rows:  # refused before the operands

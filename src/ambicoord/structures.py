@@ -7,10 +7,11 @@ a", "j received sigma").  Information partitions are either stored explicitly
 or derived from each player's own received-signal atoms.
 
 Structures are immutable once built.  The constructor compiles the
-interpretation to bitmasks, which `from_masks` takes directly, and both run
-the same checks on them.  The masks are the one stored form: state k is bit k,
-each player has one row of int masks, one per primitive proposition at a
-fixed position, of the states where she deems it true, stored partitions are
+interpretation to bitmasks at row positions, which `from_masks` takes
+directly, and both run the same checks on them.  The masks are the one
+stored form: state k is bit k, each player has one row of int masks, one per
+primitive proposition at the fixed position `row_layout` gives it, of the
+states where she deems it true, stored partitions are
 tuples of cell masks, and the prior is integer numerators over one common
 denominator, in lowest terms.  The audits below are whole-mask folds over
 slices of these rows, read by player and position; per-state
@@ -122,6 +123,23 @@ def _propositions(players, actions_of, signals, atoms):
     yield from (f"pl({p},{a})" for p in players for a in actions_of(p))
 
 
+def row_layout(game: Game, n_signals: int, n_atoms: int = 0) -> tuple[dict[str, range], dict[str, range], int]:
+    """(receipts, plays, width): where each proposition sits in a row of
+    `width` masks.  The atoms come first, at 0 .. n_atoms - 1; then each
+    player's receipt of the k-th signal, at receipts[player][k]; then each
+    player's play of her k-th declared action, at plays[player][k]."""
+    at = n_atoms
+    receipts, plays = {}, {}
+    for p in game.players:
+        receipts[p] = range(at, at + n_signals)
+        at += n_signals
+    for p in game.players:
+        n_actions = len(game.actions_of(p))
+        plays[p] = range(at, at + n_actions)
+        at += n_actions
+    return receipts, plays, at
+
+
 def _key_table(game: Game, signals: Iterable[str], atoms: Iterable[str], at: Mapping[str, int]) -> dict[str, int]:
     """{key: position} for each canonical key the grammar reads back to its
     proposition, `at` giving every canonical key's position: the keys of
@@ -162,7 +180,7 @@ class EpistemicStructure:
         signal_defs: Optional[Mapping[str, Optional[Formula]]] = None,
     ):
         """The structure whose prior, truth sets and cells name their states;
-        they are compiled to the masks that `from_masks` takes."""
+        they are compiled to the positioned masks that `from_masks` takes."""
         prior = {s: Fraction(w).as_integer_ratio() for s, w in prior.items()}
         states, num, denom, masks, cells = _compile(states, prior, truth or {}, partitions)
         positioned = {p: self._positioned(table) for p, table in masks.items()}
@@ -176,16 +194,17 @@ class EpistemicStructure:
         prior_num: Iterable[int],
         prior_denom: int,
         signals: Iterable[str],
-        masks: Mapping[str, Mapping[Formula, int]],
+        masks: Mapping[str, Mapping[int, int]],
         cells: Optional[Mapping[str, Iterable[int]]] = None,
     ) -> "EpistemicStructure":
         """The structure, without atoms, given by masks: state k of `states`
         is bit k of every mask, and has prior `prior_num[k] / prior_denom`;
-        `masks[viewer][node]` is the mask of the states where the viewer
-        deems the primitive proposition `node` true (absent nodes are false
-        everywhere).  It is checked as `__init__` checks it."""
+        `masks[viewer][k]` is the mask of the states where the viewer deems
+        the primitive proposition at row position k (`row_layout`) true
+        (absent positions are false everywhere).  It is checked as `__init__`
+        checks it."""
         m = cls.__new__(cls)
-        positioned = {p: m._positioned(table) for p, table in masks.items()}
+        positioned = {p: row.items() for p, row in masks.items()}
         m._install(game, states, prior_num, prior_denom, signals, (), positioned, cells, None)
         return m
 
@@ -222,26 +241,20 @@ class EpistemicStructure:
             if not usable_name(name):
                 raise SchemaError(f"structure: {name!r} is not a usable signal/atom name")
 
-        # row positions: atoms first, then each player's receipts, then her plays
         self._atom_at = {a: k for k, a in enumerate(self.atoms)}
         self._signal_at = {s: k for k, s in enumerate(self.signals)}
-        n_signals = len(self.signals)
-        self._receipts_at: dict[str, int] = {}
-        self._plays_at: dict[str, tuple[int, int, dict[str, int]]] = {}
-        at = len(self.atoms)
-        for p in game.players:
-            self._receipts_at[p] = at
-            at += n_signals
-        for p in game.players:
-            acts = game.actions_of(p)
-            self._plays_at[p] = (at, at + len(acts), {a: k for k, a in enumerate(acts)})
-            at += len(acts)
-        rows = {p: [0] * at for p in game.players}
+        self._receipts_at, plays_at, width = row_layout(game, len(self.signals), len(self.atoms))
+        self._plays_at = {p: (at, {a: k for k, a in enumerate(game.actions_of(p))}) for p, at in plays_at.items()}
+        rows = {p: [0] * width for p in game.players}
         for p, pairs in masks.items():
             row = rows.get(p)
             if row is None:
                 raise SchemaError(f"structure: interpretation for unknown player {p!r}")
             for k, mask in pairs:
+                if not 0 <= k < width:
+                    raise SchemaError(f"structure: row position {k} holds no primitive proposition")
+                if not 0 <= mask <= self.full:
+                    raise SchemaError(f"structure: the mask at row position {k} names states beyond the last")
                 row[k] = mask
         self.rows: dict[str, tuple[int, ...]] = {p: tuple(row) for p, row in rows.items()}
 
@@ -281,8 +294,6 @@ class EpistemicStructure:
                 k = self.position(node)
             except (KeyError, PreconditionError, TypeError):
                 raise self._instance_error(node) from None
-            if not 0 <= mask <= self.full:
-                raise SchemaError(f"structure: the mask for {node} names states beyond the last")
             yield k, mask
 
     def _instance_error(self, node) -> SchemaError:
@@ -355,11 +366,11 @@ class EpistemicStructure:
         """The row position of pl(player, action)."""
         if player not in self._plays_at:
             raise KeyError(f"unknown player {player!r}")
-        first, _, index = self._plays_at[player]
+        at, index = self._plays_at[player]
         k = index.get(action)
         if k is None:
             raise PreconditionError(f"{action!r} is not an action of player {player!r}")
-        return first + k
+        return at[k]
 
     def receipt_at(self, player: str, signal: str) -> int:
         """The row position of rec(player, signal)."""
@@ -368,18 +379,18 @@ class EpistemicStructure:
         k = self._signal_at.get(signal)
         if k is None:
             raise PreconditionError(f"formula references undeclared signal {signal!r}")
-        return self._receipts_at[player] + k
+        return self._receipts_at[player][k]
 
     def plays(self, viewer: str, player: str) -> tuple[int, ...]:
         """The viewer's masks of the player's actions, in declared order."""
-        first, end, _ = self._plays_at[player]
-        return self.rows[viewer][first:end]
+        at, _ = self._plays_at[player]
+        return self.rows[viewer][at.start : at.stop]
 
     def receipts(self, viewer: str, player: str) -> tuple[int, ...]:
         """The viewer's masks of the player's receipt of each signal, in
         declared order."""
-        first = self._receipts_at[player]
-        return self.rows[viewer][first : first + len(self.signals)]
+        at = self._receipts_at[player]
+        return self.rows[viewer][at.start : at.stop]
 
     def _first_bad(self, bad: int, rows: Iterable[int]) -> tuple[str, int]:
         """The first state of the nonzero mask `bad`, and how many of the

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambicoord import (
+    And,
     Distribution,
     EpistemicStructure,
     Game,
+    Implies,
     Play,
     PreconditionError,
     Receive,
@@ -29,7 +31,9 @@ from ambicoord import (
     solve_ce,
     verify_induced_equilibrium,
 )
+from ambicoord import games
 from ambicoord.coordination import STRUCTURAL, run_audits
+from ambicoord.structures import row_layout
 from conftest import load_fixture
 from helpers import random_game, random_objective
 from oracle import naive_objective_device, naive_partitions, naive_subjective_device
@@ -291,6 +295,64 @@ class TestCompiledConstruction:
             )
 
 
+def test_the_device_path_builds_each_gains_table_once(monkeypatch):
+    """Constructing a device on a fresh game, writing and loading it, and
+    auditing it read each player's payoffs once, into the gains table kept
+    on the game, and build no formula node for `rat_i`."""
+    rng = random.Random(11)
+    cases = []
+    for _ in range(6):
+        game = random_game(rng)
+        dists = [solve_ce(game, random_objective(rng, game)) for _ in game.players]
+        cases.append((Game.from_dict(game.to_dict()), dists))
+    builds, reads = [], []
+    build, read = games._gains_table, games._read_gains
+    monkeypatch.setattr(games, "_gains_table", lambda game, p: builds.append(p) or build(game, p))
+    monkeypatch.setattr(games, "_read_gains", lambda game, p, pairs: reads.append(p) or read(game, p, pairs))
+    for node in (Play, Receive, Implies, And):
+        monkeypatch.setattr(node, "__init__", _refuse(node.__name__))
+    for fresh, dists in cases:
+        builds.clear()
+        reads.clear()
+        built = from_subjective_ce(fresh, dists)
+        m = EpistemicStructure.from_dict(built.structure.to_dict(), fresh)
+        assert check_rationality(m).ok
+        assert verify_induced_equilibrium(m, built.strategy).ok
+        assert builds == reads == list(fresh.players)
+
+
+def _refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return call
+
+
+def test_constructions_write_row_positions(
+    monkeypatch, cycle_game, cycle_ce, coord_game, objective_instances, subjective_instances
+):
+    """`from_objective_ce` and `from_subjective_ce` build no receipt or play
+    node and look no position up, and write what the name-based constructor
+    makes of the same device."""
+    cases = [(cycle_game, [cycle_ce]), (cycle_game, [cycle_ce, solve_ce(cycle_game)])]
+    cases += [(coord_game, [solve_ce(coord_game, {a: F(k)}) for k, a in enumerate(coord_game.profiles(), 1)][:2])]
+    cases += [(game, [dist]) for game, dist, _ in objective_instances]
+    cases += [(game, dists) for game, dists, _ in subjective_instances]
+
+    with monkeypatch.context() as patch:
+        for node in (Play, Receive):
+            patch.setattr(node, "__init__", _refuse(node.__name__))
+        patch.setattr(EpistemicStructure, "position", _refuse("position"))
+        built = [
+            from_objective_ce(game, dists[0]) if len(dists) == 1 else from_subjective_ce(game, dists)
+            for game, dists in cases
+        ]
+    for (game, dists), out in zip(cases, built):
+        naive = naive_objective_device(game, dists[0]) if len(dists) == 1 else naive_subjective_device(game, dists)
+        assert out.structure.to_dict() == naive.structure.to_dict()
+        assert out.strategy.to_dict() == naive.strategy.to_dict()
+
+
 @st.composite
 def coupled_inputs(draw):
     """A zero game of one of the shapes above and one random distribution per
@@ -321,7 +383,11 @@ def test_coupled_device_is_linear_in_the_supports_and_implements_each_input(case
 
 
 class TestFromMasks:
-    """The compiled entry point runs the same checks as the name-based one."""
+    """The compiled entry point runs the same checks as the name-based one.
+
+    Its masks sit at row positions; with the coord game's two signals s and t
+    the row is rec(1,s), rec(1,t), rec(2,s), rec(2,t), pl(1,U), pl(1,D),
+    pl(2,L), pl(2,R), at 0 to 7."""
 
     def build(self, coord_game, **overrides):
         args = dict(
@@ -329,7 +395,7 @@ class TestFromMasks:
             prior_num=[2, 2],
             prior_denom=4,
             signals=["s", "t"],
-            masks={"1": {Receive("1", "s"): 0b01, Receive("1", "t"): 0b10}, "2": {Play("1", "U"): 0b11}},
+            masks={"1": {0: 0b01, 1: 0b10}, "2": {4: 0b11}},
             cells={"1": [0b01, 0b10], "2": [0b11]},
         )
         args.update(overrides)
@@ -340,6 +406,10 @@ class TestFromMasks:
         assert (m.prior_num, m.prior_denom) == ((1, 1), 2)
         assert m.stored_cells == {"1": (0b01, 0b10), "2": (0b11,)}
         assert m.true_set("2", Play("1", "U")) == frozenset({"x", "y"})
+        assert m.true_set("1", Receive("1", "t")) == frozenset({"y"})
+        receipts, plays, width = row_layout(coord_game, 2)
+        assert receipts == {"1": range(0, 2), "2": range(2, 4)}
+        assert (plays, width) == ({"1": range(4, 6), "2": range(6, 8)}, 8)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -352,15 +422,16 @@ class TestFromMasks:
             dict(prior_num=[0, 0], prior_denom=0),
             dict(signals=["s", "s"]),
             dict(signals=["s", "pl"]),
-            dict(masks={"1": {Receive("1", "s"): 0b100}}),
-            dict(masks={"1": {Receive("1", "s"): -1}}),
-            dict(masks={"1": {Play("1", "X"): 0b01}}),
+            dict(masks={"1": {0: 0b100}}),
+            dict(masks={"1": {0: -1}}),
+            dict(masks={"1": {8: 0b01}}),
             dict(masks={"9": {}}),
             dict(cells={"1": [0b01, 0b10]}),
             dict(cells={"1": [0b01, 0b10, 0], "2": [0b11]}),
             dict(cells={"1": [0b01, 0b11], "2": [0b11]}),
             dict(cells={"1": [0b01], "2": [0b11]}),
             dict(cells={"1": [0b01, 0b110], "2": [0b11]}),
+            dict(masks={"1": {-1: 0b01}}),
         ],
     )
     def test_refusals(self, coord_game, overrides):

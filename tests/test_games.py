@@ -13,12 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from ambicoord import (
     Distribution,
+    EpistemicStructure,
     Game,
+    Optimal,
     PreconditionError,
     SchemaError,
     check_objective_ce,
     check_subjective_ce,
     deviation_slack,
+    holds,
     load_objective,
     parse_profile_key,
     profile_key,
@@ -68,6 +71,26 @@ def test_incentive_row_names_a_profile_without_payoffs(cycle_game):
     assert [F(g, scale) for g in gains] == [
         cycle_game.payoff("2", a) - cycle_game.payoff("2", (a[0], "R")) for a in told["C"]
     ]
+
+
+def test_gains_the_table_lacks_are_named_by_their_profile(cycle_game, cycle_ce, cycle):
+    """An action the player lacks is named through the profile a read of its
+    payoffs misses first, whether or not the game keeps her gains table."""
+    for warm in (False, True):
+        game = Game.from_dict(cycle_game.to_dict())
+        if warm:
+            assert check_objective_ce(game, cycle_ce).ok
+            assert ("incentive gains", "1") in game._memo
+        m = EpistemicStructure.from_dict(cycle.to_dict(), game)
+        calls = [
+            lambda: deviation_slack(game, cycle_ce, "1", "zz", "T"),
+            lambda: deviation_slack(game, cycle_ce, "1", "T", "zz"),
+            lambda: holds(m, m.states[0], "1", Optimal("1", "zz")),
+        ]
+        for call in calls:
+            with pytest.raises(KeyError) as err:
+                call()
+            assert err.value.args == ("no payoff entry for profile 'zz,L'",)
 
 
 def test_game_serialization_round_trip(cycle_game):
@@ -306,8 +329,12 @@ class TestSolver:
         game = Game.from_dict(cycle_game.to_dict())
         solve_ce(game, {("T", "C"): F(1)})
         assert game._memo == {}
+        # the CE check keeps one gains table per player; a solve adds nothing
         assert check_objective_ce(game, solve_ce(game)).ok
-        assert game._memo == {}
+        kept = dict(game._memo)
+        assert list(kept) == [("incentive gains", p) for p in game.players]
+        solve_ce(game, {("T", "C"): F(1)})
+        assert game._memo == kept
 
     def test_solver_output_is_always_an_equilibrium(self):
         from helpers import random_objective

@@ -1,7 +1,6 @@
 """Truth evaluation: posteriors, belief operators and common belief."""
 
 import random
-from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -34,6 +33,7 @@ from ambicoord import (
     solve_ce,
     valid,
 )
+from ambicoord import games
 from ambicoord.semantics import Evaluator
 from helpers import random_formula, random_game, random_objective, random_structure
 from oracle import cells_of, instances, naive_cb_set, naive_holds, naive_posterior
@@ -404,7 +404,9 @@ def _outcome(compute):
 @given(st.randoms(use_true_random=False), st.booleans(), st.booleans(), st.booleans())
 def test_optimality_kernel_matches_the_core_route(rng, stored, doubled, holed):
     """`opt_i(a)` and `rat_i` as the evaluator decides them equal the masks
-    of their expansions, errors included, and leave the game as it was."""
+    of their expansions, errors included.  The game's tables are left as
+    they were, and its memo holds only what it derives: optimality cores,
+    and gains tables equal to a fresh build."""
     game = random_game(rng)
     if holed:  # a missing payoff, named by both routes
         dropped = rng.choice(sorted(game.payoffs))
@@ -412,13 +414,17 @@ def test_optimality_kernel_matches_the_core_route(rng, stored, doubled, holed):
     m = random_structure(rng, game, stored=stored, doubled=doubled)
     formulas = [Optimal(p, a) for p in game.players for a in (*game.actions_of(p), "zz")]
     formulas += [Optimal("nobody", "a1")] + [Rationality(p) for p in game.players]
-    kept = {k: dict(v) if isinstance(v, Mapping) else v for k, v in vars(game).items()}
+    kept = (game.players, dict(game.actions), dict(game.payoffs))
     direct = {
         (p, f): _outcome(lambda: Evaluator(m).intension_mask(p, f)) for f in formulas for p in game.players
     }
-    assert {k: dict(v) if isinstance(v, Mapping) else v for k, v in vars(game).items()} == kept
     for (p, f), got in direct.items():
         assert got == _outcome(lambda: Evaluator(m).intension_mask(p, expand(f, game))), (str(f), p)
+    assert (game.players, dict(game.actions), dict(game.payoffs)) == kept
+    for key, value in game._memo.items():
+        assert key[0] in ("optimality core", "incentive gains"), key
+        if key[0] == "incentive gains":
+            assert value == games._gains_table(game, key[1])
 
 
 @pytest.mark.parametrize(
@@ -428,7 +434,7 @@ def test_optimality_kernel_matches_the_core_route(rng, stored, doubled, holed):
 )
 def test_degenerate_games_are_refused_as_their_cores_are(actions):
     game = Game(list(actions), actions, {})
-    m = EpistemicStructure.from_masks(game, ["w"], [1], 1, ["s"], {p: {Receive(p, "s"): 1} for p in game.players})
+    m = EpistemicStructure(game, ["w"], {"w": 1}, ["s"], (), {p: {Receive(p, "s"): {"w"}} for p in game.players})
     for p in game.players:
         for f in [Optimal(p, a) for a in (*game.actions_of(p), "zz")] + [Rationality(p)]:
             got = _outcome(lambda: Evaluator(m).intension_mask(p, f))

@@ -106,9 +106,6 @@ class TestConstruction:
             with pytest.raises(SchemaError) as exc:
                 rebuild(weather_game, truth={"A": {node: {"w1"}}, "B": {}})
             assert str(exc.value) == f"structure: {node} names unknown player 'Z'"
-            with pytest.raises(SchemaError) as exc:
-                EpistemicStructure.from_masks(weather_game, ["w1"], [1], 1, ["sp"], {"A": {node: 1}})
-            assert str(exc.value) == f"structure: {node} names unknown player 'Z'"
 
     def test_unknown_states_are_named_from_a_one_shot_iterable(self, weather_game):
         with pytest.raises(SchemaError) as exc:
