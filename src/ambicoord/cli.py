@@ -23,7 +23,7 @@ from .coordination import (
     verify_induced_equilibrium,
 )
 from .errors import PreconditionError, SchemaError
-from .formulas import expand, expanded_length
+from .formulas import expand
 from .games import Distribution, Game, load_objective, solve_ce, validate_game
 from .parser import ParseError, parse_formula
 from .reports import Report
@@ -87,10 +87,9 @@ def _cmd_parse(args) -> int:
         m = _load(args.structure, EpistemicStructure.from_dict, game)
         signals, atoms = m.signals, m.atoms
     f = parse_formula(args.formula, game, signals, atoms)
-    if expanded_length(f, game, MAX_EXPANDED) > MAX_EXPANDED:
-        raise PreconditionError(f"the expanded formula would print more than {MAX_EXPANDED} characters")
+    expanded = expand(f, game, MAX_EXPANDED)
     print(f"canonical: {f}")
-    print(f"expanded: {expand(f, game)}")
+    print(f"expanded: {expanded}")
     return 0
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable
 
+from .errors import PreconditionError
 from .games import incentive_gains
 from .rationals import fraction
 
@@ -231,24 +232,52 @@ def conj(parts: Iterable[Formula]) -> Formula:
     return out
 
 
-def expand(f: Formula, game: Game) -> Formula:
+def expand(f: Formula, game: Game, limit: int | None = None) -> Formula:
     """Rewrite to core nodes only (Prim/Play/Receive/Not/And/ProbGe/CommonBelief).
 
     Expansion is idempotent, and satisfaction is invariant under it.  Each
-    operand is expanded once and shared where the rewrite repeats it, and
-    EB^k is built one level at a time, however long the result prints.
+    distinct sub-formula is expanded once per call and shared where the
+    rewrite repeats it, and EB^k is built one level at a time.  Given a
+    `limit`, each node's printed length is measured as it is built, and
+    PreconditionError is raised once the expansion would print more than
+    `limit` characters, so the cost stays linear in f however long the
+    result would print.
     """
-    if isinstance(f, MutualBelief):
-        out = expand(f.arg, game)
-        for _ in range(f.order):
-            out = _everybody_believes(out, game)
-        return out
-    return rewrite(f, game, lambda g: expand(g, game))
+    memo: dict[Formula, Formula] = {}
+    sizes: dict[Formula, tuple[int, int]] = {}  # built node -> (length without parentheses, level)
+
+    def length(g: Formula, need: int = _IMP) -> int:
+        """len(_text(g, need)), each built node measured once."""
+        hit = sizes.get(g)
+        if hit is None:
+            pieces, level = _layout(g)
+            hit = sizes[g] = (sum(len(p) if isinstance(p, str) else length(*p) for p in pieces), level)
+        body, level = hit
+        return body + 2 if level < need else body
+
+    def built(g: Formula) -> Formula:
+        if limit is not None and length(g) > limit:
+            raise PreconditionError(f"the expanded formula would print more than {limit} characters")
+        return g
+
+    def rec(g: Formula) -> Formula:
+        hit = memo.get(g)
+        if hit is None:
+            if isinstance(g, MutualBelief):
+                hit = rec(g.arg)
+                for _ in range(g.order):
+                    hit = built(_everybody_believes(hit, game))
+            else:
+                hit = built(rewrite(g, game, rec))
+            memo[g] = hit
+        return hit
+
+    return rec(f)
 
 
 def rewrite(f: Formula, game: Game, rec: Callable[[Formula], Formula]) -> Formula:
     """f's own sugar rewritten to core nodes, each operand g replaced by
-    rec(g).  MutualBelief is left to the callers, which iterate its order."""
+    rec(g).  MutualBelief is left to `expand`, which iterates its order."""
     if isinstance(f, (Prim, Play, Receive)):
         return f
     if isinstance(f, Not):
@@ -292,72 +321,14 @@ def optimality_core(player: str, action: str, game: Game) -> Formula:
     alternative equal to the action itself yields the trivially true all-zero
     inequality and is kept, so the conjunction always ranges over the
     player's whole action set.  This is the form `expand` prints, built once
-    per game, player and action; the evaluator decides `opt_i(a)` from the
-    same integer gains without building it.
+    per `expand` call for each player and action; the evaluator decides
+    `opt_i(a)` from the same integer gains without building it.
     """
-
-    def build():
-        others = [j for j in game.players if j != player]
-        if not others:
-            raise ValueError("optimality needs at least one opponent")
-        events = [conj(Play(j, b) for j, b in zip(others, combo)) for combo in game.opponent_profiles(player)]
-        scale, _, gains = incentive_gains(game, player, [(action, alt) for alt in game.actions_of(player)])
-        return conj(
-            ProbGe(player, tuple((Fraction(g, scale), e) for g, e in zip(row, events)), Fraction(0)) for row in gains
-        )
-
-    return game.derived(("optimality core", player, action), build)
-
-
-# ---------------------------------------------------------------- measuring
-
-
-@dataclass(frozen=True)
-class _Measured(Formula):
-    """Stands in for an expanded operand that is measured, not printed: the
-    length of its text without parentheses, and its precedence level."""
-
-    length: int
-    level: int
-
-
-def _length(f: Formula, need: int) -> int:
-    """len(_text(f, need)), counting each stand-in at its measured length."""
-    if isinstance(f, _Measured):
-        body, level = f.length, f.level
-    else:
-        pieces, level = _layout(f)
-        body = sum(len(p) if isinstance(p, str) else _length(*p) for p in pieces)
-    return body + 2 if level < need else body
-
-
-def _stand_in(f: Formula) -> _Measured:
-    if isinstance(f, _Measured):
-        return f
-    return _Measured(_length(f, _IMP), _layout(f)[1])
-
-
-def expanded_length(f: Formula, game: Game, limit: int) -> int:
-    """len(str(expand(f, game))) if at most `limit`, else a number above it.
-
-    Each distinct sub-formula is rewritten once over stand-ins that carry
-    only the printed length of its expanded operands, and EB^k adds one
-    level at a time until past the limit, so the cost is linear in f.
-    """
-    memo: dict[Formula, _Measured] = {}
-
-    def measure(g: Formula) -> _Measured:
-        hit = memo.get(g)
-        if hit is None:
-            if isinstance(g, MutualBelief):
-                hit = measure(g.arg)
-                for _ in range(g.order):
-                    if hit.length > limit:
-                        break
-                    hit = _stand_in(_everybody_believes(hit, game))
-            else:
-                hit = _stand_in(rewrite(g, game, measure))
-            memo[g] = hit
-        return hit
-
-    return measure(f).length
+    others = [j for j in game.players if j != player]
+    if not others:
+        raise ValueError("optimality needs at least one opponent")
+    events = [conj(Play(j, b) for j, b in zip(others, combo)) for combo in game.opponent_profiles(player)]
+    scale, _, gains = incentive_gains(game, player, [(action, alt) for alt in game.actions_of(player)])
+    return conj(
+        ProbGe(player, tuple((Fraction(g, scale), e) for g, e in zip(row, events)), Fraction(0)) for row in gains
+    )

@@ -44,8 +44,8 @@ class Game:
 
     Its tables are read-only, so what is worked out from them is derived
     once per game (`derived`) and kept: each player's table of incentive
-    gains, which the CE checks, `opt_i(a)` and the rationality gap read, and
-    the `opt_i(a)` cores that `expand` prints.  `solve_ce` keeps nothing.
+    gains, which the CE checks, `opt_i(a)`, its printed core and the
+    rationality gap read.  `solve_ce` keeps nothing.
     """
 
     def __init__(
@@ -88,8 +88,12 @@ class Game:
         return text if text in self._index else None
 
     def actions_of(self, player: str) -> tuple[str, ...]:
-        self.player_index(player)
-        return self.actions.get(player, ())
+        try:
+            return self.actions[player]
+        except KeyError:
+            if player in self._index:  # declared without actions
+                return ()
+            raise KeyError(f"unknown player {player!r}") from None
 
     def profiles(self) -> Iterable[Profile]:
         """All full action profiles, in declared (player-major) order."""

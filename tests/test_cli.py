@@ -10,12 +10,23 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ambicoord
-from ambicoord import Game, cli, expand, parse_formula
+from ambicoord import (
+    DeviationIssue,
+    EpistemicStructure,
+    Game,
+    check_objective_ce,
+    cli,
+    expand,
+    formulas,
+    induce,
+    parse_formula,
+)
 from ambicoord.cli import MAX_EXPANDED, main
 from ambicoord.parser import MAX_DEPTH
 from conftest import FIXTURES
@@ -29,6 +40,8 @@ CCE = str(FIXTURES / "cycle_ce.json")
 GG = str(FIXTURES / "coord_game.json")
 GS = str(FIXTURES / "coord_structure.json")
 GST = str(FIXTURES / "coord_strategy.json")
+OG = str(FIXTURES / "own_action_game.json")
+OS = str(FIXTURES / "own_action_structure.json")
 
 
 class TestParse:
@@ -74,6 +87,14 @@ class TestParse:
         assert MAX_EXPANDED // 4 < len(expanded) <= MAX_EXPANDED
         same = capsys.readouterr().out.splitlines()[1] == f"expanded: {expanded}"
         assert same  # not compared in the assert: a failure would print half a megabyte
+
+    def test_each_optimality_core_is_built_once_per_call(self, monkeypatch, capsys):
+        built = []
+        core = formulas.optimality_core
+        monkeypatch.setattr(formulas, "optimality_core", lambda p, a, game: built.append((p, a)) or core(p, a, game))
+        assert main(["parse", "--game", CG, "rat_1 & opt_1(T) & opt_2(L)"]) == 0
+        assert sorted(built) == [("1", "B"), ("1", "M"), ("1", "T"), ("2", "L")]
+        assert capsys.readouterr().out.count("\n") == 2
 
 
 class TestCheck:
@@ -269,6 +290,29 @@ class TestValidate:
 
     def test_missing_file_is_exit_2(self):
         assert main(["validate", "--game", WG, "--structure", "/nowhere.json"]) == 2
+
+    def test_rational_play_unknown_to_its_player_passes_yet_is_no_ce(self, capsys):
+        """B has one cell and is indifferent in it, but plays x at w0 and y
+        at w1, so she does not know her own action.  Every audit and
+        CB(rat_A & rat_B) pass, yet the play they induce breaks both of B's
+        incentive inequalities.  An audit that each player's play is
+        constant on her cells, run before rationality, would make this
+        `validate` fail: the verdict pinned here flips with it."""
+        assert main(["validate", "--game", OG, "--structure", OS]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and all(line.endswith(": pass") for line in lines)
+        for state in ("w0", "w1"):
+            argv = ["check", "--game", OG, "--structure", OS, "--state", state, "--player", "A"]
+            assert main(argv + ["CB(rat_A & rat_B)"]) == 0
+        game = Game.from_dict(json.loads(Path(OG).read_text()))
+        m = EpistemicStructure.from_dict(json.loads(Path(OS).read_text()), game)
+        dist = induce(m, "A")
+        assert dist.to_dict(game) == {"weights": {"x,y": "1/3", "y,x": "2/3"}}
+        report = check_objective_ce(game, dist)
+        assert report.failures == (
+            DeviationIssue("B", "x", "y", Fraction(-2, 3)),
+            DeviationIssue("B", "y", "x", Fraction(-2, 3)),
+        )
 
 
 class TestInduce:
@@ -598,8 +642,6 @@ def test_argument_parser_is_built_once_and_reused(capsys):
 
 
 def eval_fraction(text):
-    from fractions import Fraction
-
     return Fraction(text)
 
 

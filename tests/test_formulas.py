@@ -3,6 +3,7 @@
 import dataclasses
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from ambicoord import (
     expand,
     optimality_core,
 )
-from ambicoord.formulas import expanded_length
+from ambicoord.errors import PreconditionError
 from ambicoord.structures import EpistemicStructure
 from conftest import load_fixture
 from helpers import random_formula, random_game
@@ -219,17 +220,28 @@ class TestExpandedLength:
     def test_is_the_length_of_the_printed_expansion(self):
         rng = random.Random(5)
         for game, f in _random_formulas(12, 200):
-            size = len(str(expand(f, game)))
-            assert expanded_length(f, game, 10**9) == size
+            out = expand(f, game)
+            size = len(str(out))
+            assert expand(f, game, size) == out
+            with pytest.raises(PreconditionError, match=f"would print more than {size - 1} characters"):
+                expand(f, game, size - 1)
             limit = rng.randint(0, 2 * size)
-            assert (expanded_length(f, game, limit) > limit) == (size > limit)
+            if size > limit:
+                with pytest.raises(PreconditionError):
+                    expand(f, game, limit)
+            else:
+                assert expand(f, game, limit) == out
 
     def test_stops_once_past_the_limit(self, game):
-        assert expanded_length(MutualBelief(10**9, P), game, 10**6) > 10**6
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError):
+            expand(MutualBelief(10**9, P), game, 10**6)
         nested = P
         for _ in range(40):
             nested = Belief("1", nested)
-        assert expanded_length(nested, game, 10**6) > 10**6
+        with pytest.raises(PreconditionError):
+            expand(nested, game, 10**6)
+        assert time.perf_counter() - start < 1
 
 
 class TestHashing:

@@ -29,7 +29,6 @@ from ambicoord import (
     validate_game,
 )
 from ambicoord import lp
-from ambicoord.formulas import optimality_core
 from ambicoord.games import MAX_CE_PROFILES, incentive_gains
 from ambicoord.rationals import scaled
 from helpers import random_game
@@ -51,6 +50,12 @@ def test_game_accessors(cycle_game):
     assert cycle_game.n == 2
     assert cycle_game.player_index("2") == 1
     assert cycle_game.actions_of("1") == ("T", "M", "B")
+    for lookup in (cycle_game.actions_of, cycle_game.player_index):
+        with pytest.raises(KeyError) as exc:
+            lookup("x")
+        assert exc.value.args == ("unknown player 'x'",)
+    # a player the game declares without actions has none
+    assert Game(["A", "B"], {"A": ("a",)}, {}).actions_of("B") == ()
     assert list(cycle_game.profiles())[0] == ("T", "L")
     assert list(cycle_game.opponent_profiles("1")) == [("L",), ("C",), ("R",)]
     assert cycle_game.profile_with("2", "R", ("M",)) == ("M", "R")
@@ -129,9 +134,6 @@ class TestReadOnlyGame:
         with pytest.raises(TypeError):
             cycle_game.payoffs[("T", "L")] = (F(9), F(9))
         assert cycle_game.payoff("1", ("T", "C")) == 2
-
-    def test_derived_data_is_built_once_per_game(self, cycle_game):
-        assert optimality_core("1", "T", cycle_game) is optimality_core("1", "T", cycle_game)
 
 
 class TestValidateGame:
