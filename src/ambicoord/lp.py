@@ -1,5 +1,5 @@
-"""Exact two-phase simplex on a condensed integer tableau, with a checked
-certificate.
+"""Exact simplex on a condensed integer tableau, with a checked certificate:
+a dual simplex for the shape `games.solve_ce` builds, two phases otherwise.
 
 Rows and objective are scaled to integers, each by the lcm of its
 denominators; a row or objective of ints is taken as it is, so a caller that
@@ -15,24 +15,48 @@ exactly, with `-f` in column s; the pivot row gets `d` in column s; and
 `basis[r]` and `nonbasic[s]` swap labels.
 
 A `>=` row whose right-hand side is at most 0 is negated so that its surplus
-starts basic; every other row gets an artificial.  Phase 1 maximizes minus
-their sum.  An artificial that leaves never re-enters, and those left basic
-at level 0 are pivoted out, or their rows dropped as redundant.
+starts basic; every other row gets an artificial.
 
+The CE shape is one `=` row, all ones with right-hand side 1 (the
+probability simplex), and `>=` rows of right-hand side 0, so the simplex
+row's artificial is the only one.  Its LP is solved by the dual simplex
+(Lemke 1954) and needs no phase 1.  The artificial leaves at once, at a
+column of the largest cost c_max, so every reduced cost becomes
+c_j - c_max <= 0: the basis is dual feasible.  Among tied columns the first
+one that no row blocks (no positive entry) enters, which is a pure Nash
+profile, and makes every right-hand side at least 0 at once; with none, the
+smallest label.  Then, while some right-hand side is negative, the most
+negative one leaves, but right after a dual-degenerate pivot (entering
+reduced cost 0) the negative row with the smallest basic label leaves
+(Bland).  The column minimizing obj/row over the row's negative entries
+enters, ties going to the smallest label, so every reduced cost stays at
+most 0; with none, the row cannot reach 0 and the LP is infeasible.  The
+pivot is negative, so the row is negated first and the pivot column after
+`_pivot`: `d` stays positive and every column keeps its variable's sign.
+An artificial never enters.
+
+This terminates.  The dual objective, c.x at the current basis, falls at
+every pivot whose entering reduced cost is negative, so a cycle is made of
+dual-degenerate pivots only.  In a run of them every pivot after the first
+uses Bland's dual rule, so a basis met twice in the run would go on from its
+second visit by Bland's dual rule alone and come round again, and Bland's
+dual rule cannot cycle (Bland 1977).
+
+Any other LP takes two phases.  Phase 1 maximizes minus the sum of the
+artificials.  An artificial that leaves never re-enters, and those left
+basic at level 0 are pivoted out, or their rows dropped as redundant.
 Among the columns with a positive reduced cost, a column is blocked when
 some row with right-hand side 0 has a positive entry in it, and free
 otherwise.  The free column with the largest reduced cost enters.  With
 none free, the largest reduced cost enters (Dantzig), but after a degenerate
 pivot (leaving right-hand side 0) the smallest label enters (Bland) until a
 pivot is not degenerate.  The minimum ratio leaves, ties going to the
-smallest basic label.  A CE vertex lies on many rows of right-hand side 0,
-so this steps off it where it can instead of walking through its bases; at
-the start of phase 1 of a CE LP the free columns are the pure Nash profiles,
-so one pivot ends phase 1 when there is one.
+smallest basic label.  A vertex on many rows of right-hand side 0 is left
+where it can be instead of walked through basis by basis.
 
-This terminates.  A free column never pivots degenerately: every row where
-it is positive has a positive right-hand side, so its step is positive and
-the objective grows, or no row limits it and the LP is unbounded.  The
+This terminates too.  A free column never pivots degenerately: every row
+where it is positive has a positive right-hand side, so its step is positive
+and the objective grows, or no row limits it and the LP is unbounded.  The
 objective grows at every non-degenerate pivot, so a cycle is made of
 degenerate pivots only, in bases that have no free column.  In a run of
 them every pivot after the first is therefore Bland's, so a basis met twice
@@ -165,15 +189,19 @@ def _simplex(c, eq_rows, ge_rows) -> tuple[list[Fraction], list[Fraction]]:
     cost, c_scale = scaled(c)
     objs = [cost + [0] * (len(nonbasic) - n + 1)]
     d = 1
-    if art > art0:
-        # phase 1: maximize -(sum of artificials); its reduced-cost row is
-        # the sum of the artificial rows
-        objs.append([sum(col) for col in zip(*(row for row, v in zip(tab, basis) if v >= art0))])
+    if n_eq == 1 and n and ints[0] == [1] * (n + 1) and all(row[-1] == 0 for row in ints[1:]):
+        # the CE shape: the simplex row's artificial is the only one
+        d = _dual(tab, basis, nonbasic, objs, art0)
+    else:
+        if art > art0:
+            # phase 1: maximize -(sum of artificials); its reduced-cost row
+            # is the sum of the artificial rows
+            objs.append([sum(col) for col in zip(*(row for row, v in zip(tab, basis) if v >= art0))])
+            d = _run(tab, basis, nonbasic, objs, d, art0)
+            if objs.pop()[-1] > 0:
+                raise Infeasible
+            d = _drive_out_artificials(tab, basis, nonbasic, objs, d, art0, sign)
         d = _run(tab, basis, nonbasic, objs, d, art0)
-        if objs.pop()[-1] > 0:
-            raise Infeasible
-        d = _drive_out_artificials(tab, basis, nonbasic, objs, d, art0, sign)
-    d = _run(tab, basis, nonbasic, objs, d, art0)
 
     x = [Fraction(0)] * n
     for row, var in zip(tab, basis):
@@ -223,6 +251,50 @@ def _run(tab, basis, nonbasic, objs, d, art0):
             raise Unbounded
         bland = num == 0
         d = _pivot(tab, basis, nonbasic, objs, d, leaving, col)
+
+
+def _dual(tab, basis, nonbasic, objs, art0):
+    """Dual simplex on the CE shape, row 0 the simplex row: its artificial
+    leaves at the largest cost (the first tied column no row blocks, else
+    the smallest tied label); then the most negative rhs leaves, or the
+    smallest basic label among them after a dual-degenerate pivot, and the
+    least obj/row over the row's negative entries enters, ties to the
+    smallest label.  Artificials never enter.  Returns the denominator."""
+    cost = objs[0]
+    top = max(cost[:-1])
+    tied = [j for j, v in enumerate(cost[:-1]) if v == top]
+    col = next((j for j in tied if all(row[j] <= 0 for row in tab[1:])), tied[0])
+    d = _pivot(tab, basis, nonbasic, objs, 1, 0, col)
+    bland = False
+    while True:
+        negative = [i for i, row in enumerate(tab) if row[-1] < 0]
+        if not negative:
+            return d
+        if bland:
+            r = min(negative, key=basis.__getitem__)
+        else:
+            r = min(negative, key=lambda i: tab[i][-1])
+        row, obj = tab[r], objs[0]
+        col = -1
+        for j, (v, var) in enumerate(zip(row, nonbasic)):
+            if v < 0 and var < art0:
+                if col < 0:
+                    col = j
+                    continue
+                # obj[j]/v against obj[col]/row[col]: both denominators < 0
+                lhs, rhs = obj[j] * row[col], obj[col] * v
+                if lhs < rhs or lhs == rhs and var < nonbasic[col]:
+                    col = j
+        if col < 0:
+            raise Infeasible
+        bland = obj[col] == 0
+        # negating the row makes the pivot positive and its basic variable
+        # -basis[r]; negating the column afterwards turns that back
+        tab[r] = [-v for v in row]
+        d = _pivot(tab, basis, nonbasic, objs, d, r, col)
+        for rows in (tab, objs):
+            for row in rows:
+                row[col] = -row[col]
 
 
 def _pivot(tab, basis, nonbasic, objs, d, r, col):

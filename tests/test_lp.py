@@ -230,6 +230,12 @@ def _ce_shaped_lps(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_ce_shaped_lps())
+# the dual path's fixed cases: a row that no column can lift off its
+# negative rhs; no `>=` row, so the start column is the answer; and every
+# cost tied, the first two columns blocked and the third not
+@example(([F(0)], [([1], 1)], [([-1], 0)]))
+@example(([2, 5, 5, -1], [([1, 1, 1, 1], 1)], []))
+@example(([F(3, 2)] * 3, [([1, 1, 1], 1)], [([-1, 1, 0], 0), ([0, -1, 1], 0)]))
 def test_ce_shaped_lps_agree_with_the_vertex_oracle(problem):
     c, eq, ge = problem
     assert _outcome(c, eq, ge) == naive_lp(c, eq, ge)
@@ -336,22 +342,79 @@ def test_free_columns_enter_first_then_dantzig_then_bland(monkeypatch):
     assert state["free"] > 0 and state["dantzig"] > 0 and state["bland"] > 0, state
 
 
-def _has_pure_nash(game):
-    """Some profile where no player gains by deviating alone, read straight
-    off the payoff table."""
-    return any(
-        all(
-            game.payoffs[a][k] >= game.payoffs[a[:k] + (alt,) + a[k + 1:]][k]
-            for k, p in enumerate(game.players)
-            for alt in game.actions_of(p)
-        )
-        for a in game.profiles()
+def test_dual_pivots_start_at_the_best_profile_then_follow_dantzig_or_bland(monkeypatch):
+    # The CE LPs as `solve_ce` passes them take the dual path.  The first
+    # pivot takes row 0, the simplex row, out at the largest cost: the first
+    # tied column that no row blocks (a positive entry; every other rhs is
+    # 0), else the smallest tied label.  Then the most negative rhs leaves,
+    # or right after a pivot whose entering reduced cost is 0 the negative
+    # row with the smallest basic label, and the column minimizing obj/row
+    # over the row's negative entries enters, ties going to the smallest
+    # label; artificials never enter.  The leaving row reaches `_pivot`
+    # negated, so that its pivot is positive.
+    problems = _degenerate_ce_lps(monkeypatch, 200)
+    real = lp._pivot
+    state = dict.fromkeys(["nash", "label", "dantzig", "bland", "ratio", "tie"], 0)
+
+    def checked(tab, basis, nonbasic, objs, d, r, col):
+        assert len(objs) == 1  # no phase-1 row
+        obj = objs[0]
+        if state["start"]:
+            top = max(obj[:-1])
+            tied = [j for j, v in enumerate(obj[:-1]) if v == top]
+            unblocked = [j for j in tied if all(row[j] <= 0 for row in tab[1:])]
+            assert (r, col) == (0, (unblocked or tied)[0])
+            if unblocked and unblocked[0] != tied[0]:
+                state["nash"] += 1
+            elif not unblocked and len(tied) > 1:
+                state["label"] += 1
+            state["start"] = False
+            return real(tab, basis, nonbasic, objs, d, r, col)
+        entering = [var < state["art0"] for var in nonbasic]
+        assert all(v <= 0 for v, e in zip(obj, entering) if e)  # dual feasible
+        rows = [[-v for v in row] if i == r else row for i, row in enumerate(tab)]
+        negative = [i for i, row in enumerate(rows) if row[-1] < 0]
+        choices = {"dantzig": min(negative, key=lambda i: rows[i][-1]), "bland": min(negative, key=basis.__getitem__)}
+        rule = "bland" if state["degenerate"] else "dantzig"
+        assert r == choices[rule]
+        if choices["dantzig"] != choices["bland"]:
+            state[rule] += 1
+        row = rows[r]
+        eligible = [j for j, (v, e) in enumerate(zip(row[:-1], entering)) if v < 0 and e]
+        least = min(F(obj[j], row[j]) for j in eligible)
+        ties = [j for j in eligible if F(obj[j], row[j]) == least]
+        assert col == min(ties, key=nonbasic.__getitem__)
+        if col != min(eligible, key=nonbasic.__getitem__):
+            state["ratio"] += 1
+        if col != ties[0]:
+            state["tie"] += 1
+        state["degenerate"] = obj[col] == 0
+        return real(tab, basis, nonbasic, objs, d, r, col)
+
+    monkeypatch.setattr(lp, "_pivot", checked)
+    for c, eq, ge in problems:
+        state.update(start=True, degenerate=False, art0=len(c) + len(ge))
+        maximize(c, eq, ge)
+    # each branch was put to the test where it disagrees with the others
+    assert all(state[k] > 0 for k in ("nash", "label", "dantzig", "bland", "ratio", "tie")), state
+
+
+def _is_pure_nash(game, a):
+    """No player gains by deviating alone from profile a, read straight off
+    the payoff table."""
+    return all(
+        game.payoffs[a][k] >= game.payoffs[a[:k] + (alt,) + a[k + 1:]][k]
+        for k, p in enumerate(game.players)
+        for alt in game.actions_of(p)
     )
 
 
-def _phase_one_pivots(monkeypatch, game, objective):
-    """The pivots that `solve_ce(game, objective)` makes before phase 2
-    starts, and its result."""
+def _has_pure_nash(game):
+    return any(_is_pure_nash(game, a) for a in game.profiles())
+
+
+def _ce_pivots(monkeypatch, game, objective):
+    """The pivots that `solve_ce(game, objective)` makes, and its result."""
     runs, pivots = [], 0
     real_run, real_pivot = lp._run, lp._pivot
 
@@ -368,23 +431,26 @@ def _phase_one_pivots(monkeypatch, game, objective):
         patch.setattr(lp, "_run", run)
         patch.setattr(lp, "_pivot", pivot)
         dist = solve_ce(game, objective)
-    # the probability row always has an artificial: phase 1, then phase 2
-    assert len(runs) == 2
-    return runs[1], dist
+    # the CE LP takes the dual path: the primal loop never runs
+    assert runs == []
+    return pivots, dist
 
 
-def test_a_pure_nash_profile_ends_phase_one_in_one_pivot(monkeypatch):
-    # At the start of phase 1 the free columns are the pure Nash profiles:
-    # a profile's column is positive in a zero-rhs incentive row exactly
-    # where its player gains by deviating.  One enters at level 1 and the
-    # probability row's artificial leaves.
+def test_a_pure_nash_profile_solves_in_one_pivot(monkeypatch):
+    # With no objective every column ties for the start, and the first one
+    # that no incentive row blocks is a pure Nash profile: a profile's column
+    # is positive in a zero-rhs incentive row exactly where its player gains
+    # by deviating.  The simplex row's artificial leaves there, no
+    # right-hand side is then negative, and the solve ends.
     rng = random.Random(11)
     seen = {2: 0, 3: 0}
     for _ in range(80):
         game = random_game(rng)
-        objective = random_objective(rng, game)
         if _has_pure_nash(game):
-            assert _phase_one_pivots(monkeypatch, game, objective)[0] == 1
+            pivots, dist = _ce_pivots(monkeypatch, game, {})
+            assert pivots == 1
+            (profile,) = dist.support()
+            assert _is_pure_nash(game, profile)
             seen[game.n] += 1
     assert seen[2] >= 10 and seen[3] >= 10, seen
 
@@ -406,7 +472,7 @@ def test_games_without_a_pure_nash_profile_still_solve(monkeypatch, cycle_game):
     for game in (pennies, cycle_game):
         assert not _has_pure_nash(game)
         for objective in ({}, {a: F(k) for k, a in enumerate(game.profiles())}):
-            pivots, dist = _phase_one_pivots(monkeypatch, game, objective)
+            pivots, dist = _ce_pivots(monkeypatch, game, objective)
             assert pivots > 1 and dist.total() == 1
     assert len(problems) == 4
     for c, eq, ge in problems:
