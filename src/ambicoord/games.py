@@ -512,9 +512,8 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
             raise PreconditionError(f"objective names unknown profile {profile_key(a)!r}")
         c[k] = Fraction(v)
     c, _ = scaled(c)
-    eq_rows = [([1] * size, 1)]
     # built per call, not kept on the game: a game is often solved only once
-    ge_rows = []
+    rows = []
     for p, pairs in _deviations(game):
         scale, told, gains = _read_gains(game, p, pairs)
         spots = {a: [index[t] for t in at] for a, at in told.items()}
@@ -523,9 +522,9 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
             row = [0] * size
             for k, v in zip(spots[action], row_gains):
                 row[k] = v // g
-            ge_rows.append((row, 0))
+            rows.append(row)
     try:
-        _, x = lp.maximize(c, eq_rows, ge_rows)
+        _, x = lp.maximize(c, rows)
     except lp.Infeasible:
         raise PreconditionError("correlated-equilibrium constraints are infeasible") from None
     return Distribution({a: x[index[a]] for a in profiles})

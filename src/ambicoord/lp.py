@@ -1,5 +1,8 @@
-"""Exact simplex on a condensed integer tableau, with a checked certificate:
-a dual simplex for the shape `games.solve_ce` builds, two phases otherwise.
+"""Exact dual simplex on a condensed integer tableau, with a checked
+certificate, for the one LP the library poses: maximize c.x over the
+probability simplex (x >= 0, sum(x) == 1) subject to a.x >= 0 for each row a.
+It is the shape of the correlated-equilibrium constraints that
+`games.solve_ce` builds.
 
 Rows and objective are scaled to integers, each by the lcm of its
 denominators; a row or objective of ints is taken as it is, so a caller that
@@ -10,18 +13,14 @@ only the nonbasic columns and the right-hand side are stored, with a
 `nonbasic` label list next to `basis`.  Pivots are fraction-free (Edmonds
 1967, Bareiss 1968): every entry is an integer over one positive denominator
 `d`, the previous pivot.  A pivot on (r, s) with pivot p turns every other
-row, the reduced-cost rows included, into `(p*a - f*b) // d`, which divides
+row, the reduced-cost row included, into `(p*a - f*b) // d`, which divides
 exactly, with `-f` in column s; the pivot row gets `d` in column s; and
 `basis[r]` and `nonbasic[s]` swap labels.
 
-A `>=` row whose right-hand side is at most 0 is negated so that its surplus
-starts basic; every other row gets an artificial.
-
-The CE shape is one `=` row, all ones with right-hand side 1 (the
-probability simplex), and `>=` rows of right-hand side 0, so the simplex
-row's artificial is the only one.  Its LP is solved by the dual simplex
-(Lemke 1954) and needs no phase 1.  The artificial leaves at once, at a
-column of the largest cost c_max, so every reduced cost becomes
+Row 0 is the simplex row, with an artificial basic; every row a.x >= 0 is
+negated, so that its surplus starts basic at level 0.  The LP is solved by
+the dual simplex (Lemke 1954), with no phase 1.  The artificial leaves at
+once, at a column of the largest cost c_max, so every reduced cost becomes
 c_j - c_max <= 0: the basis is dual feasible.  Among tied columns the first
 one that no row blocks (no positive entry) enters, which is a pure Nash
 profile, and makes every right-hand side at least 0 at once; with none, the
@@ -33,7 +32,8 @@ enters, ties going to the smallest label, so every reduced cost stays at
 most 0; with none, the row cannot reach 0 and the LP is infeasible.  The
 pivot is negative, so the row is negated first and the pivot column after
 `_pivot`: `d` stays positive and every column keeps its variable's sign.
-An artificial never enters.
+The artificial never enters.  With no column at all the simplex is empty,
+and so is the LP.
 
 This terminates.  The dual objective, c.x at the current basis, falls at
 every pivot whose entering reduced cost is negative, so a cycle is made of
@@ -41,27 +41,6 @@ dual-degenerate pivots only.  In a run of them every pivot after the first
 uses Bland's dual rule, so a basis met twice in the run would go on from its
 second visit by Bland's dual rule alone and come round again, and Bland's
 dual rule cannot cycle (Bland 1977).
-
-Any other LP takes two phases.  Phase 1 maximizes minus the sum of the
-artificials.  An artificial that leaves never re-enters, and those left
-basic at level 0 are pivoted out, or their rows dropped as redundant.
-Among the columns with a positive reduced cost, a column is blocked when
-some row with right-hand side 0 has a positive entry in it, and free
-otherwise.  The free column with the largest reduced cost enters.  With
-none free, the largest reduced cost enters (Dantzig), but after a degenerate
-pivot (leaving right-hand side 0) the smallest label enters (Bland) until a
-pivot is not degenerate.  The minimum ratio leaves, ties going to the
-smallest basic label.  A vertex on many rows of right-hand side 0 is left
-where it can be instead of walked through basis by basis.
-
-This terminates too.  A free column never pivots degenerately: every row
-where it is positive has a positive right-hand side, so its step is positive
-and the objective grows, or no row limits it and the LP is unbounded.  The
-objective grows at every non-degenerate pivot, so a cycle is made of
-degenerate pivots only, in bases that have no free column.  In a run of
-them every pivot after the first is therefore Bland's, so a basis met twice
-in the run would go on from its second visit by Bland's rule alone and come
-round again, and Bland's rule cannot cycle (Bland 1977).
 
 The duals are the final reduced costs at each row's starting basic variable,
 0 where it is basic.  Every result is checked on the caller's data before it
@@ -86,28 +65,21 @@ class Infeasible(Exception):
     """The constraint set is empty."""
 
 
-class Unbounded(Exception):
-    """The objective is unbounded above on the feasible set."""
-
-
 class CertificateError(ArithmeticError):
     """A computed solution failed its optimality certificate (a solver fault)."""
 
 
-def maximize(
-    c: Sequence[Fraction],
-    eq_rows: Sequence[tuple[Row, Fraction]] = (),
-    ge_rows: Sequence[tuple[Row, Fraction]] = (),
-) -> tuple[Fraction, list[Fraction]]:
-    """Maximize c.x subject to eq rows (a.x == b), ge rows (a.x >= b), x >= 0.
+def maximize(c: Sequence[Fraction], rows: Sequence[Row]) -> tuple[Fraction, list[Fraction]]:
+    """Maximize c.x over the probability simplex (x >= 0, sum(x) == 1)
+    subject to a.x >= 0 for each row a.
 
     Entries may be ints or Fractions; a row, or c, of ints alone is taken as
     it is.  Returns (optimal value, x at an optimal vertex), all exact,
-    after checking the vertex's optimality certificate.  Raises Infeasible
-    or Unbounded.
+    after checking the vertex's optimality certificate.  Raises Infeasible.
     """
-    x, y = _simplex(c, eq_rows, ge_rows)
-    return check_certificate(c, eq_rows, ge_rows, x, y), x
+    x, y = _simplex(c, rows)
+    simplex = [([1] * len(c), 1)]
+    return check_certificate(c, simplex, [(a, 0) for a in rows], x, y), x
 
 
 def check_certificate(
@@ -152,114 +124,49 @@ def check_certificate(
     return Fraction(value, c_scale * x_scale)
 
 
-def _simplex(c, eq_rows, ge_rows) -> tuple[list[Fraction], list[Fraction]]:
-    """Optimal primal vertex x and the duals y of all rows, eq rows first."""
+def _simplex(c, rows) -> tuple[list[Fraction], list[Fraction]]:
+    """Optimal vertex x and the duals y: the simplex row's, then the rows'."""
     n = len(c)
-    n_eq = len(eq_rows)
-    rows = list(eq_rows) + list(ge_rows)
-    m = len(rows)
-
-    # Labels: x is 0..n-1, the surplus of ge row k is n + k - n_eq, and the
-    # artificials follow from art0.  Each row is scaled to integers (by
-    # `scale`, times -1 where `sign` says) and starts with its own surplus or
-    # a new artificial basic (`ident`).
-    art0 = art = n + m - n_eq
-    ints, scale, sign, ident = [], [], [], []
-    nonbasic = list(range(n))  # x, then the surpluses of rows with artificials
-    for k, (a, b) in enumerate(rows):
+    # Labels: x is 0..n-1, the surplus of row k is n + k and the simplex
+    # row's artificial is `art`.  Row k is scaled to integers by scale[k]
+    # and negated.
+    tab, scale = [[1] * (n + 1)], []
+    for a in rows:
         if len(a) != n:
-            raise ValueError(("equality" if k < n_eq else "inequality") + " row length mismatch")
-        row, s = scaled([*a, b])
-        starts = k >= n_eq and row[-1] <= 0
-        flip = starts or row[-1] < 0
+            raise ValueError("row length mismatch")
+        row, s = scaled([*a, 0])
+        tab.append([-v for v in row])
         scale.append(s)
-        sign.append(-1 if flip else 1)
-        ints.append([-v for v in row] if flip else row)
-        if starts:
-            ident.append(n + k - n_eq)
-        else:
-            ident.append(art)
-            art += 1
-            if k >= n_eq:
-                nonbasic.append(n + k - n_eq)
-    # a surplus column is -1 in its own row (rhs > 0, so unflipped), else 0
-    tab = [row[:-1] + [-(k == w - n + n_eq) for w in nonbasic[n:]] + row[-1:] for k, row in enumerate(ints)]
-    basis = list(ident)
-
+    if not n:
+        raise Infeasible
+    art = n + len(rows)
+    basis = [art, *range(n, art)]
+    nonbasic = list(range(n))
     cost, c_scale = scaled(c)
-    objs = [cost + [0] * (len(nonbasic) - n + 1)]
-    d = 1
-    if n_eq == 1 and n and ints[0] == [1] * (n + 1) and all(row[-1] == 0 for row in ints[1:]):
-        # the CE shape: the simplex row's artificial is the only one
-        d = _dual(tab, basis, nonbasic, objs, art0)
-    else:
-        if art > art0:
-            # phase 1: maximize -(sum of artificials); its reduced-cost row
-            # is the sum of the artificial rows
-            objs.append([sum(col) for col in zip(*(row for row, v in zip(tab, basis) if v >= art0))])
-            d = _run(tab, basis, nonbasic, objs, d, art0)
-            if objs.pop()[-1] > 0:
-                raise Infeasible
-            d = _drive_out_artificials(tab, basis, nonbasic, objs, d, art0, sign)
-        d = _run(tab, basis, nonbasic, objs, d, art0)
+    objs = [cost + [0]]
+    d = _dual(tab, basis, nonbasic, objs, art)
 
     x = [Fraction(0)] * n
     for row, var in zip(tab, basis):
         if var < n:
             x[var] = Fraction(row[-1], d)
-    # the reduced cost at the column of row k's starting basic variable is
-    # -y_k in the scaled problem
+    # the reduced cost at the column of a row's starting basic variable is
+    # -y in the scaled problem, and y in a negated row; the artificial never
+    # enters, so it is nonbasic
     column = {var: j for j, var in enumerate(nonbasic)}
-    cost = objs[0]
-    y = [
-        Fraction(-cost[column[v]] * sign[k] * scale[k], d * c_scale) if v in column else Fraction(0)
-        for k, v in enumerate(ident)
-    ]
+    cost, denom = objs[0], d * c_scale
+    y = [Fraction(-cost[column[art]], denom)]
+    y += [Fraction(cost[column[v]] * s, denom) if v in column else Fraction(0) for v, s in zip(range(n, art), scale)]
     return x, y
 
 
-def _run(tab, basis, nonbasic, objs, d, art0):
-    """Pivot on objs[-1] until optimal: the free column (positive in no row
-    of rhs 0) with the largest reduced cost enters; with none free, the
-    largest reduced cost, or the smallest label after a degenerate pivot.
-    Artificials never enter."""
-    bland = False
-    while True:
-        obj = objs[-1]
-        entering = [j for j, (v, var) in enumerate(zip(obj, nonbasic)) if v > 0 and var < art0]
-        if not entering:
-            return d
-        free = entering
-        for row in tab:
-            if not row[-1]:
-                free = [j for j in free if row[j] <= 0]
-        if free:
-            col = max(free, key=obj.__getitem__)
-        else:
-            col = min(entering, key=nonbasic.__getitem__) if bland else max(entering, key=obj.__getitem__)
-        leaving = -1
-        for i, row in enumerate(tab):
-            coef = row[col]
-            if coef > 0:
-                if leaving < 0:
-                    leaving, num, den = i, row[-1], coef
-                    continue
-                lhs, rhs = row[-1] * den, num * coef
-                if lhs < rhs or lhs == rhs and basis[i] < basis[leaving]:
-                    leaving, num, den = i, row[-1], coef
-        if leaving < 0:
-            raise Unbounded
-        bland = num == 0
-        d = _pivot(tab, basis, nonbasic, objs, d, leaving, col)
-
-
-def _dual(tab, basis, nonbasic, objs, art0):
-    """Dual simplex on the CE shape, row 0 the simplex row: its artificial
+def _dual(tab, basis, nonbasic, objs, art):
+    """Dual simplex, row 0 the simplex row with the artificial `art`: it
     leaves at the largest cost (the first tied column no row blocks, else
     the smallest tied label); then the most negative rhs leaves, or the
     smallest basic label among them after a dual-degenerate pivot, and the
     least obj/row over the row's negative entries enters, ties to the
-    smallest label.  Artificials never enter.  Returns the denominator."""
+    smallest label.  The artificial never enters.  Returns the denominator."""
     cost = objs[0]
     top = max(cost[:-1])
     tied = [j for j, v in enumerate(cost[:-1]) if v == top]
@@ -277,7 +184,7 @@ def _dual(tab, basis, nonbasic, objs, art0):
         row, obj = tab[r], objs[0]
         col = -1
         for j, (v, var) in enumerate(zip(row, nonbasic)):
-            if v < 0 and var < art0:
+            if v < 0 and var != art:
                 if col < 0:
                     col = j
                     continue
@@ -314,26 +221,3 @@ def _pivot(tab, basis, nonbasic, objs, d, r, col):
     prow[col] = d
     basis[r], nonbasic[col] = nonbasic[col], basis[r]
     return p
-
-
-def _drive_out_artificials(tab, basis, nonbasic, objs, d, art0, sign):
-    """Pivot zero-level artificials out of the basis; drop redundant rows."""
-    for i in range(len(basis) - 1, -1, -1):
-        # an artificial never re-enters, so a basic one is still in its own
-        # row, and rows are only deleted after i: row i is input row i
-        if basis[i] < art0:
-            continue
-        row = tab[i]
-        col = next((j for j, (v, var) in enumerate(zip(row, nonbasic)) if v and var < art0), -1)
-        if col < 0:
-            del tab[i]
-            del basis[i]
-            continue
-        if row[col] < 0:
-            # the rhs is 0, so negating the row keeps the pivot, hence d,
-            # positive; it substitutes -a for the artificial a, which leaves
-            # to a column where the dual is read with the opposite sign
-            tab[i] = [-v for v in row]
-            sign[i] = -sign[i]
-        d = _pivot(tab, basis, nonbasic, objs, d, i, col)
-    return d

@@ -368,15 +368,14 @@ def test_solve_ce_gives_lp_the_rows_it_would_scale(case):
     game, objective = case
     with mock.patch.object(lp, "maximize", wraps=lp.maximize) as maximize:
         solve_ce(game, objective)
-    [((c, eq_rows, ge_rows), _)] = maximize.call_args_list
+    [((c, rows), _)] = maximize.call_args_list
     profiles = list(game.profiles())
 
     def scaled_row(row):
         return scaled([*(row.get(a, F(0)) for a in profiles), F(0)])[0]
 
     assert c == scaled_row(objective)[:-1]
-    assert eq_rows == [([1] * len(profiles), 1)]
-    assert [[*row, b] for row, b in ge_rows] == [
+    assert [[*row, 0] for row in rows] == [
         scaled_row(naive_incentive_row(game, p, action, alt))
         for p in game.players
         for action in game.actions_of(p)

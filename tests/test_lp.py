@@ -8,119 +8,90 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ambicoord import Game, lp, solve_ce
-from ambicoord.lp import CertificateError, Infeasible, Unbounded, check_certificate, maximize
+from ambicoord.lp import CertificateError, Infeasible, check_certificate, maximize
 from helpers import random_game, random_objective
 from oracle import naive_certificate_holds, naive_lp
 
 F = Fraction
 
 
-def test_simplex_on_a_plain_vertex_problem():
-    # max 2x+3y s.t. x+2y <= 4, 3x+y <= 6; optimum at the intersection
-    value, x = maximize(
-        [F(2), F(3)],
-        ge_rows=[([F(-1), F(-2)], F(-4)), ([F(-3), F(-1)], F(-6))],
-    )
-    assert value == F(34, 5)
-    assert x == [F(8, 5), F(6, 5)]
+def _general(c, rows):
+    """The LP `maximize(c, rows)` solves, as (eq_rows, ge_rows) pairs of
+    (row, right-hand side), the form `check_certificate` and the oracle
+    read."""
+    return [([1] * len(c), 1)], [(a, 0) for a in rows]
 
 
 def test_equality_constraints():
-    value, x = maximize([F(1), F(0)], eq_rows=[([F(1), F(1)], F(1))])
+    # the probability simplex alone: all weight on the best column
+    value, x = maximize([F(1), F(0)], [])
     assert value == 1
     assert x == [F(1), F(0)]
 
 
-def test_redundant_equalities_are_tolerated():
-    row = ([F(1), F(1)], F(1))
-    value, x = maximize([F(0), F(1)], eq_rows=[row, row, row])
-    assert value == 1
-    assert x == [F(0), F(1)]
-
-
 def test_infeasible():
+    # both columns held at 0, so the simplex row cannot hold
     with pytest.raises(Infeasible):
-        maximize([F(1)], ge_rows=[([F(1)], F(1)), ([F(-1)], F(0))])
+        maximize([F(1), F(2)], [[F(-1), F(0)], [F(0), F(-1)]])
 
 
-def test_unbounded():
-    with pytest.raises(Unbounded):
-        maximize([F(1), F(1)], ge_rows=[([F(1), F(0)], F(0))])
-
-
-def test_degenerate_vertex_terminates():
-    # three constraints meet at the origin; Bland's rule must not cycle
-    value, x = maximize(
-        [F(1), F(1)],
-        ge_rows=[
-            ([F(-1), F(0)], F(0)),
-            ([F(0), F(-1)], F(0)),
-            ([F(-1), F(-1)], F(0)),
-        ],
-    )
-    assert value == 0
-    assert x == [F(0), F(0)]
-    # Beale (1955): the largest-coefficient rule cycles on it from the origin
-    value, x = maximize(
-        [F(3, 4), F(-20), F(1, 2), F(-6)],
-        ge_rows=[
-            ([F(-1, 4), F(8), F(1), F(-9)], F(0)),
-            ([F(-1, 2), F(12), F(1, 2), F(-3)], F(0)),
-            ([F(0), F(0), F(-1), F(0)], F(-1)),
-        ],
-    )
-    assert value == F(5, 4)
-    assert x == [F(1), F(0), F(1), F(0)]
+def test_no_profile_is_infeasible():
+    # an empty simplex: sum(x) == 1 has no solution in no variables
+    for rows in ([], [[]]):
+        with pytest.raises(Infeasible):
+            maximize([], rows)
 
 
 def test_fractional_data_stays_exact():
-    value, x = maximize(
-        [F(1, 3), F(1, 7)],
-        eq_rows=[([F(2, 5), F(3, 5)], F(1))],
-    )
-    # putting all weight on the better ratio: x0 = 5/2
-    assert x == [F(5, 2), F(0)]
-    assert value == F(5, 6)
+    # 2/5 x0 >= 3/5 x1 caps x1 at 2/5, where the better ratio stops
+    value, x = maximize([F(1, 7), F(1, 3)], [[F(2, 5), F(-3, 5)]])
+    assert x == [F(3, 5), F(2, 5)]
+    assert value == F(23, 105)
 
 
 def test_row_length_mismatch_is_rejected():
     with pytest.raises(ValueError):
-        maximize([F(1)], eq_rows=[([F(1), F(1)], F(1))])
+        maximize([F(1)], [[F(1), F(1)]])
+    with pytest.raises(ValueError):
+        maximize([], [[F(1)]])
 
 
 def _probability_lps(rng, count):
-    """Random LPs over a probability simplex with extra >= rows."""
+    """Random LPs over a probability simplex with extra rows a.x >= 0."""
     for _ in range(count):
         n = rng.randint(1, 4)
         c = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-        eq = [([F(1)] * n, F(1))]
-        ge = [
-            ([F(rng.randint(-2, 2)) for _ in range(n)], F(rng.randint(-3, 0)))
-            for _ in range(rng.randint(0, 3))
-        ]
-        yield c, eq, ge
+        rows = [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        yield c, rows
 
 
 def test_solutions_satisfy_their_constraints_exactly():
-    for c, eq, ge in _probability_lps(random.Random(4242), 40):
+    solved = 0
+    for c, rows in _probability_lps(random.Random(4242), 40):
         try:
-            value, x = maximize(c, eq_rows=eq, ge_rows=ge)
+            value, x = maximize(c, rows)
         except Infeasible:
             continue
+        solved += 1
         assert all(v >= 0 for v in x)
         assert sum(x) == 1
-        for a, b in ge:
-            assert sum(ai * xi for ai, xi in zip(a, x)) >= b
+        for a in rows:
+            assert sum(ai * xi for ai, xi in zip(a, x)) >= 0
         assert sum(ci * xi for ci, xi in zip(c, x)) == value
+    assert solved > 20
 
 
 def test_duals_are_read_off_exactly():
-    # max 2x+3y s.t. x+2y <= 4, 3x+y <= 6: both rows bind at (8/5, 6/5)
-    c = [F(2), F(3)]
-    ge = [([F(-1), F(-2)], F(-4)), ([F(-3), F(-1)], F(-6))]
-    x, y = lp._simplex(c, (), ge)
-    assert x == [F(8, 5), F(6, 5)]
-    assert y == [F(-7, 5), F(-1, 5)]
+    # max x1 s.t. x0 + x1 == 1, x0/2 - x1/2 >= 0, x1 >= 0: the optimum is
+    # (1/2, 1/2), where the first row binds and the second is slack (y2 = 0).
+    # Both columns are basic, so their dual rows are tight:
+    # y0 + y1/2 == 0 and y0 - y1/2 + y2 == 1, so y0 = 1/2, y1 = -1; and
+    # b.y = y0 is the value.  The half-scaled row doubles its dual.
+    c, rows = [F(0), F(1)], [[F(1, 2), F(-1, 2)], [0, 1]]
+    x, y = lp._simplex(c, rows)
+    assert x == [F(1, 2), F(1, 2)]
+    assert y == [F(1, 2), F(-1), F(0)]
+    assert naive_certificate_holds(c, *_general(c, rows), x, y)
 
 
 @pytest.mark.parametrize(
@@ -147,112 +118,60 @@ def test_certificate_holds_on_random_instances(monkeypatch):
     problems = list(_probability_lps(rng, 60))
     real = lp.maximize
 
-    def recording(c, eq_rows, ge_rows):
-        problems.append((c, eq_rows, ge_rows))
-        return real(c, eq_rows, ge_rows)
+    def recording(c, rows):
+        problems.append((c, rows))
+        return real(c, rows)
 
     monkeypatch.setattr(lp, "maximize", recording)
     for _ in range(40):
         game = random_game(rng)
         solve_ce(game, random_objective(rng, game))
     assert len(problems) == 100
-    for c, eq, ge in problems:
+    for c, rows in problems:
         try:
-            x, y = lp._simplex(c, eq, ge)
+            x, y = lp._simplex(c, rows)
         except Infeasible:
             continue
-        assert naive_certificate_holds(c, eq, ge, x, y)
+        assert naive_certificate_holds(c, *_general(c, rows), x, y)
 
 
 _RATIONALS = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
 
 
-@st.composite
-def _small_lps(draw):
-    """At most 4 variables and 4 rows, fractional data, >= rows of either
-    sign and equalities that may repeat an earlier one scaled (possibly by a
-    negative factor) or add two earlier ones, so some are redundant."""
-    n = draw(st.integers(0, 4))
-    row = st.lists(_RATIONALS, min_size=n, max_size=n)
-    eq = draw(st.lists(st.tuples(row, _RATIONALS), max_size=3))
-    ge = draw(st.lists(st.tuples(row, _RATIONALS), max_size=4 - len(eq)))
-    if eq and len(eq) + len(ge) < 4:
-        (a, b), (a2, b2) = draw(st.sampled_from(eq)), draw(st.sampled_from(eq))
-        k = draw(_RATIONALS.filter(bool))
-        eq.append(
-            draw(
-                st.sampled_from(
-                    [([k * v for v in a], k * b), ([u + v for u, v in zip(a, a2)], b + b2)]
-                )
-            )
-        )
-    eq = draw(st.permutations(eq))
-    return draw(row), eq, ge
-
-
-def _outcome(c, eq, ge):
+def _outcome(c, rows):
     try:
-        value, x = maximize(c, eq, ge)
+        value, x = maximize(c, rows)
     except Infeasible:
         return ("infeasible",)
-    except Unbounded:
-        return ("unbounded",)
-    x, y = lp._simplex(c, eq, ge)
-    assert naive_certificate_holds(c, eq, ge, x, y)
+    x, y = lp._simplex(c, rows)
+    assert naive_certificate_holds(c, *_general(c, rows), x, y)
     return ("optimal", value)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_small_lps())
-# zero-level artificials left after phase 1: one is driven out by a negative
-# pivot, and the other's row is then redundant and deleted
-@example(([F(1), F(0)], [([F(1), F(-1)], F(0)), ([F(-1), F(1)], F(0))], [([F(-1), F(0)], F(-3))]))
-def test_maximize_agrees_with_the_vertex_oracle(problem):
-    c, eq, ge = problem
-    assert _outcome(c, eq, ge) == naive_lp(c, eq, ge)
 
 
 @st.composite
 def _ce_shaped_lps(draw):
-    """The shape `solve_ce` builds: one `=` row (the probability simplex),
-    `>=` rows with right-hand side 0, and columns that are zero in every
-    `>=` row.  `solve_ce` passes ints only; the entries here mix ints with
-    Fractions, so a drawn row takes either the int-only path or scaling."""
+    """The shape `solve_ce` builds: rows a.x >= 0 over the probability
+    simplex, and columns that are zero in every row.  `solve_ce` passes ints
+    only; the entries here mix ints with Fractions, so a drawn row takes
+    either the int-only path or scaling."""
     n = draw(st.integers(1, 4))
     zero = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
     entries = st.one_of(st.just(0), _RATIONALS)
-    ge = [
-        ([0 if j in zero else draw(entries) for j in range(n)], 0)
-        for _ in range(draw(st.integers(0, 3)))
-    ]
-    return draw(st.lists(entries, min_size=n, max_size=n)), [([1] * n, 1)], ge
+    rows = [[0 if j in zero else draw(entries) for j in range(n)] for _ in range(draw(st.integers(0, 3)))]
+    return draw(st.lists(entries, min_size=n, max_size=n)), rows
 
 
 @settings(max_examples=300, deadline=None)
 @given(_ce_shaped_lps())
-# the dual path's fixed cases: a row that no column can lift off its
-# negative rhs; no `>=` row, so the start column is the answer; and every
-# cost tied, the first two columns blocked and the third not
-@example(([F(0)], [([1], 1)], [([-1], 0)]))
-@example(([2, 5, 5, -1], [([1, 1, 1, 1], 1)], []))
-@example(([F(3, 2)] * 3, [([1, 1, 1], 1)], [([-1, 1, 0], 0), ([0, -1, 1], 0)]))
+# fixed cases: a row that no column can lift off its negative rhs; no row,
+# so the start column is the answer; and every cost tied, the first two
+# columns blocked and the third not
+@example(([F(0)], [[-1]]))
+@example(([2, 5, 5, -1], []))
+@example(([F(3, 2)] * 3, [[-1, 1, 0], [0, -1, 1]]))
 def test_ce_shaped_lps_agree_with_the_vertex_oracle(problem):
-    c, eq, ge = problem
-    assert _outcome(c, eq, ge) == naive_lp(c, eq, ge)
-
-
-# Beale (1955), again: the largest-coefficient rule cycles on the textbook
-# form of this LP.  Its rows are fractional, so the solver scales them to
-# integers, which rescales their surplus variables and with them the reduced
-# costs that rule compares; the rule-level test below pins the entering rule.
-BEALE = (
-    [F(3, 4), F(-20), F(1, 2), F(-6)],
-    [
-        ([F(-1, 4), F(8), F(1), F(-9)], F(0)),
-        ([F(-1, 2), F(12), F(1, 2), F(-3)], F(0)),
-        ([F(0), F(0), F(-1), F(0)], F(-1)),
-    ],
-)
+    c, rows = problem
+    assert _outcome(c, rows) == naive_lp(c, *_general(c, rows))
 
 
 def _tied_game(rng):
@@ -265,14 +184,14 @@ def _tied_game(rng):
 
 
 def _degenerate_ce_lps(monkeypatch, count):
-    """(c, eq_rows, ge_rows) of `count` seeded solves of tied games, as
-    `solve_ce` passes them to `lp.maximize`."""
+    """(c, rows) of `count` seeded solves of tied games, as `solve_ce`
+    passes them to `lp.maximize`."""
     problems = []
     real = lp.maximize
 
-    def recording(c, eq_rows, ge_rows):
-        problems.append((c, eq_rows, ge_rows))
-        return real(c, eq_rows, ge_rows)
+    def recording(c, rows):
+        problems.append((c, rows))
+        return real(c, rows)
 
     rng = random.Random(77)
     with monkeypatch.context() as patch:
@@ -292,54 +211,14 @@ def test_every_solve_stops_within_a_pivot_budget(monkeypatch):
         nonlocal pivots
         pivots += 1
         if pivots > 10_000:
-            raise AssertionError("over 10,000 pivots: the entering rule cycles")
+            raise AssertionError("over 10,000 pivots: the pivot rules cycle")
         return real(*args)
 
     monkeypatch.setattr(lp, "_pivot", counted)
-    c, ge = BEALE
-    assert maximize(c, (), ge) == (F(5, 4), [F(1), F(0), F(1), F(0)])
-    for c, eq, ge in problems:
-        value, x = maximize(c, eq, ge)
-        assert naive_certificate_holds(c, eq, ge, x, lp._simplex(c, eq, ge)[1])
+    for c, rows in problems:
+        value, x = maximize(c, rows)
+        assert naive_certificate_holds(c, *_general(c, rows), x, lp._simplex(c, rows)[1])
     assert pivots > 0
-
-
-def test_free_columns_enter_first_then_dantzig_then_bland(monkeypatch):
-    # One phase only: Beale's rows and CE rows with the simplex written as
-    # sum(x) <= 1 all start with their surplus basic, so every pivot comes
-    # from the entering rule.  A column is free when no row of rhs 0 has a
-    # positive entry in it.  The free column with the largest reduced cost
-    # enters; with none free, the largest reduced cost, except right after a
-    # degenerate pivot (leaving rhs 0), where the smallest label.
-    problems = [BEALE] + [
-        (c, [([-v for v in a], -b) for a, b in eq] + list(ge))
-        for c, eq, ge in _degenerate_ce_lps(monkeypatch, 40)
-    ]
-    real = lp._pivot
-    state = {"degenerate": False, "free": 0, "dantzig": 0, "bland": 0}
-
-    def checked(tab, basis, nonbasic, objs, d, r, col):
-        obj = objs[-1]
-        eligible = [j for j, v in enumerate(obj[:-1]) if v > 0]
-        free = [j for j in eligible if all(row[j] <= 0 for row in tab if row[-1] == 0)]
-        choices = {
-            "free": max(free, key=obj.__getitem__) if free else None,
-            "dantzig": max(eligible, key=obj.__getitem__),
-            "bland": min(eligible, key=nonbasic.__getitem__),
-        }
-        rule = "free" if free else "bland" if state["degenerate"] else "dantzig"
-        assert col == choices[rule]
-        if list(choices.values()).count(col) == 1:
-            state[rule] += 1
-        state["degenerate"] = tab[r][-1] == 0
-        return real(tab, basis, nonbasic, objs, d, r, col)
-
-    monkeypatch.setattr(lp, "_pivot", checked)
-    for c, ge in problems:
-        state["degenerate"] = False
-        maximize(c, (), ge)
-    # each branch was put to the test where it disagrees with the other two
-    assert state["free"] > 0 and state["dantzig"] > 0 and state["bland"] > 0, state
 
 
 def test_dual_pivots_start_at_the_best_profile_then_follow_dantzig_or_bland(monkeypatch):
@@ -357,7 +236,6 @@ def test_dual_pivots_start_at_the_best_profile_then_follow_dantzig_or_bland(monk
     state = dict.fromkeys(["nash", "label", "dantzig", "bland", "ratio", "tie"], 0)
 
     def checked(tab, basis, nonbasic, objs, d, r, col):
-        assert len(objs) == 1  # no phase-1 row
         obj = objs[0]
         if state["start"]:
             top = max(obj[:-1])
@@ -392,9 +270,9 @@ def test_dual_pivots_start_at_the_best_profile_then_follow_dantzig_or_bland(monk
         return real(tab, basis, nonbasic, objs, d, r, col)
 
     monkeypatch.setattr(lp, "_pivot", checked)
-    for c, eq, ge in problems:
-        state.update(start=True, degenerate=False, art0=len(c) + len(ge))
-        maximize(c, eq, ge)
+    for c, rows in problems:
+        state.update(start=True, degenerate=False, art0=len(c) + len(rows))
+        maximize(c, rows)
     # each branch was put to the test where it disagrees with the others
     assert all(state[k] > 0 for k in ("nash", "label", "dantzig", "bland", "ratio", "tie")), state
 
@@ -415,24 +293,17 @@ def _has_pure_nash(game):
 
 def _ce_pivots(monkeypatch, game, objective):
     """The pivots that `solve_ce(game, objective)` makes, and its result."""
-    runs, pivots = [], 0
-    real_run, real_pivot = lp._run, lp._pivot
-
-    def run(*args):
-        runs.append(pivots)
-        return real_run(*args)
+    pivots = 0
+    real = lp._pivot
 
     def pivot(*args):
         nonlocal pivots
         pivots += 1
-        return real_pivot(*args)
+        return real(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(lp, "_run", run)
         patch.setattr(lp, "_pivot", pivot)
         dist = solve_ce(game, objective)
-    # the CE LP takes the dual path: the primal loop never runs
-    assert runs == []
     return pivots, dist
 
 
@@ -464,9 +335,9 @@ def test_games_without_a_pure_nash_profile_still_solve(monkeypatch, cycle_game):
     problems = []
     real = lp.maximize
 
-    def recording(c, eq_rows, ge_rows):
-        problems.append((c, eq_rows, ge_rows))
-        return real(c, eq_rows, ge_rows)
+    def recording(c, rows):
+        problems.append((c, rows))
+        return real(c, rows)
 
     monkeypatch.setattr(lp, "maximize", recording)
     for game in (pennies, cycle_game):
@@ -475,21 +346,23 @@ def test_games_without_a_pure_nash_profile_still_solve(monkeypatch, cycle_game):
             pivots, dist = _ce_pivots(monkeypatch, game, objective)
             assert pivots > 1 and dist.total() == 1
     assert len(problems) == 4
-    for c, eq, ge in problems:
-        x, y = lp._simplex(c, eq, ge)
-        assert naive_certificate_holds(c, eq, ge, x, y)
+    for c, rows in problems:
+        x, y = lp._simplex(c, rows)
+        assert naive_certificate_holds(c, *_general(c, rows), x, y)
 
 
 def test_the_certificate_reads_only_its_arguments():
     # the vertex of one problem proves nothing about another, whatever the
     # solver scaled last
-    c, ge = BEALE
-    x, y = lp._simplex(c, (), ge)
-    assert check_certificate(c, (), ge, x, y) == F(5, 4)
-    halved = [([v / 2 for v in a], b / 2) for a, b in ge]
-    assert check_certificate(c, (), halved, x, [2 * v for v in y]) == F(5, 4)
-    loosened = ge[:2] + [([F(0), F(0), F(-1), F(0)], F(-2))]
-    with pytest.raises(CertificateError, match="objective values differ"):
-        check_certificate(c, (), loosened, x, y)
+    c, rows = [F(0), F(1)], [[F(1, 2), F(-1, 2)], [0, 1]]
+    eq, ge = _general(c, rows)
+    x, y = lp._simplex(c, rows)
+    assert check_certificate(c, eq, ge, x, y) == F(1, 2)
+    halved = [([F(v) / 2 for v in a], b) for a, b in ge]
+    assert check_certificate(c, eq, halved, x, y[:1] + [2 * v for v in y[1:]]) == F(1, 2)
+    # x1 <= 2 x0 still holds at x, but no longer binds hard enough for y
+    loosened = [([F(1, 2), F(-1, 4)], 0)] + ge[1:]
+    with pytest.raises(CertificateError, match="violates column 1"):
+        check_certificate(c, eq, loosened, x, y)
     c2, ge2 = [F(2), F(3)], [([F(-1), F(-2)], F(-4)), ([F(-3), F(-1)], F(-6))]
     assert check_certificate(c2, (), ge2, [F(8, 5), F(6, 5)], [F(-7, 5), F(-1, 5)]) == F(34, 5)
