@@ -410,10 +410,23 @@ def _read_gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> tu
                 values.append(payoffs[profile][k])
     except KeyError as exc:
         raise KeyError(f"no payoff entry for profile {profile_key(exc.args[0])!r}") from None
-    values, scale = scaled(values)
     m = len(told)
-    column = {a: values[j::m] for j, a in enumerate(told)}
-    return scale, told, [[u - v for u, v in zip(column[a], column[b])] for a, b in pairs]
+    scale, gains = _gains(values, {a: range(j, len(values), m) for j, a in enumerate(told)}, pairs)
+    return scale, told, gains
+
+
+def _gains(
+    values: Sequence[Fraction], spots: Mapping[str, Sequence[int]], pairs: Sequence[tuple[str, str]]
+) -> tuple[int, list[list[int]]]:
+    """(L, gains): the one home of the incentive arithmetic, for the CE
+    checks and `solve_ce`.  `values` are a player's payoffs and spots[a]
+    the positions in it of her payoffs from action a, one per opponent play
+    in `opponent_profiles` order; L is the lcm of the values' denominators,
+    and gains[i], for pairs[i] = (action, alt), lists L * (u(action) -
+    u(alt)) over the opponent plays."""
+    values, scale = scaled(values)
+    column = {a: [values[q] for q in at] for a, at in spots.items()}
+    return scale, [[u - v for u, v in zip(column[a], column[b])] for a, b in pairs]
 
 
 def _deviations(game: Game) -> Iterable[tuple[str, list[tuple[str, str]]]]:
@@ -501,30 +514,43 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
     if size > MAX_CE_PROFILES:
         raise PreconditionError(f"the game has {size} action profiles, more than the cap of {MAX_CE_PROFILES}")
     profiles = list(game.profiles())
-    index = {a: k for k, a in enumerate(profiles)}
+    weights = {}
+    for a, v in (objective or {}).items():
+        if tuple(a) not in game.payoffs:  # a valid game has a payoff at every profile and no other
+            raise PreconditionError(f"objective names unknown profile {profile_key(a)!r}")
+        weights[tuple(a)] = fraction(v)
     # c and the rows as `lp` would scale them, each by the lcm of its
     # denominators: a row of gains G over L has lcm L / gcd(L, *G), so it
     # becomes G / gcd(L, *G); a different scale would change the pivots
-    c = [0] * size
-    for a, v in (objective or {}).items():
-        k = index.get(tuple(a))
-        if k is None:
-            raise PreconditionError(f"objective names unknown profile {profile_key(a)!r}")
-        c[k] = Fraction(v)
-    c, _ = scaled(c)
-    # built per call, not kept on the game: a game is often solved only once
+    c, _ = scaled([weights.get(a, 0) for a in profiles])
+    # built per call, not kept on the game: a game is often solved only
+    # once; each payoff vector is read once, and a gain is placed by
+    # position: profile positions run player-major, so where player p plays
+    # her j-th action of m, each block of m * stride positions holds the
+    # run j * stride + (0 .. stride - 1), stride being the product of the
+    # later players' action counts
     rows = []
-    for p, pairs in _deviations(game):
-        scale, told, gains = _read_gains(game, p, pairs)
-        spots = {a: [index[t] for t in at] for a, at in told.items()}
+    stride = size
+    for (p, pairs), u in zip(_deviations(game), zip(*(game.payoffs[a] for a in profiles))):
+        m = len(game.actions_of(p))
+        stride //= m
+        if not pairs:
+            continue
+        spots = {
+            a: [q for block in range(j * stride, size, m * stride) for q in range(block, block + stride)]
+            for j, a in enumerate(game.actions_of(p))
+        }
+        scale, gains = _gains(u, spots, pairs)
         for (action, _), row_gains in zip(pairs, gains):
             g = math.gcd(scale, *row_gains)
+            if g != 1:
+                row_gains = [v // g for v in row_gains]
             row = [0] * size
-            for k, v in zip(spots[action], row_gains):
-                row[k] = v // g
+            for q, v in zip(spots[action], row_gains):
+                row[q] = v
             rows.append(row)
     try:
         _, x = lp.maximize(c, rows)
     except lp.Infeasible:
         raise PreconditionError("correlated-equilibrium constraints are infeasible") from None
-    return Distribution({a: x[index[a]] for a in profiles})
+    return Distribution(dict(zip(profiles, x)))

@@ -43,17 +43,23 @@ second visit by Bland's dual rule alone and come round again, and Bland's
 dual rule cannot cycle (Bland 1977).
 
 The duals are the final reduced costs at each row's starting basic variable,
-0 where it is basic.  Every result is checked on the caller's data before it
-is returned: x >= 0 and the rows hold, y <= 0 on `>=` rows, A^T y >= c and
-b.y == c.x prove the vertex optimal.  The check scales each row, c, x and y
-to integers by its own lcm, as above, and compares by cross-multiplication.
-No floats anywhere.
+0 where it is basic.  The solver and the checker share one scaling: the
+simplex returns the numerators of x and of the duals y over its final
+denominator d, for the integer LP it was given, and every result is checked
+on that same integer data before it is returned: x >= 0 and the rows hold,
+y <= 0 on `>=` rows, A^T y >= c and b.y == c.x prove the vertex optimal,
+compared by cross-multiplication, with every product with x taken over x's
+few nonzero entries.  No `Fraction` is built until the return: the value
+and x's nonzero entries.  `check_certificate` checks a caller's general
+`=`/`>=` LP with the same integer check, after scaling c, x, y and the rows
+to integers, the rows all by one lcm.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .rationals import scaled
@@ -77,9 +83,19 @@ def maximize(c: Sequence[Fraction], rows: Sequence[Row]) -> tuple[Fraction, list
     it is.  Returns (optimal value, x at an optimal vertex), all exact,
     after checking the vertex's optimality certificate.  Raises Infeasible.
     """
-    x, y = _simplex(c, rows)
-    simplex = [([1] * len(c), 1)]
-    return check_certificate(c, simplex, [(a, 0) for a in rows], x, y), x
+    n = len(c)
+    cost, c_scale = scaled(c)
+    ints = []
+    for a in rows:
+        if len(a) != n:
+            raise ValueError("row length mismatch")
+        ints.append(scaled(a)[0])
+    if not n:
+        raise Infeasible
+    x, y, d = _simplex(cost, ints)
+    value = _certify(cost, [([1] * n, 1), *((a, 0) for a in ints)], 1, x, d, y, d)
+    zero = Fraction(0)
+    return Fraction(value, c_scale * d), [Fraction(v, d) if v else zero for v in x]
 
 
 def check_certificate(
@@ -95,69 +111,84 @@ def check_certificate(
     b.y == c.x in exact integer arithmetic, and returns c.x.
     Raises CertificateError if any of them fails.
     """
-    rows = list(eq_rows) + list(ge_rows)
+    cs, c_scale = scaled(c)
+    xs, dx = scaled(x)
+    ys, dy = scaled(y)
+    rows = [scaled([*a, b]) for a, b in [*eq_rows, *ge_rows]]
+    # every row times the lcm of the row scales: in that LP, with objective
+    # c * c_scale, the duals are y * c_scale / common
+    common = lcm(*(s for _, s in rows))
+    int_rows = [([v * (common // s) for v in row[:-1]], row[-1] * (common // s)) for row, s in rows]
+    ws = [v * c_scale for v in ys]
+    return Fraction(_certify(cs, int_rows, len(eq_rows), xs, dx, ws, dy * common), c_scale * dx)
+
+
+def _certify(c, rows, eq, x, dx, y, dy) -> int:
+    """The certificate check, in integers: `rows` are (a, b) pairs, the
+    first `eq` of them a.x == b and the rest a.x >= b; x is numerators over
+    dx, and y, the duals of this LP, numerators over dy.  Checks x >= 0 and
+    every row, y <= 0 on the >= rows, A^T y >= c and b.y == c.x, and returns
+    c.x's numerator over dx.  Raises CertificateError."""
     n = len(c)
     if len(x) != n or len(y) != len(rows) or any(len(a) != n for a, _ in rows):
         raise CertificateError("certificate has the wrong shape")
-    xs, x_scale = scaled(x)
-    if any(v < 0 for v in xs):
+    if dx <= 0 or dy <= 0:
+        raise CertificateError("certificate has a denominator that is not positive")
+    if any(v < 0 for v in x):
         raise CertificateError("primal solution has a negative entry")
-    int_rows = [scaled([*a, b]) for a, b in rows]
-    for k, (row, _) in enumerate(int_rows):
-        lhs, rhs = sum(v * xv for v, xv in zip(row, xs) if v), row[-1] * x_scale
-        if lhs < rhs or (k < len(eq_rows) and lhs != rhs):
+    # a vertex has few nonzero entries: every product with x is over them
+    support = [j for j, v in enumerate(x) if v]
+    xs = [x[j] for j in support]
+    for k, (a, b) in enumerate(rows):
+        lhs, rhs = sum(map(mul, map(a.__getitem__, support), xs)), b * dx
+        if lhs < rhs or (k < eq and lhs != rhs):
             raise CertificateError(f"primal solution violates row {k}")
-    ys, y_scale = scaled(y)
-    if any(v > 0 for v in ys[len(eq_rows):]):
+    if any(v > 0 for v in y[eq:]):
         raise CertificateError("dual solution is positive on a >= row")
-    # over the lcm of the row scales, row k weighs y_k * (lcm // its scale)
-    cs, c_scale = scaled(c)
-    common = lcm(*(s for _, s in int_rows))
-    weighted = [(yk * (common // s), row) for yk, (row, s) in zip(ys, int_rows) if yk]
-    bound = y_scale * common
-    for j, cj in enumerate(cs):
-        if sum(w * row[j] for w, row in weighted) * c_scale < cj * bound:
+    active = [k for k, v in enumerate(y) if v]
+    weights = [y[k] for k in active]
+    columns = list(zip(*(rows[k][0] for k in active))) or [()] * n
+    for j, (cj, column) in enumerate(zip(c, columns)):
+        if sum(map(mul, column, weights)) < cj * dy:
             raise CertificateError(f"dual solution violates column {j}")
-    value = sum(cj * xj for cj, xj in zip(cs, xs) if cj)
-    if sum(w * row[-1] for w, row in weighted) * c_scale * x_scale != value * bound:
+    value = sum(map(mul, map(c.__getitem__, support), xs))
+    if sum(rows[k][1] * v for k, v in zip(active, weights)) * dx != value * dy:
         raise CertificateError("primal and dual objective values differ")
-    return Fraction(value, c_scale * x_scale)
+    return value
 
 
-def _simplex(c, rows) -> tuple[list[Fraction], list[Fraction]]:
-    """Optimal vertex x and the duals y: the simplex row's, then the rows'."""
+def _simplex(c, rows) -> tuple[list[int], list[int], int]:
+    """Optimal vertex of the LP with integer c, n = len(c) >= 1, and integer
+    rows: (x, y, d), the numerators of x and of the duals y (the simplex
+    row's, then the rows') over the final denominator d > 0."""
     n = len(c)
     # Labels: x is 0..n-1, the surplus of row k is n + k and the simplex
-    # row's artificial is `art`.  Row k is scaled to integers by scale[k]
-    # and negated.
-    tab, scale = [[1] * (n + 1)], []
+    # row's artificial is `art`.  Row k is negated.
+    tab = [[1] * (n + 1)]
     for a in rows:
-        if len(a) != n:
-            raise ValueError("row length mismatch")
-        row, s = scaled([*a, 0])
-        tab.append([-v for v in row])
-        scale.append(s)
-    if not n:
-        raise Infeasible
+        row = [-v for v in a]
+        row.append(0)
+        tab.append(row)
     art = n + len(rows)
     basis = [art, *range(n, art)]
     nonbasic = list(range(n))
-    cost, c_scale = scaled(c)
-    objs = [cost + [0]]
+    objs = [[*c, 0]]
     d = _dual(tab, basis, nonbasic, objs, art)
 
-    x = [Fraction(0)] * n
+    x = [0] * n
     for row, var in zip(tab, basis):
         if var < n:
-            x[var] = Fraction(row[-1], d)
+            x[var] = row[-1]
     # the reduced cost at the column of a row's starting basic variable is
-    # -y in the scaled problem, and y in a negated row; the artificial never
-    # enters, so it is nonbasic
-    column = {var: j for j, var in enumerate(nonbasic)}
-    cost, denom = objs[0], d * c_scale
-    y = [Fraction(-cost[column[art]], denom)]
-    y += [Fraction(cost[column[v]] * s, denom) if v in column else Fraction(0) for v, s in zip(range(n, art), scale)]
-    return x, y
+    # -y, and y in a negated row; the artificial never enters, so it is
+    # nonbasic, and a basic surplus has the dual 0
+    y = [0] * (len(rows) + 1)
+    for v, var in zip(objs[0], nonbasic):
+        if var == art:
+            y[0] = -v
+        elif var >= n:
+            y[var - n + 1] = v
+    return x, y, d
 
 
 def _dual(tab, basis, nonbasic, objs, art):

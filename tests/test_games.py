@@ -1,5 +1,6 @@
 """Games, distributions, incentive checks and the equilibrium solver."""
 
+import collections
 import itertools
 import json
 import math
@@ -382,6 +383,40 @@ def test_solve_ce_gives_lp_the_rows_it_would_scale(case):
         for alt in game.actions_of(p)
         if alt != action
     ]
+
+
+class _CountedPayoffs(collections.abc.Mapping):
+    """A payoff table that counts the vectors read from it by profile;
+    iterating it, `items` and `in` read nothing."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, collections.Counter()
+
+    def __getitem__(self, profile):
+        self.reads[profile] += 1
+        return self.table[profile]
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+    def __contains__(self, profile):
+        return profile in self.table
+
+    def items(self):
+        return self.table.items()
+
+
+def test_solve_ce_reads_each_payoff_vector_once():
+    rng = random.Random(5)
+    for _ in range(20):
+        game = random_game(rng)
+        expected = solve_ce(game, {})
+        counted = game.payoffs = _CountedPayoffs(game.payoffs)
+        assert solve_ce(game, {}) == expected
+        assert counted.reads == collections.Counter(game.profiles())
 
 
 @settings(max_examples=100, deadline=None)

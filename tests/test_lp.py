@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ambicoord import Game, lp, solve_ce
 from ambicoord.lp import CertificateError, Infeasible, check_certificate, maximize
+from ambicoord.rationals import scaled
 from helpers import random_game, random_objective
 from oracle import naive_certificate_holds, naive_lp
 
@@ -20,6 +21,20 @@ def _general(c, rows):
     (row, right-hand side), the form `check_certificate` and the oracle
     read."""
     return [([1] * len(c), 1)], [(a, 0) for a in rows]
+
+
+def _vertex(c, rows):
+    """x and the duals y of the vertex `maximize(c, rows)` reaches, as
+    Fractions of the caller's LP.  `lp._simplex` solves c and each row
+    scaled to integers by the lcm of its denominators, and returns the
+    numerators of x and of that integer LP's duals over one denominator d;
+    a row scaled by s, with c scaled by t, has t / s times the caller's
+    dual."""
+    cost, t = scaled(c)
+    ints = [scaled(a) for a in rows]
+    x, y, d = lp._simplex(cost, [a for a, _ in ints])
+    scales = [1] + [s for _, s in ints]
+    return [F(v, d) for v in x], [F(v * s, d * t) for v, s in zip(y, scales)]
 
 
 def test_equality_constraints():
@@ -88,7 +103,7 @@ def test_duals_are_read_off_exactly():
     # y0 + y1/2 == 0 and y0 - y1/2 + y2 == 1, so y0 = 1/2, y1 = -1; and
     # b.y = y0 is the value.  The half-scaled row doubles its dual.
     c, rows = [F(0), F(1)], [[F(1, 2), F(-1, 2)], [0, 1]]
-    x, y = lp._simplex(c, rows)
+    x, y = _vertex(c, rows)
     assert x == [F(1, 2), F(1, 2)]
     assert y == [F(1, 2), F(-1), F(0)]
     assert naive_certificate_holds(c, *_general(c, rows), x, y)
@@ -113,6 +128,29 @@ def test_corrupted_certificates_are_rejected(x, y, message):
         check_certificate(c, (), ge, x, y)
 
 
+@pytest.mark.parametrize(
+    "vertex, message",
+    [
+        (([-1, 1], [1, -1, 0], 2), "negative entry"),
+        (([1, 1], [1, -1, 0], 3), "violates row 0"),
+        (([1, 1], [1, -1, 1], 2), "positive on a >= row"),
+        (([1, 1], [0, -1, 0], 2), "violates column 0"),
+        (([1, 1], [2, -1, 0], 2), "objective values differ"),
+        (([1, 1], [1, -1, 0], 0), "not positive"),
+    ],
+)
+def test_maximize_proves_every_vertex_it_returns(monkeypatch, vertex, message):
+    # the LP of test_duals_are_read_off_exactly in integers has the vertex
+    # x = (1, 1) / 2 and y = (1, -1, 0) / 2.  One x numerator, dual or d
+    # changed breaks one condition, and maximize names it instead of
+    # returning.
+    c, rows = [F(0), F(1)], [[F(1, 2), F(-1, 2)], [0, 1]]
+    assert lp._simplex([0, 1], [[1, -1], [0, 1]]) == ([1, 1], [1, -1, 0], 2)
+    monkeypatch.setattr(lp, "_simplex", lambda c, rows: vertex)
+    with pytest.raises(CertificateError, match=message):
+        maximize(c, rows)
+
+
 def test_certificate_holds_on_random_instances(monkeypatch):
     rng = random.Random(2024)
     problems = list(_probability_lps(rng, 60))
@@ -129,7 +167,7 @@ def test_certificate_holds_on_random_instances(monkeypatch):
     assert len(problems) == 100
     for c, rows in problems:
         try:
-            x, y = lp._simplex(c, rows)
+            x, y = _vertex(c, rows)
         except Infeasible:
             continue
         assert naive_certificate_holds(c, *_general(c, rows), x, y)
@@ -143,7 +181,7 @@ def _outcome(c, rows):
         value, x = maximize(c, rows)
     except Infeasible:
         return ("infeasible",)
-    x, y = lp._simplex(c, rows)
+    x, y = _vertex(c, rows)
     assert naive_certificate_holds(c, *_general(c, rows), x, y)
     return ("optimal", value)
 
@@ -172,6 +210,26 @@ def _ce_shaped_lps(draw):
 def test_ce_shaped_lps_agree_with_the_vertex_oracle(problem):
     c, rows = problem
     assert _outcome(c, rows) == naive_lp(c, *_general(c, rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ce_shaped_lps())
+def test_scaling_a_row_or_the_objective_keeps_the_vertex(problem):
+    # maximize scales each row and c by the lcm of its denominators; handing
+    # it those int rows and int c is the same LP, with c.x times c's scale
+    c, rows = problem
+    cost, t = scaled(c)
+    outcomes = []
+    for args in ((c, rows), (cost, [scaled(a)[0] for a in rows])):
+        try:
+            outcomes.append(maximize(*args))
+        except Infeasible:
+            outcomes.append(None)
+    if outcomes[0] is None:
+        assert outcomes[1] is None
+    else:
+        (value, x), (int_value, int_x) = outcomes
+        assert int_x == x and int_value == value * t
 
 
 def _tied_game(rng):
@@ -217,7 +275,7 @@ def test_every_solve_stops_within_a_pivot_budget(monkeypatch):
     monkeypatch.setattr(lp, "_pivot", counted)
     for c, rows in problems:
         value, x = maximize(c, rows)
-        assert naive_certificate_holds(c, *_general(c, rows), x, lp._simplex(c, rows)[1])
+        assert naive_certificate_holds(c, *_general(c, rows), x, _vertex(c, rows)[1])
     assert pivots > 0
 
 
@@ -347,7 +405,7 @@ def test_games_without_a_pure_nash_profile_still_solve(monkeypatch, cycle_game):
             assert pivots > 1 and dist.total() == 1
     assert len(problems) == 4
     for c, rows in problems:
-        x, y = lp._simplex(c, rows)
+        x, y = _vertex(c, rows)
         assert naive_certificate_holds(c, *_general(c, rows), x, y)
 
 
@@ -356,7 +414,7 @@ def test_the_certificate_reads_only_its_arguments():
     # solver scaled last
     c, rows = [F(0), F(1)], [[F(1, 2), F(-1, 2)], [0, 1]]
     eq, ge = _general(c, rows)
-    x, y = lp._simplex(c, rows)
+    x, y = _vertex(c, rows)
     assert check_certificate(c, eq, ge, x, y) == F(1, 2)
     halved = [([F(v) / 2 for v in a], b) for a, b in ge]
     assert check_certificate(c, eq, halved, x, y[:1] + [2 * v for v in y[1:]]) == F(1, 2)
