@@ -43,10 +43,9 @@ def profile_key(profile: Sequence[str]) -> str:
 class Game:
     """n-player normal-form game with named players and actions.
 
-    Its tables are read-only, so what is worked out from them is derived
-    once per game (`derived`) and kept: each player's table of incentive
-    gains, which the CE checks, `opt_i(a)`, its printed core and the
-    rationality gap read.  `solve_ce` keeps nothing.
+    Its tables are read-only, so each player's table of incentive gains,
+    which the CE checks, `opt_i(a)`, its printed core and the rationality
+    gap read, is built once per game and kept.  `solve_ce` keeps nothing.
     """
 
     def __init__(
@@ -62,18 +61,11 @@ class Game:
         )
         self._index = {p: k for k, p in enumerate(self.players)}
         self._by_position = {str(k): p for k, p in enumerate(self.players, 1)}
-        self._memo: dict = {}
+        self._gains_tables: dict[str, tuple[int, dict, dict]] = {}
 
     @property
     def n(self) -> int:
         return len(self.players)
-
-    def derived(self, key, build):
-        """build(), run on the first call with this key and kept."""
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = build()
-        return hit
 
     def player_index(self, player: str) -> int:
         try:
@@ -370,49 +362,60 @@ def incentive_gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -
     lists L * (u(profile) - u(profile with `alt` in her place)) over
     told[action].  The CE checks, the `opt_i(a)` core and the rationality gap
     all read these.  The table holds every ordered pair of her actions and is
-    kept on the game (`derived`); where it cannot be built, or lacks a pair,
-    the pairs are read from the payoffs alone, so a missing payoff is named
-    as a read of just those pairs names it.
+    kept on the game.  A game with a missing payoff has no table: every pair
+    of every player is refused with a KeyError naming the first missing
+    profile in `Game.profiles()` order.  An action she lacks is named by the
+    profile where she would play it, at her first opponent play.
     """
+    table = game._gains_tables.get(player)
+    if table is None:
+        table = game._gains_tables[player] = _gains_table(game, player)
+    scale, told, rows = table
     try:
-        scale, told, rows = game.derived(("incentive gains", player), lambda: _gains_table(game, player))
         return scale, told, [rows[pair] for pair in pairs]
     except KeyError:
-        return _read_gains(game, player, pairs)
+        lacked = next(a for pair in pairs for a in pair if a not in told)
+    combo = next(iter(game.opponent_profiles(player)), None)
+    if combo is None:  # no opponent play, so every row is empty
+        return scale, {a: [] for pair in pairs for a in pair}, [[] for _ in pairs]
+    k = game.player_index(player)
+    raise KeyError(f"no payoff entry for profile {profile_key(combo[:k] + (lacked,) + combo[k:])!r}")
 
 
 def _gains_table(game: Game, player: str) -> tuple[int, dict, dict[tuple[str, str], list[int]]]:
-    """(L, told, rows): `_read_gains` over every ordered pair of the player's
-    actions, rows[action, alt] being that pair's gains."""
+    """(L, told, rows): `incentive_gains` over every ordered pair of the
+    player's actions, rows[action, alt] being that pair's gains, from one
+    read of her payoffs in `Game.profiles()` order."""
+    k = game.player_index(player)
+    profiles = list(game.profiles())
+    try:
+        values = [game.payoffs[a][k] for a in profiles]
+    except KeyError as exc:
+        raise KeyError(f"no payoff entry for profile {profile_key(exc.args[0])!r}") from None
+    spots = _spots(game, player)
     acts = game.actions_of(player)
     pairs = [(a, b) for a in acts for b in acts]
-    scale, told, gains = _read_gains(game, player, pairs)
+    scale, gains = _gains(values, spots, pairs)
+    told = {a: [profiles[q] for q in at] for a, at in spots.items()}
     return scale, told, dict(zip(pairs, gains))
 
 
-def _read_gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> tuple[int, dict, list[list[int]]]:
-    """`incentive_gains` read in one pass of the player's payoffs, kept nowhere:
-    L is the lcm of the denominators of her payoffs at the profiles where she
-    plays an action of `pairs`, and told maps just those actions."""
+def _spots(game: Game, player: str) -> dict[str, list[int]]:
+    """For each of the player's actions, the positions in `Game.profiles()`
+    order of the profiles where she plays it, in `opponent_profiles` order.
+
+    Positions run player-major, so where she plays her j-th action of m, each
+    block of m * stride positions holds the run j * stride + (0 .. stride - 1),
+    stride being the product of the later players' action counts."""
+    counts = [len(game.actions_of(p)) for p in game.players]
     k = game.player_index(player)
-    payoffs = game.payoffs
-    told = {a: [] for pair in pairs for a in pair}
-    # combo by combo, each in `told` order, so that one pair's first missing
-    # entry is the one a scan of told, then alt, at each combo meets first;
-    # values[c * len(told) + j] is her payoff at combo c and told's j-th action
-    values = []
-    try:
-        for combo in game.opponent_profiles(player):
-            head, tail = combo[:k], combo[k:]
-            for a, profiles in told.items():
-                profile = head + (a,) + tail
-                profiles.append(profile)
-                values.append(payoffs[profile][k])
-    except KeyError as exc:
-        raise KeyError(f"no payoff entry for profile {profile_key(exc.args[0])!r}") from None
-    m = len(told)
-    scale, gains = _gains(values, {a: range(j, len(values), m) for j, a in enumerate(told)}, pairs)
-    return scale, told, gains
+    stride = math.prod(counts[k + 1 :])
+    block, size = counts[k] * stride, math.prod(counts)
+    return {
+        # block is 0 only where size is, and then every run is empty
+        a: [q for start in range(j * stride, size, block or 1) for q in range(start, start + stride)]
+        for j, a in enumerate(game.actions_of(player))
+    }
 
 
 def _gains(
@@ -524,22 +527,12 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
     # becomes G / gcd(L, *G); a different scale would change the pivots
     c, _ = scaled([weights.get(a, 0) for a in profiles])
     # built per call, not kept on the game: a game is often solved only
-    # once; each payoff vector is read once, and a gain is placed by
-    # position: profile positions run player-major, so where player p plays
-    # her j-th action of m, each block of m * stride positions holds the
-    # run j * stride + (0 .. stride - 1), stride being the product of the
-    # later players' action counts
+    # once; each payoff vector is read once, and a gain is placed by position
     rows = []
-    stride = size
     for (p, pairs), u in zip(_deviations(game), zip(*(game.payoffs[a] for a in profiles))):
-        m = len(game.actions_of(p))
-        stride //= m
         if not pairs:
             continue
-        spots = {
-            a: [q for block in range(j * stride, size, m * stride) for q in range(block, block + stride)]
-            for j, a in enumerate(game.actions_of(p))
-        }
+        spots = _spots(game, p)
         scale, gains = _gains(u, spots, pairs)
         for (action, _), row_gains in zip(pairs, gains):
             g = math.gcd(scale, *row_gains)

@@ -112,7 +112,7 @@ class Evaluator:
         if all(j == player for j in game.players):
             raise ValueError("optimality needs at least one opponent")
         alts = game.actions_of(player)
-        # the action first, as in its core, so a missing payoff is named alike
+        # the action first, as in its core, so an action she lacks is named alike
         told = (action, *(a for a in alts if a != action))
         _, _, gains = incentive_gains(game, player, [(a, b) for a in told for b in alts])
         # what building the core raises, in a game `validate_game` refuses

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import random
 from fractions import Fraction
@@ -179,3 +180,27 @@ def random_formula(rng: random.Random, game: Game, signals, atoms, depth: int = 
         return Optimal(p, rng.choice(game.actions_of(p)))
     assert kind == "rat"
     return Rationality(rng.choice(players))
+
+
+class CountedPayoffs(collections.abc.Mapping):
+    """A payoff table that counts the vectors read from it by profile;
+    iterating it, `items` and `in` read nothing."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, collections.Counter()
+
+    def __getitem__(self, profile):
+        self.reads[profile] += 1
+        return self.table[profile]
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+    def __contains__(self, profile):
+        return profile in self.table
+
+    def items(self):
+        return self.table.items()

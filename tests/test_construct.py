@@ -1,5 +1,6 @@
 """Building epistemic structures out of equilibrium distributions."""
 
+import collections
 import random
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from ambicoord import games
 from ambicoord.coordination import STRUCTURAL, run_audits
 from ambicoord.structures import row_layout
 from conftest import load_fixture
-from helpers import random_game, random_objective
+from helpers import CountedPayoffs, random_game, random_objective
 from oracle import naive_objective_device, naive_partitions, naive_subjective_device
 
 F = Fraction
@@ -297,28 +298,28 @@ class TestCompiledConstruction:
 
 def test_the_device_path_builds_each_gains_table_once(monkeypatch):
     """Constructing a device on a fresh game, writing and loading it, and
-    auditing it read each player's payoffs once, into the gains table kept
-    on the game, and build no formula node for `rat_i`."""
+    auditing it build each player's gains table once, kept on the game, read
+    each payoff vector once per table and build no formula node for `rat_i`."""
     rng = random.Random(11)
     cases = []
     for _ in range(6):
         game = random_game(rng)
         dists = [solve_ce(game, random_objective(rng, game)) for _ in game.players]
         cases.append((Game.from_dict(game.to_dict()), dists))
-    builds, reads = [], []
-    build, read = games._gains_table, games._read_gains
+    builds = []
+    build = games._gains_table
     monkeypatch.setattr(games, "_gains_table", lambda game, p: builds.append(p) or build(game, p))
-    monkeypatch.setattr(games, "_read_gains", lambda game, p, pairs: reads.append(p) or read(game, p, pairs))
     for node in (Play, Receive, Implies, And):
         monkeypatch.setattr(node, "__init__", _refuse(node.__name__))
     for fresh, dists in cases:
         builds.clear()
-        reads.clear()
+        counted = fresh.payoffs = CountedPayoffs(fresh.payoffs)
         built = from_subjective_ce(fresh, dists)
         m = EpistemicStructure.from_dict(built.structure.to_dict(), fresh)
         assert check_rationality(m).ok
         assert verify_induced_equilibrium(m, built.strategy).ok
-        assert builds == reads == list(fresh.players)
+        assert builds == list(fresh.players)
+        assert counted.reads == collections.Counter({a: fresh.n for a in fresh.profiles()})
 
 
 def _refuse(name):

@@ -24,6 +24,7 @@ from ambicoord import (
     deviation_slack,
     holds,
     load_objective,
+    optimality_core,
     parse_profile_key,
     profile_key,
     solve_ce,
@@ -32,7 +33,7 @@ from ambicoord import (
 from ambicoord import lp
 from ambicoord.games import MAX_CE_PROFILES, incentive_gains
 from ambicoord.rationals import scaled
-from helpers import random_game
+from helpers import CountedPayoffs, random_game
 from oracle import naive_distribution_from_dict, naive_incentive_row, naive_is_objective_ce, naive_is_subjective_ce
 
 F = Fraction
@@ -66,12 +67,19 @@ def test_game_accessors(cycle_game):
 
 
 def test_incentive_row_names_a_profile_without_payoffs(cycle_game):
-    payoffs = {a: u for a, u in cycle_game.payoffs.items() if a != ("T", "L")}
-    holed = Game(cycle_game.players, cycle_game.actions, payoffs)
-    for action, alt in (("T", "M"), ("M", "T")):
+    # the first missing profile in `profiles()` order, whichever pair is asked
+    # for and whether or not its actions meet the hole
+    for dropped, pair, named in [
+        ({("T", "L")}, ("T", "M"), "T,L"),
+        ({("T", "L")}, ("M", "T"), "T,L"),
+        ({("B", "R")}, ("T", "M"), "B,R"),
+        ({("M", "R"), ("B", "L")}, ("B", "T"), "M,R"),
+    ]:
+        payoffs = {a: u for a, u in cycle_game.payoffs.items() if a not in dropped}
+        holed = Game(cycle_game.players, cycle_game.actions, payoffs)
         with pytest.raises(KeyError) as err:
-            incentive_gains(holed, "1", [(action, alt)])
-        assert err.value.args == ("no payoff entry for profile 'T,L'",)
+            incentive_gains(holed, "1", [pair])
+        assert err.value.args == (f"no payoff entry for profile {named!r}",)
     scale, told, [gains] = incentive_gains(cycle_game, "2", [("C", "R")])
     assert told["C"] == [("T", "C"), ("M", "C"), ("B", "C")]
     assert [F(g, scale) for g in gains] == [
@@ -86,7 +94,7 @@ def test_gains_the_table_lacks_are_named_by_their_profile(cycle_game, cycle_ce, 
         game = Game.from_dict(cycle_game.to_dict())
         if warm:
             assert check_objective_ce(game, cycle_ce).ok
-            assert ("incentive gains", "1") in game._memo
+            assert "1" in game._gains_tables
         m = EpistemicStructure.from_dict(cycle.to_dict(), game)
         calls = [
             lambda: deviation_slack(game, cycle_ce, "1", "zz", "T"),
@@ -331,13 +339,13 @@ class TestSolver:
     def test_a_solve_keeps_no_incentive_rows_on_the_game(self, cycle_game):
         game = Game.from_dict(cycle_game.to_dict())
         solve_ce(game, {("T", "C"): F(1)})
-        assert game._memo == {}
+        assert game._gains_tables == {}
         # the CE check keeps one gains table per player; a solve adds nothing
         assert check_objective_ce(game, solve_ce(game)).ok
-        kept = dict(game._memo)
-        assert list(kept) == [("incentive gains", p) for p in game.players]
+        kept = dict(game._gains_tables)
+        assert list(kept) == list(game.players)
         solve_ce(game, {("T", "C"): F(1)})
-        assert game._memo == kept
+        assert game._gains_tables == kept
 
     def test_solver_output_is_always_an_equilibrium(self):
         from helpers import random_objective
@@ -385,36 +393,12 @@ def test_solve_ce_gives_lp_the_rows_it_would_scale(case):
     ]
 
 
-class _CountedPayoffs(collections.abc.Mapping):
-    """A payoff table that counts the vectors read from it by profile;
-    iterating it, `items` and `in` read nothing."""
-
-    def __init__(self, table):
-        self.table, self.reads = table, collections.Counter()
-
-    def __getitem__(self, profile):
-        self.reads[profile] += 1
-        return self.table[profile]
-
-    def __iter__(self):
-        return iter(self.table)
-
-    def __len__(self):
-        return len(self.table)
-
-    def __contains__(self, profile):
-        return profile in self.table
-
-    def items(self):
-        return self.table.items()
-
-
 def test_solve_ce_reads_each_payoff_vector_once():
     rng = random.Random(5)
     for _ in range(20):
         game = random_game(rng)
         expected = solve_ce(game, {})
-        counted = game.payoffs = _CountedPayoffs(game.payoffs)
+        counted = game.payoffs = CountedPayoffs(game.payoffs)
         assert solve_ce(game, {}) == expected
         assert counted.reads == collections.Counter(game.profiles())
 
@@ -433,6 +417,30 @@ def test_incentive_gains_match_the_naive_reference(case):
         ] == naive
         for (action, alt), row in zip(pairs, naive):
             assert alt != action or all(gain == 0 for _, gain in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_missing_payoff_refuses_every_route_by_its_first_profile(data):
+    """Drop one or two payoffs: every incentive route raises a KeyError
+    naming the first missing profile in `profiles()` order."""
+    game, _ = data.draw(_small_games())
+    profiles = list(game.profiles())
+    dropped = data.draw(st.lists(st.sampled_from(profiles), min_size=1, max_size=2, unique=True))
+    holed = Game(game.players, game.actions, {a: u for a, u in game.payoffs.items() if a not in dropped})
+    named = ("no payoff entry for profile " + repr(profile_key(min(dropped, key=profiles.index))),)
+    dist = Distribution({profiles[0]: 1})
+    routes = [lambda: check_objective_ce(holed, dist)]
+    for p in game.players:
+        acts = game.actions_of(p)
+        routes += [lambda p=p: incentive_gains(holed, p, [])]
+        routes += [lambda p=p, pair=pair: incentive_gains(holed, p, [pair]) for pair in itertools.product(acts, acts)]
+        routes += [lambda p=p, a=a, b=b: deviation_slack(holed, dist, p, a, b) for a in acts for b in acts]
+        routes += [lambda p=p, a=a: optimality_core(p, a, holed) for a in acts]
+    for route in routes:
+        with pytest.raises(KeyError) as err:
+            route()
+        assert err.value.args == named
 
 
 @st.composite

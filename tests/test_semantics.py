@@ -405,7 +405,7 @@ def _outcome(compute):
 def test_optimality_kernel_matches_the_core_route(rng, stored, doubled, holed):
     """`opt_i(a)` and `rat_i` as the evaluator decides them equal the masks
     of their expansions, errors included.  The game's tables are left as
-    they were, and its memo holds only gains tables equal to a fresh build."""
+    they were, and the gains tables it keeps equal a fresh build."""
     game = random_game(rng)
     if holed:  # a missing payoff, named by both routes
         dropped = rng.choice(sorted(game.payoffs))
@@ -420,9 +420,8 @@ def test_optimality_kernel_matches_the_core_route(rng, stored, doubled, holed):
     for (p, f), got in direct.items():
         assert got == _outcome(lambda: Evaluator(m).intension_mask(p, expand(f, game))), (str(f), p)
     assert (game.players, dict(game.actions), dict(game.payoffs)) == kept
-    for key, value in game._memo.items():
-        assert key[0] == "incentive gains", key
-        assert value == games._gains_table(game, key[1])
+    for player, table in game._gains_tables.items():
+        assert table == games._gains_table(game, player)
 
 
 @pytest.mark.parametrize(

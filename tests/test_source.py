@@ -1,4 +1,5 @@
-"""Source hygiene: no module keeps a private name or method it never uses."""
+"""Source hygiene: no module keeps a private name, method or attribute it
+never uses."""
 
 import ast
 from pathlib import Path
@@ -60,10 +61,41 @@ def unused_private_methods(source: str) -> list[str]:
     return out
 
 
+def unused_private_attributes(source: str) -> list[str]:
+    """`Class._name`s: private instance attributes that a module-level class
+    sets (`self._name = ...` or `self._name: T = ...`) and that no code of
+    the module reads as an attribute."""
+    tree = ast.parse(source)
+    reads = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in ast.walk(cls):
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            for node in (n for target in targets for n in ast.walk(target)):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr.startswith("_")
+                    and not node.attr.endswith("__")
+                    and node.attr not in reads
+                ):
+                    out.append(f"{cls.name}.{node.attr}")
+    return list(dict.fromkeys(out))
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     source = path.read_text()
-    assert unused_private_names(source) + unused_private_methods(source) == []
+    assert unused_private_names(source) + unused_private_methods(source) + unused_private_attributes(source) == []
 
 
 def test_the_check_sees_dead_and_self_referencing_names():
@@ -91,3 +123,22 @@ def test_the_check_sees_uncalled_private_methods():
         "    return box._live()\n"
     )
     assert unused_private_methods(source) == ["Box._dead"]
+
+
+def test_the_check_sees_unread_private_attributes():
+    source = (
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self._dead = {}\n"
+        "        self._typed: dict = {}\n"
+        "        self._live, self._pair = 1, 2\n"
+        "        self._kept: list = []\n"
+        "        self.public = 3\n"
+        "    def size(self):\n"
+        "        self._kept.append(self._live)\n"
+        "        self._dead = None\n"
+        "        return len(self._kept)\n"
+        "def public(box):\n"
+        "    return box._pair\n"
+    )
+    assert unused_private_attributes(source) == ["Box._dead", "Box._typed"]
