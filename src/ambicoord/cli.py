@@ -24,7 +24,7 @@ from .coordination import (
 )
 from .errors import PreconditionError, SchemaError
 from .formulas import expand
-from .games import Distribution, Game, load_objective, solve_ce, validate_game
+from .games import Distribution, Game, load_objective, solve_ce
 from .parser import ParseError, parse_formula
 from .reports import Report
 from .semantics import holds
@@ -55,15 +55,6 @@ def _load(path: str, parse, *args):
         raise SchemaError(f"{path}: {exc}") from None
 
 
-def _valid_game(data) -> Game:
-    """The game, refused unless `validate_game` passes it."""
-    game = Game.from_dict(data)
-    report = validate_game(game)
-    if not report.ok:
-        raise SchemaError("; ".join(map(str, report.failures)))
-    return game
-
-
 def _resolve_player(game: Game, text: str) -> str:
     player = game.player_named(text)
     if player is None:
@@ -81,7 +72,7 @@ def _resolve_state(m: EpistemicStructure, text: str) -> str:
 
 
 def _cmd_parse(args) -> int:
-    game = _load(args.game, _valid_game)
+    game = _load(args.game, Game.from_dict)
     signals = atoms = None
     if args.structure:
         m = _load(args.structure, EpistemicStructure.from_dict, game)
@@ -94,7 +85,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    game = _load(args.game, _valid_game)
+    game = _load(args.game, Game.from_dict)
     m = _load(args.structure, EpistemicStructure.from_dict, game)
     player = _resolve_player(game, args.player)
     state = _resolve_state(m, args.state)
@@ -105,7 +96,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    game = _load(args.game, _valid_game)
+    game = _load(args.game, Game.from_dict)
     m = _load(args.structure, EpistemicStructure.from_dict, game)
     strategy = _load(args.strategy, CoordinationStrategy.from_dict, game, m.signals) if args.strategy else None
 
@@ -131,7 +122,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_induce(args) -> int:
-    game = _load(args.game, _valid_game)
+    game = _load(args.game, Game.from_dict)
     m = _load(args.structure, EpistemicStructure.from_dict, game)
     strategy = _load(args.strategy, CoordinationStrategy.from_dict, game, m.signals)
     # the audits that make play well defined, then strategy validity; the
@@ -152,7 +143,7 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    game = _load(args.game, _valid_game)
+    game = _load(args.game, Game.from_dict)
     m = _load(args.structure, EpistemicStructure.from_dict, game)
     strategy = _load(args.strategy, CoordinationStrategy.from_dict, game, m.signals)
     result = verify_induced_equilibrium(m, strategy)
@@ -169,7 +160,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    game = _load(args.game, _valid_game)
+    game = _load(args.game, Game.from_dict)
     if args.objective:
         dist = _load(args.objective, Distribution.from_dict, game)
         result = from_objective_ce(game, dist)
@@ -193,7 +184,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_solve_ce(args) -> int:
-    game = _load(args.game, _valid_game)
+    game = _load(args.game, Game.from_dict)
     objective = {}
     if args.objective:
         objective = _load(args.objective, load_objective, game)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .coordination import CoordinationStrategy
 from .errors import PreconditionError
-from .games import Distribution, Game, Profile, check_subjective_ce, profile_key, require_valid_game
+from .games import Distribution, Game, Profile, check_subjective_ce, profile_key
 from .structures import EpistemicStructure, row_layout
 
 
@@ -56,10 +56,9 @@ def _signal_scheme(game: Game):
 
 
 def _require_ce(game: Game, dists: Sequence[Distribution], kind: str) -> None:
-    """Refuse, with PreconditionError, an invalid game, weights that are not
-    a probability distribution, or distributions that are not a `kind`
-    correlated equilibrium (one per player; an objective CE repeats one)."""
-    require_valid_game(game)
+    """Refuse, with PreconditionError, weights that are not a probability
+    distribution, or distributions that are not a `kind` correlated
+    equilibrium (one per player; an objective CE repeats one)."""
     for d in dists:
         if any(w < 0 for w in d.num.values()) or sum(d.num.values()) != d.denom:
             raise PreconditionError("distribution is not a probability distribution")

@@ -325,8 +325,6 @@ def optimality_core(player: str, action: str, game: Game) -> Formula:
     `opt_i(a)` from the same integer gains without building it.
     """
     others = [j for j in game.players if j != player]
-    if not others:
-        raise ValueError("optimality needs at least one opponent")
     events = [conj(Play(j, b) for j, b in zip(others, combo)) for combo in game.opponent_profiles(player)]
     scale, _, gains = incentive_gains(game, player, [(action, alt) for alt in game.actions_of(player)])
     return conj(

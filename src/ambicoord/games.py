@@ -43,6 +43,8 @@ def profile_key(profile: Sequence[str]) -> str:
 class Game:
     """n-player normal-form game with named players and actions.
 
+    Every `Game` is valid: the constructor refuses, with SchemaError, a game
+    in which `validate_game` finds a problem, its problems joined by "; ".
     Its tables are read-only, so each player's table of incentive gains,
     which the CE checks, `opt_i(a)`, its printed core and the rationality
     gap read, is built once per game and kept.  `solve_ce` keeps nothing.
@@ -61,6 +63,9 @@ class Game:
         )
         self._index = {p: k for k, p in enumerate(self.players)}
         self._by_position = {str(k): p for k, p in enumerate(self.players, 1)}
+        report = validate_game(self)
+        if not report.ok:
+            raise SchemaError("; ".join(report.failures))
         self._gains_tables: dict[str, tuple[int, dict, dict]] = {}
 
     @property
@@ -84,8 +89,6 @@ class Game:
         try:
             return self.actions[player]
         except KeyError:
-            if player in self._index:  # declared without actions
-                return ()
             raise KeyError(f"unknown player {player!r}") from None
 
     def profiles(self) -> Iterable[Profile]:
@@ -166,7 +169,6 @@ class Game:
             "payoffs": {
                 profile_key(a): [format_rational(v) for v in self.payoffs[a]]
                 for a in self.profiles()
-                if a in self.payoffs
             },
         }
 
@@ -189,7 +191,10 @@ def _profile(key: str, players: Sequence[str], actions: Mapping[str, Sequence[st
 
 
 def validate_game(game: Game) -> Report:
-    """Report structural problems; an empty report means the game is usable."""
+    """The problems for which `Game(...)` refuses a game, so every `Game`
+    passes: at least two players, each named by an identifier or by her
+    1-based position, each with distinct identifier actions, and a vector of
+    one payoff per player at every action profile and at no other."""
     problems = []
     if game.n < 2:
         problems.append(f"need at least 2 players, got {game.n}")
@@ -215,14 +220,16 @@ def validate_game(game: Game) -> Report:
                 problems.append(f"action name {a!r} of player {p!r} is not an identifier")
     if not problems:
         expected = set(game.profiles())
-        have = set(game.payoffs)
-        for a in sorted(expected - have):
-            problems.append(f"missing payoff entry for profile {profile_key(a)!r}")
-        for a in sorted(have - expected):
-            problems.append(f"payoff entry for unknown profile {profile_key(a)!r}")
-        for a, values in game.payoffs.items():
-            if len(values) != game.n:
-                problems.append(f"payoff vector for {profile_key(a)!r} has length {len(values)}")
+        if game.payoffs.keys() != expected:  # sorted only when they differ
+            have = set(game.payoffs)
+            problems += [f"missing payoff entry for profile {profile_key(a)!r}" for a in sorted(expected - have)]
+            problems += [f"payoff entry for unknown profile {profile_key(a)!r}" for a in sorted(have - expected)]
+        n = game.n
+        problems += [
+            f"payoff vector for {profile_key(a)!r} has length {len(values)}"
+            for a, values in game.payoffs.items()
+            if len(values) != n
+        ]
     return Report(not problems, tuple(problems))
 
 
@@ -346,13 +353,6 @@ def load_objective(data: dict, game: Game) -> dict[Profile, Fraction]:
 # ---------------------------------------------------------------- CE checks
 
 
-def require_valid_game(game: Game) -> None:
-    """Refuse, with PreconditionError, a game that `validate_game` flags."""
-    report = validate_game(game)
-    if not report.ok:
-        raise PreconditionError("game is not valid: " + "; ".join(map(str, report.failures)))
-
-
 def incentive_gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> tuple[int, dict, list[list[int]]]:
     """The player's incentive rows in integers, picked from her gains table.
 
@@ -362,10 +362,8 @@ def incentive_gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -
     lists L * (u(profile) - u(profile with `alt` in her place)) over
     told[action].  The CE checks, the `opt_i(a)` core and the rationality gap
     all read these.  The table holds every ordered pair of her actions and is
-    kept on the game.  A game with a missing payoff has no table: every pair
-    of every player is refused with a KeyError naming the first missing
-    profile in `Game.profiles()` order.  An action she lacks is named by the
-    profile where she would play it, at her first opponent play.
+    kept on the game.  A pair with an action she lacks is refused with a
+    KeyError naming that action.
     """
     table = game._gains_tables.get(player)
     if table is None:
@@ -375,11 +373,7 @@ def incentive_gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -
         return scale, told, [rows[pair] for pair in pairs]
     except KeyError:
         lacked = next(a for pair in pairs for a in pair if a not in told)
-    combo = next(iter(game.opponent_profiles(player)), None)
-    if combo is None:  # no opponent play, so every row is empty
-        return scale, {a: [] for pair in pairs for a in pair}, [[] for _ in pairs]
-    k = game.player_index(player)
-    raise KeyError(f"no payoff entry for profile {profile_key(combo[:k] + (lacked,) + combo[k:])!r}")
+    raise KeyError(f"{lacked!r} is not an action of player {player!r}")
 
 
 def _gains_table(game: Game, player: str) -> tuple[int, dict, dict[tuple[str, str], list[int]]]:
@@ -388,10 +382,7 @@ def _gains_table(game: Game, player: str) -> tuple[int, dict, dict[tuple[str, st
     read of her payoffs in `Game.profiles()` order."""
     k = game.player_index(player)
     profiles = list(game.profiles())
-    try:
-        values = [game.payoffs[a][k] for a in profiles]
-    except KeyError as exc:
-        raise KeyError(f"no payoff entry for profile {profile_key(exc.args[0])!r}") from None
+    values = [game.payoffs[a][k] for a in profiles]
     spots = _spots(game, player)
     acts = game.actions_of(player)
     pairs = [(a, b) for a in acts for b in acts]
@@ -412,8 +403,7 @@ def _spots(game: Game, player: str) -> dict[str, list[int]]:
     stride = math.prod(counts[k + 1 :])
     block, size = counts[k] * stride, math.prod(counts)
     return {
-        # block is 0 only where size is, and then every run is empty
-        a: [q for start in range(j * stride, size, block or 1) for q in range(start, start + stride)]
+        a: [q for start in range(j * stride, size, block) for q in range(start, start + stride)]
         for j, a in enumerate(game.actions_of(player))
     }
 
@@ -504,22 +494,21 @@ def check_subjective_ce(game: Game, dists: Sequence[Distribution]) -> Report:
 def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) -> Distribution:
     """Maximize a rational objective over the correlated-equilibrium polytope.
 
-    Returns a vertex, exactly.  The polytope is never empty for a complete
-    game, so infeasibility indicates a malformed input.  A game of more than
+    Returns a vertex, exactly.  The polytope is never empty, so
+    infeasibility indicates a fault.  A game of more than
     MAX_CE_PROFILES action profiles is refused before any row is built.
 
     The LP is built in integers: each incentive row and the objective are
     reduced to the integer rows that `lp` would scale them to, so `lp` takes
     them as they are and pivots exactly as on the `Fraction` rows.
     """
-    require_valid_game(game)
     size = math.prod(len(game.actions_of(p)) for p in game.players)
     if size > MAX_CE_PROFILES:
         raise PreconditionError(f"the game has {size} action profiles, more than the cap of {MAX_CE_PROFILES}")
     profiles = list(game.profiles())
     weights = {}
     for a, v in (objective or {}).items():
-        if tuple(a) not in game.payoffs:  # a valid game has a payoff at every profile and no other
+        if tuple(a) not in game.payoffs:  # a game has a payoff at every profile and no other
             raise PreconditionError(f"objective names unknown profile {profile_key(a)!r}")
         weights[tuple(a)] = fraction(v)
     # c and the rows as `lp` would scale them, each by the lcm of its

@@ -109,17 +109,10 @@ class Evaluator:
         sees, is >= 0: `optimality_core` read in integers, refused where the
         core is refused and with the same error."""
         game = self.m.game
-        if all(j == player for j in game.players):
-            raise ValueError("optimality needs at least one opponent")
         alts = game.actions_of(player)
         # the action first, as in its core, so an action she lacks is named alike
         told = (action, *(a for a in alts if a != action))
         _, _, gains = incentive_gains(game, player, [(a, b) for a in told for b in alts])
-        # what building the core raises, in a game `validate_game` refuses
-        if not alts:
-            raise ValueError("empty conjunction")
-        if not all(map(game.actions_of, game.players)):
-            raise ValueError("probability inequality needs at least one term")
         n = len(alts)
         rows = [gains[k : k + n] for k in range(0, len(gains), n)]
         out = dict.fromkeys(told, 0)
@@ -138,12 +131,9 @@ class Evaluator:
         viewer's play row and the opt masks without building it, and refused
         where it is refused, with the same error."""
         m = self.m
-        acts = m.game.actions_of(player)
-        if not acts:
-            raise ValueError("empty conjunction")
         row = m.rows[viewer]
         out = m.full
-        for a in acts:
+        for a in m.game.actions_of(player):
             out &= (m.full ^ row[m.play_at(player, a)]) | self._mask(viewer, Optimal(player, a))
         return out
 

@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import PreconditionError, SchemaError
 from .formulas import And, Formula, Implies, Not, Optimal, Play, Prim, Rationality, Receive
-from .games import NAME_RE, NUMERAL_RE, Game, incentive_gains
+from .games import NAME_RE, Game, incentive_gains
 from .parser import ParseError, parse_formula, parse_instance, usable_name
 from .rationals import ratio, ratio_text
 from .reports import Report
@@ -143,14 +143,10 @@ def row_layout(game: Game, n_signals: int, n_atoms: int = 0) -> tuple[dict[str, 
 def _key_table(game: Game, signals: Iterable[str], atoms: Iterable[str], at: Mapping[str, int]) -> dict[str, int]:
     """{key: position} for each canonical key the grammar reads back to its
     proposition, `at` giving every canonical key's position: the keys of
-    usable atoms, and of players, signals and actions that are one token
-    each, a numeric player only at her own position."""
-    players = [
-        p for p in game.players if NAME_RE.fullmatch(p) or NUMERAL_RE.fullmatch(p) and game.player_named(p) == p
-    ]
-    actions = {p: [a for a in game.actions_of(p) if NAME_RE.fullmatch(a)] for p in players}
+    usable atoms, and of signals that are one token each (a game's players
+    and actions always are)."""
     signals = [s for s in signals if NAME_RE.fullmatch(s)]
-    return {key: at[key] for key in _propositions(players, actions.get, signals, filter(usable_name, atoms))}
+    return {key: at[key] for key in _propositions(game.players, game.actions_of, signals, filter(usable_name, atoms))}
 
 
 class EpistemicStructure:

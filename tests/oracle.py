@@ -208,6 +208,52 @@ def naive_cb_set(m, arg: Formula) -> frozenset:
     return acc
 
 
+# ------------------------------------------------------------------- games
+
+
+def naive_game_problems(players, actions, payoffs) -> list:
+    """What is wrong with the parts of a game, in the order `Game` names it:
+    the players, then their actions, then (only if those are sound) the
+    payoff entries, missing and unknown profiles each in sorted order."""
+    identifier = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+    numeral = re.compile(r"[0-9]+")
+    players = list(players)
+    problems = []
+    if len(players) < 2:
+        problems.append(f"need at least 2 players, got {len(players)}")
+    for k, p in enumerate(players):
+        at_own_position = any(str(j) == p.lstrip("0") and q == p for j, q in enumerate(players, 1))
+        if p == "":
+            problems.append("empty player name")
+        elif p in players[:k]:
+            problems.append(f"duplicate player name {p!r}")
+        elif numeral.fullmatch(p) and not at_own_position:
+            problems.append(f"numeric player name {p!r} must equal its position {k + 1}")
+        elif not numeral.fullmatch(p) and not identifier.fullmatch(p):
+            problems.append(f"player name {p!r} is not an identifier")
+    for p in players:
+        acts = list(actions[p]) if p in actions else []
+        if not acts:
+            problems.append(f"player {p!r} has no actions")
+        if len(set(acts)) != len(acts):
+            problems.append(f"player {p!r} has duplicate actions")
+        for a in acts:
+            if not identifier.fullmatch(a):
+                problems.append(f"action name {a!r} of player {p!r} is not an identifier")
+    if problems:
+        return problems
+    expected = list(itertools.product(*(actions[p] for p in players)))
+    have = [tuple(a) for a in payoffs]
+    for a in sorted(set(expected) - set(have)):
+        problems.append(f"missing payoff entry for profile {','.join(a)!r}")
+    for a in sorted(set(have) - set(expected)):
+        problems.append(f"payoff entry for unknown profile {','.join(a)!r}")
+    for a, values in payoffs.items():
+        if len(values) != len(players):
+            problems.append(f"payoff vector for {','.join(a)!r} has length {len(values)}")
+    return problems
+
+
 # ---------------------------------------------------------- incentive checks
 
 

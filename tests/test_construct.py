@@ -1,6 +1,7 @@
 """Building epistemic structures out of equilibrium distributions."""
 
 import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -176,9 +177,10 @@ class TestRefusals:
         ids=["objective", "subjective"],
     )
     def test_every_refusal_is_a_precondition_error(self, coord_game, build):
-        one_player = Game(["1"], {"1": ("U",)}, {("U",): (0,)})
+        # a one-player game is no game: it is refused when it is built
+        with pytest.raises(SchemaError):
+            Game(["1"], {"1": ("U",)}, {("U",): (0,)})
         for game, weights in (
-            (one_player, {("U",): 1}),  # not a valid game
             (coord_game, {("U", "L"): F(3, 2), ("D", "R"): F(-1, 2)}),  # a negative weight
             (coord_game, {("U", "L"): F(1, 2)}),  # weights summing to 1/2
             (coord_game, {("U", "X"): 1}),  # an action not in the game
@@ -250,7 +252,7 @@ def zero_game(shape) -> Game:
     distribution is an equilibrium."""
     players = [str(k + 1) for k in range(len(shape))]
     actions = {p: tuple(f"a{j + 1}" for j in range(n)) for p, n in zip(players, shape)}
-    profiles = Game(players, actions, {}).profiles()
+    profiles = itertools.product(*(actions[p] for p in players))
     return Game(players, actions, {a: (0,) * len(shape) for a in profiles})
 
 

@@ -28,7 +28,7 @@ from ambicoord import (
     expand,
     optimality_core,
 )
-from ambicoord.errors import PreconditionError
+from ambicoord.errors import PreconditionError, SchemaError
 from ambicoord.structures import EpistemicStructure
 from conftest import load_fixture
 from helpers import random_formula, random_game
@@ -170,9 +170,10 @@ class TestExpansion:
         assert out == And(clauses[0], clauses[1]) or out == conj(clauses)
 
     def test_optimality_needs_an_opponent(self):
-        solo = Game(["1"], {"1": ("a", "b")}, {("a",): (0,), ("b",): (0,)})
-        with pytest.raises(ValueError):
-            optimality_core("1", "a", solo)
+        # a game without one is refused when it is built, so no core lacks one
+        with pytest.raises(SchemaError) as err:
+            Game(["1"], {"1": ("a", "b")}, {("a",): (0,), ("b",): (0,)})
+        assert err.value.args == ("need at least 2 players, got 1",)
 
     def test_expansion_is_idempotent(self, game):
         battery = [

@@ -24,7 +24,6 @@ from ambicoord import (
     deviation_slack,
     holds,
     load_objective,
-    optimality_core,
     parse_profile_key,
     profile_key,
     solve_ce,
@@ -34,7 +33,13 @@ from ambicoord import lp
 from ambicoord.games import MAX_CE_PROFILES, incentive_gains
 from ambicoord.rationals import scaled
 from helpers import CountedPayoffs, random_game
-from oracle import naive_distribution_from_dict, naive_incentive_row, naive_is_objective_ce, naive_is_subjective_ce
+from oracle import (
+    naive_distribution_from_dict,
+    naive_game_problems,
+    naive_incentive_row,
+    naive_is_objective_ce,
+    naive_is_subjective_ce,
+)
 
 F = Fraction
 
@@ -56,8 +61,10 @@ def test_game_accessors(cycle_game):
         with pytest.raises(KeyError) as exc:
             lookup("x")
         assert exc.value.args == ("unknown player 'x'",)
-    # a player the game declares without actions has none
-    assert Game(["A", "B"], {"A": ("a",)}, {}).actions_of("B") == ()
+    # a player declared without actions is refused when the game is built
+    with pytest.raises(SchemaError) as exc:
+        Game(["A", "B"], {"A": ("a",)}, {})
+    assert exc.value.args == ("player 'B' has no actions",)
     assert list(cycle_game.profiles())[0] == ("T", "L")
     assert list(cycle_game.opponent_profiles("1")) == [("L",), ("C",), ("R",)]
     assert cycle_game.profile_with("2", "R", ("M",)) == ("M", "R")
@@ -67,19 +74,20 @@ def test_game_accessors(cycle_game):
 
 
 def test_incentive_row_names_a_profile_without_payoffs(cycle_game):
-    # the first missing profile in `profiles()` order, whichever pair is asked
-    # for and whether or not its actions meet the hole
-    for dropped, pair, named in [
-        ({("T", "L")}, ("T", "M"), "T,L"),
-        ({("T", "L")}, ("M", "T"), "T,L"),
-        ({("B", "R")}, ("T", "M"), "B,R"),
-        ({("M", "R"), ("B", "L")}, ("B", "T"), "M,R"),
+    # a game without a payoff at some profile is refused when it is built,
+    # every missing profile named in sorted order, so no row ever lacks one
+    for dropped, named in [
+        ({("T", "L")}, "missing payoff entry for profile 'T,L'"),
+        ({("B", "R")}, "missing payoff entry for profile 'B,R'"),
+        (
+            {("M", "R"), ("B", "L")},
+            "missing payoff entry for profile 'B,L'; missing payoff entry for profile 'M,R'",
+        ),
     ]:
         payoffs = {a: u for a, u in cycle_game.payoffs.items() if a not in dropped}
-        holed = Game(cycle_game.players, cycle_game.actions, payoffs)
-        with pytest.raises(KeyError) as err:
-            incentive_gains(holed, "1", [pair])
-        assert err.value.args == (f"no payoff entry for profile {named!r}",)
+        with pytest.raises(SchemaError) as err:
+            Game(cycle_game.players, cycle_game.actions, payoffs)
+        assert err.value.args == (named,)
     scale, told, [gains] = incentive_gains(cycle_game, "2", [("C", "R")])
     assert told["C"] == [("T", "C"), ("M", "C"), ("B", "C")]
     assert [F(g, scale) for g in gains] == [
@@ -88,8 +96,8 @@ def test_incentive_row_names_a_profile_without_payoffs(cycle_game):
 
 
 def test_gains_the_table_lacks_are_named_by_their_profile(cycle_game, cycle_ce, cycle):
-    """An action the player lacks is named through the profile a read of its
-    payoffs misses first, whether or not the game keeps her gains table."""
+    """An action the player lacks is named as such, with the player, whether
+    or not the game keeps her gains table."""
     for warm in (False, True):
         game = Game.from_dict(cycle_game.to_dict())
         if warm:
@@ -104,7 +112,7 @@ def test_gains_the_table_lacks_are_named_by_their_profile(cycle_game, cycle_ce, 
         for call in calls:
             with pytest.raises(KeyError) as err:
                 call()
-            assert err.value.args == ("no payoff entry for profile 'zz,L'",)
+            assert err.value.args == ("'zz' is not an action of player '1'",)
 
 
 def test_game_serialization_round_trip(cycle_game):
@@ -145,39 +153,52 @@ class TestReadOnlyGame:
         assert cycle_game.payoff("1", ("T", "C")) == 2
 
 
+def _refused(players, actions, payoffs, *problems):
+    """Assert that `Game` refuses these parts with exactly these problems."""
+    with pytest.raises(SchemaError) as err:
+        Game(players, actions, payoffs)
+    assert err.value.args == ("; ".join(problems),)
+
+
 class TestValidateGame:
+    """`Game` refuses, with every problem `validate_game` names, what would
+    not be a game; every game it builds passes."""
+
     def test_accepts_the_fixtures(self, cycle_game, coord_game, weather_game):
         for game in (cycle_game, coord_game, weather_game):
             assert validate_game(game).ok
 
     def test_needs_two_players(self):
-        solo = Game(["1"], {"1": ("a", "b")}, {("a",): (0,), ("b",): (0,)})
-        assert not validate_game(solo).ok
+        _refused(["1"], {"1": ("a", "b")}, {("a",): (0,), ("b",): (0,)}, "need at least 2 players, got 1")
 
     def test_numeric_names_must_match_position(self):
-        game = Game(
+        _refused(
             ["2", "1"],
             {"2": ("a",), "1": ("a",)},
             {("a", "a"): (0, 0)},
+            "numeric player name '2' must equal its position 1",
+            "numeric player name '1' must equal its position 2",
         )
-        assert not validate_game(game).ok
 
     def test_flags_missing_and_extra_payoffs(self):
-        game = Game(
+        _refused(
             ["x", "y"],
             {"x": ("a", "b"), "y": ("c",)},
             {("a", "c"): (0, 0), ("a", "d"): (0, 0)},
+            "missing payoff entry for profile 'b,c'",
+            "payoff entry for unknown profile 'a,d'",
         )
-        report = validate_game(game)
-        assert not report.ok
-        assert len(report.failures) >= 2  # missing (b,c), unknown (a,d)
+
+    def test_refuses_a_repeated_player_name(self):
+        actions = {"A": ("a", "b")}
+        payoffs = {a: (0, 0) for a in itertools.product("ab", "ab")}
+        _refused(["A", "A"], actions, payoffs, "duplicate player name 'A'")
 
     @pytest.mark.parametrize("name", ["\u00b2", "\u0662"], ids=["superscript-2", "arabic-indic-2"])
     def test_non_ascii_digits_are_not_a_position(self, name):
-        game = Game(["x", name], {"x": ("a",), name: ("a",)}, {("a", "a"): (0, 0)})
-        assert validate_game(game).failures == (f"player name {name!r} is not an identifier",)
-        assert game.player_named(name) == name
-        assert game.player_named("2") == name
+        _refused(
+            ["x", name], {"x": ("a",), name: ("a",)}, {("a", "a"): (0, 0)}, f"player name {name!r} is not an identifier"
+        )
 
     def test_players_by_name_or_position(self, cycle_game):
         assert [cycle_game.player_named(t) for t in ("1", "02", "2")] == ["1", "2", "2"]
@@ -185,12 +206,12 @@ class TestValidateGame:
             assert cycle_game.player_named(text) is None
 
     def test_rejects_non_identifier_names(self):
-        game = Game(
+        _refused(
             ["x", "y"],
             {"x": ("a b",), "y": ("c",)},
             {("a b", "c"): (0, 0)},
+            "action name 'a b' of player 'x' is not an identifier",
         )
-        assert not validate_game(game).ok
 
 
 class TestDistribution:
@@ -419,28 +440,69 @@ def test_incentive_gains_match_the_naive_reference(case):
             assert alt != action or all(gain == 0 for _, gain in row)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_a_missing_payoff_refuses_every_route_by_its_first_profile(data):
-    """Drop one or two payoffs: every incentive route raises a KeyError
-    naming the first missing profile in `profiles()` order."""
-    game, _ = data.draw(_small_games())
-    profiles = list(game.profiles())
-    dropped = data.draw(st.lists(st.sampled_from(profiles), min_size=1, max_size=2, unique=True))
-    holed = Game(game.players, game.actions, {a: u for a, u in game.payoffs.items() if a not in dropped})
-    named = ("no payoff entry for profile " + repr(profile_key(min(dropped, key=profiles.index))),)
-    dist = Distribution({profiles[0]: 1})
-    routes = [lambda: check_objective_ce(holed, dist)]
-    for p in game.players:
-        acts = game.actions_of(p)
-        routes += [lambda p=p: incentive_gains(holed, p, [])]
-        routes += [lambda p=p, pair=pair: incentive_gains(holed, p, [pair]) for pair in itertools.product(acts, acts)]
-        routes += [lambda p=p, a=a, b=b: deviation_slack(holed, dist, p, a, b) for a in acts for b in acts]
-        routes += [lambda p=p, a=a: optimality_core(p, a, holed) for a in acts]
-    for route in routes:
-        with pytest.raises(KeyError) as err:
-            route()
-        assert err.value.args == named
+_EDITS = [
+    "drop a payoff",
+    "add a payoff",
+    "shorten a vector",
+    "repeat a name",
+    "name x y",
+    "wrong numeral",
+    "superscript",
+    "no actions",
+    "drop the last player",
+]
+
+
+@st.composite
+def _edited_games(draw):
+    """(players, actions, payoffs) of a `_small_games` game after none, one
+    or two edits, each of which may leave it no game."""
+    game, _ = draw(_small_games())
+    players = list(game.players)
+    actions = {p: list(game.actions_of(p)) for p in players}
+    payoffs = dict(game.payoffs)
+    for edit in draw(st.lists(st.sampled_from(_EDITS), max_size=2)):
+        k = draw(st.integers(0, len(players) - 1))
+        if edit in ("drop a payoff", "add a payoff", "shorten a vector"):
+            if not payoffs:
+                continue
+            profile = draw(st.sampled_from(sorted(payoffs)))
+            if edit == "drop a payoff":
+                del payoffs[profile]
+            elif edit == "add a payoff":
+                added = draw(st.sampled_from([profile[:-1] + ("zz",), profile + profile[:1], profile[1:]]))
+                payoffs[added] = (0,) * len(players)
+            else:
+                payoffs[profile] = payoffs[profile][:-1]
+        elif edit == "no actions":
+            actions[players[k]] = []
+        elif edit == "drop the last player":
+            actions.pop(players.pop(), None)
+        else:
+            name = {
+                "repeat a name": players[k - 1],
+                "name x y": "x y",
+                "wrong numeral": draw(st.sampled_from(["0", str(k), str(k + 2), "0" + str(k + 1)])),
+                "superscript": "\u00b2",
+            }[edit]
+            actions[name] = actions.pop(players[k], [])
+            players[k] = name
+    return players, actions, payoffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_games())
+def test_a_game_is_built_exactly_when_the_reference_finds_no_problem(parts):
+    """`Game` refuses edited parts with exactly the reference's problems,
+    joined by "; ", and builds, into a game `validate_game` passes, exactly
+    the parts in which the reference finds none."""
+    problems = naive_game_problems(*parts)
+    try:
+        game = Game(*parts)
+    except SchemaError as err:
+        assert problems and err.args == ("; ".join(problems),)
+    else:
+        assert problems == [] and validate_game(game).ok
 
 
 @st.composite
