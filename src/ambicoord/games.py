@@ -57,7 +57,7 @@ class Game:
         payoffs: Mapping[Sequence[str], Sequence[Fraction | int]],
     ):
         self.players = tuple(players)
-        self.actions = MappingProxyType({p: tuple(actions[p]) for p in self.players if p in actions})
+        self.actions = MappingProxyType({p: tuple(acts) for p, acts in actions.items()})
         self.payoffs = MappingProxyType(
             {tuple(profile): tuple(map(fraction, values)) for profile, values in payoffs.items()}
         )
@@ -193,8 +193,9 @@ def _profile(key: str, players: Sequence[str], actions: Mapping[str, Sequence[st
 def validate_game(game: Game) -> Report:
     """The problems for which `Game(...)` refuses a game, so every `Game`
     passes: at least two players, each named by an identifier or by her
-    1-based position, each with distinct identifier actions, and a vector of
-    one payoff per player at every action profile and at no other."""
+    1-based position, each with distinct identifier actions, actions for no
+    other name, and a vector of one payoff per player at every action
+    profile and at no other."""
     problems = []
     if game.n < 2:
         problems.append(f"need at least 2 players, got {game.n}")
@@ -218,6 +219,7 @@ def validate_game(game: Game) -> Report:
         for a in acts:
             if NAME_RE.fullmatch(a) is None:
                 problems.append(f"action name {a!r} of player {p!r} is not an identifier")
+    problems += [f"actions given for unknown player {p!r}" for p in game.actions if p not in seen]
     if not problems:
         expected = set(game.profiles())
         if game.payoffs.keys() != expected:  # sorted only when they differ
@@ -498,9 +500,13 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
     infeasibility indicates a fault.  A game of more than
     MAX_CE_PROFILES action profiles is refused before any row is built.
 
-    The LP is built in integers: each incentive row and the objective are
-    reduced to the integer rows that `lp` would scale them to, so `lp` takes
-    them as they are and pivots exactly as on the `Fraction` rows.
+    The LP is built in integers, and `lp` takes its rows as they are.  The
+    objective is scaled by the lcm of its denominators, and each incentive
+    row, gains G over L, is reduced by gcd(L, *G), which puts its exact
+    values on the lcm of their denominators.  A row's scale leaves the
+    polytope as it is but steers the dual simplex's choice of leaving row
+    (the most negative right-hand side), so this one integer form per
+    inequality keeps every vertex and every pivot.
     """
     size = math.prod(len(game.actions_of(p)) for p in game.players)
     if size > MAX_CE_PROFILES:
@@ -511,9 +517,8 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
         if tuple(a) not in game.payoffs:  # a game has a payoff at every profile and no other
             raise PreconditionError(f"objective names unknown profile {profile_key(a)!r}")
         weights[tuple(a)] = fraction(v)
-    # c and the rows as `lp` would scale them, each by the lcm of its
-    # denominators: a row of gains G over L has lcm L / gcd(L, *G), so it
-    # becomes G / gcd(L, *G); a different scale would change the pivots
+    # c, and each row below, on the lcm of its exact values' denominators: a
+    # row of gains G over L has lcm L / gcd(L, *G), so it becomes G / gcd(L, *G)
     c, _ = scaled([weights.get(a, 0) for a in profiles])
     # built per call, not kept on the game: a game is often solved only
     # once; each payoff vector is read once, and a gain is placed by position
@@ -532,7 +537,7 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
                 row[q] = v
             rows.append(row)
     try:
-        _, x = lp.maximize(c, rows)
+        d, x, _ = lp.maximize(c, rows)
     except lp.Infeasible:
         raise PreconditionError("correlated-equilibrium constraints are infeasible") from None
-    return Distribution(dict(zip(profiles, x)))
+    return Distribution.from_numerators(dict(zip(profiles, x)), d)

@@ -1,16 +1,15 @@
 """Exact dual simplex on a condensed integer tableau, with a checked
 certificate, for the one LP the library poses: maximize c.x over the
-probability simplex (x >= 0, sum(x) == 1) subject to a.x >= 0 for each row a.
-It is the shape of the correlated-equilibrium constraints that
-`games.solve_ce` builds.
+probability simplex (x >= 0, sum(x) == 1) subject to a.x >= 0 for each row a,
+for integer c and integer rows.  It is the shape of the correlated-equilibrium
+constraints that `games.solve_ce` builds.
 
-Rows and objective are scaled to integers, each by the lcm of its
-denominators; a row or objective of ints is taken as it is, so a caller that
-builds them in integers pays no `Fraction` per entry, and `maximize` returns
-the value of the LP it was given.  The tableau is condensed (a
-dictionary, as in lrs): a basic column is a multiple of a unit vector, so
-only the nonbasic columns and the right-hand side are stored, with a
-`nonbasic` label list next to `basis`.  Pivots are fraction-free (Edmonds
+`maximize(c, rows)` takes c and the rows as they are and returns (d, x, y):
+the numerators of an optimal vertex x and of its duals y (the simplex row's,
+then the rows') over one positive denominator d, all ints.  The tableau is
+condensed (a dictionary, as in lrs): a basic column is a multiple of a unit
+vector, so only the nonbasic columns and the right-hand side are stored, with
+a `nonbasic` label list next to `basis`.  Pivots are fraction-free (Edmonds
 1967, Bareiss 1968): every entry is an integer over one positive denominator
 `d`, the previous pivot.  A pivot on (r, s) with pivot p turns every other
 row, the reduced-cost row included, into `(p*a - f*b) // d`, which divides
@@ -43,28 +42,17 @@ second visit by Bland's dual rule alone and come round again, and Bland's
 dual rule cannot cycle (Bland 1977).
 
 The duals are the final reduced costs at each row's starting basic variable,
-0 where it is basic.  The solver and the checker share one scaling: the
-simplex returns the numerators of x and of the duals y over its final
-denominator d, for the integer LP it was given, and every result is checked
-on that same integer data before it is returned: x >= 0 and the rows hold,
-y <= 0 on `>=` rows, A^T y >= c and b.y == c.x prove the vertex optimal,
-compared by cross-multiplication, with every product with x taken over x's
-few nonzero entries.  No `Fraction` is built until the return: the value
-and x's nonzero entries.  `check_certificate` checks a caller's general
-`=`/`>=` LP with the same integer check, after scaling c, x, y and the rows
-to integers, the rows all by one lcm.  No floats anywhere.
+0 where it is basic.  Every vertex is checked on the integer data the simplex
+got before it is returned: x >= 0, sum(x) == d and a.x >= 0 for each row
+prove x feasible; y <= 0 on the rows, y0 + sum_k y_k a_kj >= c_j d for each
+column j and y0 == c.x prove it optimal.  Every product with x is taken over
+x's few nonzero entries.  No floats and no `Fraction`s anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
-
-from .rationals import scaled
-
-Row = Sequence[Fraction]
 
 
 class Infeasible(Exception):
@@ -75,91 +63,61 @@ class CertificateError(ArithmeticError):
     """A computed solution failed its optimality certificate (a solver fault)."""
 
 
-def maximize(c: Sequence[Fraction], rows: Sequence[Row]) -> tuple[Fraction, list[Fraction]]:
+def maximize(c: Sequence[int], rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[int]]:
     """Maximize c.x over the probability simplex (x >= 0, sum(x) == 1)
-    subject to a.x >= 0 for each row a.
+    subject to a.x >= 0 for each row a, all entries ints.
 
-    Entries may be ints or Fractions; a row, or c, of ints alone is taken as
-    it is.  Returns (optimal value, x at an optimal vertex), all exact,
-    after checking the vertex's optimality certificate.  Raises Infeasible.
+    Returns (d, x, y) after checking the vertex's optimality certificate:
+    the numerators of x at an optimal vertex and of the duals y (the simplex
+    row's, then the rows') over the denominator d > 0.  Raises Infeasible.
     """
     n = len(c)
-    cost, c_scale = scaled(c)
-    ints = []
-    for a in rows:
-        if len(a) != n:
-            raise ValueError("row length mismatch")
-        ints.append(scaled(a)[0])
+    if any(len(a) != n for a in rows):
+        raise ValueError("row length mismatch")
     if not n:
         raise Infeasible
-    x, y, d = _simplex(cost, ints)
-    value = _certify(cost, [([1] * n, 1), *((a, 0) for a in ints)], 1, x, d, y, d)
-    zero = Fraction(0)
-    return Fraction(value, c_scale * d), [Fraction(v, d) if v else zero for v in x]
+    d, x, y = vertex = _simplex(c, rows)
+    _certify(c, rows, d, x, y)
+    return vertex
 
 
-def check_certificate(
-    c: Sequence[Fraction],
-    eq_rows: Sequence[tuple[Row, Fraction]],
-    ge_rows: Sequence[tuple[Row, Fraction]],
-    x: Sequence[Fraction],
-    y: Sequence[Fraction],
-) -> Fraction:
-    """Prove x optimal with the duals y (one per row, eq rows first).
-
-    Checks x >= 0 and every row, y <= 0 on ge rows, A^T y >= c and
-    b.y == c.x in exact integer arithmetic, and returns c.x.
-    Raises CertificateError if any of them fails.
-    """
-    cs, c_scale = scaled(c)
-    xs, dx = scaled(x)
-    ys, dy = scaled(y)
-    rows = [scaled([*a, b]) for a, b in [*eq_rows, *ge_rows]]
-    # every row times the lcm of the row scales: in that LP, with objective
-    # c * c_scale, the duals are y * c_scale / common
-    common = lcm(*(s for _, s in rows))
-    int_rows = [([v * (common // s) for v in row[:-1]], row[-1] * (common // s)) for row, s in rows]
-    ws = [v * c_scale for v in ys]
-    return Fraction(_certify(cs, int_rows, len(eq_rows), xs, dx, ws, dy * common), c_scale * dx)
-
-
-def _certify(c, rows, eq, x, dx, y, dy) -> int:
-    """The certificate check, in integers: `rows` are (a, b) pairs, the
-    first `eq` of them a.x == b and the rest a.x >= b; x is numerators over
-    dx, and y, the duals of this LP, numerators over dy.  Checks x >= 0 and
-    every row, y <= 0 on the >= rows, A^T y >= c and b.y == c.x, and returns
-    c.x's numerator over dx.  Raises CertificateError."""
+def _certify(c, rows, d, x, y) -> None:
+    """The certificate check, in integers, for x and y numerators over d:
+    x >= 0, sum(x) == d and a.x >= 0 for each row a; y <= 0 on the rows,
+    y0 + sum_k y_k a_kj >= c_j d for each column j, and y0 == c.x.  The
+    simplex row is row 0 and rows[k] is row k + 1.  Raises
+    CertificateError."""
     n = len(c)
-    if len(x) != n or len(y) != len(rows) or any(len(a) != n for a, _ in rows):
+    if len(x) != n or len(y) != len(rows) + 1:
         raise CertificateError("certificate has the wrong shape")
-    if dx <= 0 or dy <= 0:
+    if d <= 0:
         raise CertificateError("certificate has a denominator that is not positive")
     if any(v < 0 for v in x):
         raise CertificateError("primal solution has a negative entry")
     # a vertex has few nonzero entries: every product with x is over them
     support = [j for j, v in enumerate(x) if v]
     xs = [x[j] for j in support]
-    for k, (a, b) in enumerate(rows):
-        lhs, rhs = sum(map(mul, map(a.__getitem__, support), xs)), b * dx
-        if lhs < rhs or (k < eq and lhs != rhs):
+    if sum(xs) != d:
+        raise CertificateError("primal solution violates row 0")
+    for k, a in enumerate(rows, 1):
+        if sum(map(mul, map(a.__getitem__, support), xs)) < 0:
             raise CertificateError(f"primal solution violates row {k}")
-    if any(v > 0 for v in y[eq:]):
+    y0, ys = y[0], y[1:]
+    if any(v > 0 for v in ys):
         raise CertificateError("dual solution is positive on a >= row")
-    active = [k for k, v in enumerate(y) if v]
-    weights = [y[k] for k in active]
-    columns = list(zip(*(rows[k][0] for k in active))) or [()] * n
+    active = [k for k, v in enumerate(ys) if v]
+    weights = [ys[k] for k in active]
+    columns = list(zip(*(rows[k] for k in active))) or [()] * n
     for j, (cj, column) in enumerate(zip(c, columns)):
-        if sum(map(mul, column, weights)) < cj * dy:
+        if y0 + sum(map(mul, column, weights)) < cj * d:
             raise CertificateError(f"dual solution violates column {j}")
-    value = sum(map(mul, map(c.__getitem__, support), xs))
-    if sum(rows[k][1] * v for k, v in zip(active, weights)) * dx != value * dy:
+    if sum(map(mul, map(c.__getitem__, support), xs)) != y0:
         raise CertificateError("primal and dual objective values differ")
-    return value
 
 
-def _simplex(c, rows) -> tuple[list[int], list[int], int]:
+def _simplex(c, rows) -> tuple[int, list[int], list[int]]:
     """Optimal vertex of the LP with integer c, n = len(c) >= 1, and integer
-    rows: (x, y, d), the numerators of x and of the duals y (the simplex
+    rows: (d, x, y), the numerators of x and of the duals y (the simplex
     row's, then the rows') over the final denominator d > 0."""
     n = len(c)
     # Labels: x is 0..n-1, the surplus of row k is n + k and the simplex
@@ -188,7 +146,7 @@ def _simplex(c, rows) -> tuple[list[int], list[int], int]:
             y[0] = -v
         elif var >= n:
             y[var - n + 1] = v
-    return x, y, d
+    return d, x, y
 
 
 def _dual(tab, basis, nonbasic, objs, art):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Sequence
 
 # "p" or "p/q" with integer p and positive integer q; no whitespace, no floats
 _RATIONAL_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?\Z")
@@ -51,12 +50,9 @@ def fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def scaled(values) -> tuple[Sequence[int], int]:
+def scaled(values) -> tuple[list[int], int]:
     """The values (ints or Fractions) times the lcm of their denominators,
-    as a list, and that lcm; values that are all ints come back as they
-    are, not copied, with 1."""
-    if set(map(type, values)) <= {int}:
-        return values, 1
+    as a list, and that lcm."""
     denominators = [v.denominator for v in values]
     s = math.lcm(*denominators)
     return [v.numerator * (s // q) for v, q in zip(values, denominators)], s

@@ -240,6 +240,9 @@ def naive_game_problems(players, actions, payoffs) -> list:
         for a in acts:
             if not identifier.fullmatch(a):
                 problems.append(f"action name {a!r} of player {p!r} is not an identifier")
+    for p in actions:
+        if p not in players:
+            problems.append(f"actions given for unknown player {p!r}")
     if problems:
         return problems
     expected = list(itertools.product(*(actions[p] for p in players)))

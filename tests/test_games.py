@@ -32,7 +32,7 @@ from ambicoord import (
 from ambicoord import lp
 from ambicoord.games import MAX_CE_PROFILES, incentive_gains
 from ambicoord.rationals import scaled
-from helpers import CountedPayoffs, random_game
+from helpers import CountedPayoffs, random_game, random_objective
 from oracle import (
     naive_distribution_from_dict,
     naive_game_problems,
@@ -193,6 +193,10 @@ class TestValidateGame:
         actions = {"A": ("a", "b")}
         payoffs = {a: (0, 0) for a in itertools.product("ab", "ab")}
         _refused(["A", "A"], actions, payoffs, "duplicate player name 'A'")
+
+    def test_refuses_actions_for_an_unknown_player(self):
+        actions = {"A": ("a",), "B": ("b",), "C": ("c",)}
+        _refused(["A", "B"], actions, {("a", "b"): (0, 0)}, "actions given for unknown player 'C'")
 
     @pytest.mark.parametrize("name", ["\u00b2", "\u0662"], ids=["superscript-2", "arabic-indic-2"])
     def test_non_ascii_digits_are_not_a_position(self, name):
@@ -395,6 +399,9 @@ def _small_games(draw):
 @settings(max_examples=200, deadline=None)
 @given(_small_games())
 def test_solve_ce_gives_lp_the_rows_it_would_scale(case):
+    # `lp` takes its rows as they are, and a row's scale steers its pivots:
+    # the objective and each incentive row reach it scaled as the naive
+    # row's exact values times the lcm of their denominators
     game, objective = case
     with mock.patch.object(lp, "maximize", wraps=lp.maximize) as maximize:
         solve_ce(game, objective)
@@ -412,6 +419,27 @@ def test_solve_ce_gives_lp_the_rows_it_would_scale(case):
         for alt in game.actions_of(p)
         if alt != action
     ]
+
+
+def test_solve_ce_returns_the_integer_vertex_lp_certifies(monkeypatch):
+    # lp.maximize hands back ints alone, (d, x, y), and the equilibrium is x
+    # over d, with no Fraction in between
+    vertices = []
+    real = lp.maximize
+
+    def recording(c, rows):
+        vertices.append(real(c, rows))
+        return vertices[-1]
+
+    monkeypatch.setattr(lp, "maximize", recording)
+    rng = random.Random(27)
+    for count in range(1, 41):
+        game = random_game(rng)
+        dist = solve_ce(game, random_objective(rng, game))
+        assert len(vertices) == count
+        d, x, y = vertices[-1]
+        assert all(type(v) is int for v in (d, *x, *y))
+        assert dist == Distribution.from_numerators(dict(zip(game.profiles(), x)), d)
 
 
 def test_solve_ce_reads_each_payoff_vector_once():
@@ -450,6 +478,7 @@ _EDITS = [
     "superscript",
     "no actions",
     "drop the last player",
+    "action list for an unknown player",
 ]
 
 
@@ -478,6 +507,8 @@ def _edited_games(draw):
             actions[players[k]] = []
         elif edit == "drop the last player":
             actions.pop(players.pop(), None)
+        elif edit == "action list for an unknown player":
+            actions["zz"] = ["z"]
         else:
             name = {
                 "repeat a name": players[k - 1],

@@ -1,5 +1,5 @@
 """Source hygiene: no module keeps a private name, method or attribute it
-never uses."""
+never uses, and `lp` imports no rational arithmetic."""
 
 import ast
 from pathlib import Path
@@ -142,3 +142,20 @@ def test_the_check_sees_unread_private_attributes():
         "    return box._pair\n"
     )
     assert unused_private_attributes(source) == ["Box._dead", "Box._typed"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The modules a source imports from, relative ones with their dots."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add("." * node.level + (node.module or ""))
+    return out
+
+
+def test_lp_works_in_integers_alone():
+    # the simplex takes, pivots and returns ints: no Fraction and no scaling
+    assert imported_modules((SRC / "lp.py").read_text()) & {"fractions", ".rationals"} == set()
+    assert imported_modules("import fractions\nfrom .rationals import scaled\n") == {"fractions", ".rationals"}
