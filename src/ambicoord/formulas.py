@@ -31,7 +31,7 @@ class Formula:
     _hash = None  # not a field: set by the first hash of a _node instance
 
     def __str__(self) -> str:
-        return _text(self, _IMP)
+        return _text(self, _IMP, {})
 
     def __getstate__(self):
         # the kept hash (see _node) is salted per process: leave it behind
@@ -172,9 +172,15 @@ class Rationality(Formula):
 _IMP, _CONJ, _NEG, _ATOM = 0, 1, 2, 3
 
 
-def _text(f: Formula, need: int) -> str:
-    pieces, level = _layout(f)
-    text = "".join(p if isinstance(p, str) else _text(*p) for p in pieces)
+def _text(f: Formula, need: int, memo: dict) -> str:
+    # each distinct node (`expand` shares them) laid out once per memo, keyed
+    # by identity; a memo value keeps its node alive
+    hit = memo.get(id(f))
+    if hit is None:
+        pieces, level = _layout(f)
+        text = "".join(p if isinstance(p, str) else _text(*p, memo) for p in pieces)
+        hit = memo[id(f)] = (f, text, level)
+    _, text, level = hit
     return f"({text})" if level < need else text
 
 

@@ -27,9 +27,9 @@ NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # a player's 1-based position, which may stand for her name
 NUMERAL_RE = re.compile(r"[0-9]+")
 # the most action profiles `solve_ce` takes on: its time follows the LP's
-# pivots, which grow steeply with the count; the slowest of 5 seeded random
-# games took 0.10 s at 48 profiles (6x8), 0.012 s at 64 (4x4x4), 2.5 s at
-# 64 (4x16), 9.6 s at 64 (8x8), 0.019 s at 81 (3x3x3x3) and 14 s at 100
+# pivots, which grow with the count; the slowest of 5 seeded random games
+# (README) took 0.35 s at 48 profiles (6x8), 0.013 s at 64 (4x4x4), 2.5 s at
+# 64 (4x16), 0.11 s at 64 (8x8), 0.005 s at 81 (3x3x3x3) and 1.9 s at 100
 # (10x10) on a 2-vCPU host
 MAX_CE_PROFILES = 48
 

@@ -16,14 +16,18 @@ row, the reduced-cost row included, into `(p*a - f*b) // d`, which divides
 exactly, with `-f` in column s; the pivot row gets `d` in column s; and
 `basis[r]` and `nonbasic[s]` swap labels.
 
-Row 0 is the simplex row, with an artificial basic; every row a.x >= 0 is
-negated, so that its surplus starts basic at level 0.  The LP is solved by
-the dual simplex (Lemke 1954), with no phase 1.  The artificial leaves at
-once, at a column of the largest cost c_max, so every reduced cost becomes
-c_j - c_max <= 0: the basis is dual feasible.  Among tied columns the first
-one that no row blocks (no positive entry) enters, which is a pure Nash
-profile, and makes every right-hand side at least 0 at once; with none, the
-smallest label.  Then, while some right-hand side is negative, the most
+Row 0 is the simplex row.  With an artificial basic there and every row
+a.x >= 0 negated, so that its surplus starts basic at level 0, the pivot
+that takes the artificial out at a column col of the largest cost c_max
+leaves every reduced cost c_j - c_max <= 0: the basis is dual feasible, with
+no phase 1.  Among tied columns col is the first one that no row blocks
+(a_col >= 0 in every row), a pure Nash profile, else the smallest label.
+The tableau is built as that pivot leaves it: row 0 all ones over d = 1;
+the reduced costs c_j - c_max, with -c_max at col and as rhs; and each row
+with a_col < 0 as a_col - a_j, with a_col at col and as rhs.  A row with
+a_col >= 0 holds at e_col and is left out: a row enters the tableau only
+once a vertex violates it.  The dual simplex (Lemke 1954) runs on the rows
+held, in row order.  While some right-hand side is negative, the most
 negative one leaves, but right after a dual-degenerate pivot (entering
 reduced cost 0) the negative row with the smallest basic label leaves
 (Bland).  The column minimizing obj/row over the row's negative entries
@@ -31,26 +35,34 @@ enters, ties going to the smallest label, so every reduced cost stays at
 most 0; with none, the row cannot reach 0 and the LP is infeasible.  The
 pivot is negative, so the row is negated first and the pivot column after
 `_pivot`: `d` stays positive and every column keeps its variable's sign.
-The artificial never enters.  With no column at all the simplex is empty,
-and so is the LP.
+The artificial never enters.  When no rhs is negative, each left-out row is
+evaluated at the vertex, a.x over x's support, and every violated one is
+written in at the current basis: the sum over basic x_j of a_j times x_j's
+row, less d*a_j at each nonbasic x_j.  These are the integers the full
+tableau holds at that basis, so every later division stays exact.  With no
+row violated, the vertex is optimal.
 
-This terminates.  The dual objective, c.x at the current basis, falls at
-every pivot whose entering reduced cost is negative, so a cycle is made of
-dual-degenerate pivots only.  In a run of them every pivot after the first
-uses Bland's dual rule, so a basis met twice in the run would go on from its
-second visit by Bland's dual rule alone and come round again, and Bland's
-dual rule cannot cycle (Bland 1977).
+This terminates.  Each writing of rows adds at least one of finitely many, and
+keeps the basis dual feasible: each written surplus enters the basis with
+reduced cost 0.  Between writings the rows are fixed, and the dual objective,
+c.x at the current basis, falls at every pivot whose entering reduced cost is
+negative, so a cycle is made of dual-degenerate pivots only.  In a run of them
+every pivot after the first uses Bland's dual rule, so a basis met twice in
+the run would go on from its second visit by Bland's dual rule alone and come
+round again, and Bland's dual rule cannot cycle (Bland 1977).
 
 The duals are the final reduced costs at each row's starting basic variable,
-0 where it is basic.  Every vertex is checked on the integer data the simplex
-got before it is returned: x >= 0, sum(x) == d and a.x >= 0 for each row
-prove x feasible; y <= 0 on the rows, y0 + sum_k y_k a_kj >= c_j d for each
-column j and y0 == c.x prove it optimal.  Every product with x is taken over
-x's few nonzero entries.  No floats and no `Fraction`s anywhere.
+0 where it is basic or the row was never written, as in the full tableau.
+Every vertex is checked on the integer data the simplex got before it is
+returned: x >= 0, sum(x) == d and a.x >= 0 for every row prove x feasible;
+y <= 0 on the rows, y0 + sum_k y_k a_kj >= c_j d for each column j and
+y0 == c.x prove it optimal.  Every product with x is taken over x's few
+nonzero entries.  No floats and no `Fraction`s anywhere.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from operator import mul
 from typing import Sequence
 
@@ -121,17 +133,20 @@ def _simplex(c, rows) -> tuple[int, list[int], list[int]]:
     row's, then the rows') over the final denominator d > 0."""
     n = len(c)
     # Labels: x is 0..n-1, the surplus of row k is n + k and the simplex
-    # row's artificial is `art`.  Row k is negated.
-    tab = [[1] * (n + 1)]
-    for a in rows:
-        row = [-v for v in a]
-        row.append(0)
-        tab.append(row)
+    # row's artificial is `art`.  The tableau is the one the artificial's
+    # pivot on (0, col) leaves, less the rows that hold at x = e_col.
+    top = max(c)
+    tied = [j for j, v in enumerate(c) if v == top]
+    col = next((j for j in tied if all(a[j] >= 0 for a in rows)), tied[0])
+    tab, basis = [[1] * (n + 1)], [col]
+    for k, a in enumerate(rows):
+        if a[col] < 0:
+            tab.append([a[col] if j == col else a[col] - v for j, v in enumerate(a)] + [a[col]])
+            basis.append(n + k)
     art = n + len(rows)
-    basis = [art, *range(n, art)]
-    nonbasic = list(range(n))
-    objs = [[*c, 0]]
-    d = _dual(tab, basis, nonbasic, objs, art)
+    nonbasic = [art if j == col else j for j in range(n)]
+    objs = [[-top if j == col else v - top for j, v in enumerate(c)] + [-top]]
+    d = _dual(rows, tab, basis, nonbasic, objs)
 
     x = [0] * n
     for row, var in zip(tab, basis):
@@ -139,7 +154,7 @@ def _simplex(c, rows) -> tuple[int, list[int], list[int]]:
             x[var] = row[-1]
     # the reduced cost at the column of a row's starting basic variable is
     # -y, and y in a negated row; the artificial never enters, so it is
-    # nonbasic, and a basic surplus has the dual 0
+    # nonbasic, and a basic or never written surplus has the dual 0
     y = [0] * (len(rows) + 1)
     for v, var in zip(objs[0], nonbasic):
         if var == art:
@@ -149,23 +164,43 @@ def _simplex(c, rows) -> tuple[int, list[int], list[int]]:
     return d, x, y
 
 
-def _dual(tab, basis, nonbasic, objs, art):
-    """Dual simplex, row 0 the simplex row with the artificial `art`: it
-    leaves at the largest cost (the first tied column no row blocks, else
-    the smallest tied label); then the most negative rhs leaves, or the
-    smallest basic label among them after a dual-degenerate pivot, and the
-    least obj/row over the row's negative entries enters, ties to the
-    smallest label.  The artificial never enters.  Returns the denominator."""
-    cost = objs[0]
-    top = max(cost[:-1])
-    tied = [j for j, v in enumerate(cost[:-1]) if v == top]
-    col = next((j for j in tied if all(row[j] <= 0 for row in tab[1:])), tied[0])
-    d = _pivot(tab, basis, nonbasic, objs, 1, 0, col)
-    bland = False
+def _dual(rows, tab, basis, nonbasic, objs):
+    """Dual simplex from the built start at x = e_basis[0], on the rows held
+    in `rows` order: Dantzig's leaving row, or Bland's after a degenerate
+    pivot, and the ratio test; with no rhs negative, every left-out row the
+    vertex violates is written in.  Returns the denominator."""
+    n = len(nonbasic)
+    art = n + len(rows)
+    held = [-1, *(var - n for var in basis[1:])]  # tab[i] is rows[held[i]]
+    out = [k for k, a in enumerate(rows) if a[basis[0]] >= 0]
+    d, bland = 1, False
     while True:
         negative = [i for i, row in enumerate(tab) if row[-1] < 0]
         if not negative:
-            return d
+            # a.x over x's support, for each row left out
+            basic = [(j, row) for j, row in zip(basis, tab) if j < n]
+            support = [(j, row[-1]) for j, row in basic if row[-1]]
+            violated = [k for k in out if sum(rows[k][j] * v for j, v in support) < 0]
+            if not violated:
+                return d
+            out = [k for k in out if k not in violated]
+            for k in violated:
+                # the row of a.x's surplus as the full tableau holds it at
+                # this basis: each basic x_j's row times a_j, and -d*a_j at
+                # each nonbasic x_j
+                a = rows[k]
+                row = [0] * (n + 1)
+                for j, b in basic:
+                    if a[j]:
+                        row = [u + a[j] * v for u, v in zip(row, b)]
+                for j, var in enumerate(nonbasic):
+                    if var < n:
+                        row[j] -= d * a[var]
+                i = bisect(held, k)
+                held.insert(i, k)
+                tab.insert(i, row)
+                basis.insert(i, n + k)
+            continue
         if bland:
             r = min(negative, key=basis.__getitem__)
         else:
@@ -188,9 +223,8 @@ def _dual(tab, basis, nonbasic, objs, art):
         # -basis[r]; negating the column afterwards turns that back
         tab[r] = [-v for v in row]
         d = _pivot(tab, basis, nonbasic, objs, d, r, col)
-        for rows in (tab, objs):
-            for row in rows:
-                row[col] = -row[col]
+        for row in (*tab, *objs):
+            row[col] = -row[col]
 
 
 def _pivot(tab, basis, nonbasic, objs, d, r, col):

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from ambicoord import (
@@ -28,6 +29,7 @@ from ambicoord import (
     expand,
     optimality_core,
 )
+from ambicoord import formulas
 from ambicoord.errors import PreconditionError, SchemaError
 from ambicoord.structures import EpistemicStructure
 from conftest import load_fixture
@@ -198,6 +200,26 @@ def _random_formulas(seed: int, count: int):
         yield game, random_formula(rng, game, ("s1", "s2"), ("p", "q"), depth=rng.randint(0, 4))
 
 
+def _distinct_nodes(f: Formula) -> int:
+    """The number of distinct node objects under f, f included."""
+    distinct, todo = set(), [f]
+    while todo:
+        node = todo.pop()
+        if id(node) in distinct:
+            continue
+        distinct.add(id(node))
+        todo += [v for v in vars(node).values() if isinstance(v, Formula)]
+        todo += [sub for _, sub in getattr(node, "terms", ())]
+    return len(distinct)
+
+
+def _tree_text(f: Formula, need: int = formulas._IMP) -> str:
+    """f printed as a tree: each node laid out again wherever it recurs."""
+    pieces, level = formulas._layout(f)
+    text = "".join(p if isinstance(p, str) else _tree_text(*p) for p in pieces)
+    return f"({text})" if level < need else text
+
+
 class TestSharedExpansion:
     def test_agrees_with_the_unrolled_definition(self):
         for game, f in _random_formulas(11, 150):
@@ -205,16 +227,35 @@ class TestSharedExpansion:
 
     def test_deep_mutual_belief_builds_each_level_once(self, game):
         out = expand(MutualBelief(2000, P), game)
-        distinct, todo = set(), [out]
-        while todo:
-            node = todo.pop()
-            if id(node) in distinct:
-                continue
-            distinct.add(id(node))
-            todo += [v for v in vars(node).values() if isinstance(v, Formula)]
-            todo += [sub for _, sub in getattr(node, "terms", ())]
         # per level: the conjunction of two beliefs, each two inequalities
-        assert len(distinct) == 2000 * 7 + 1
+        assert _distinct_nodes(out) == 2000 * 7 + 1
+
+    def test_prints_each_shared_node_once(self, game, monkeypatch):
+        out = expand(MutualBelief(2, And(Rationality("1"), Rationality("2"))), game)
+        text = _tree_text(out)
+        calls = 0
+        layout = formulas._layout
+
+        def counted(f):
+            nonlocal calls
+            calls += 1
+            return layout(f)
+
+        monkeypatch.setattr(formulas, "_layout", counted)
+        assert str(out) == text
+        assert calls <= _distinct_nodes(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_a_shared_expansion_prints_as_its_tree(seed, depth):
+    # `str` lays out each distinct node once, and the text is the tree's,
+    # as an expansion that shares no node prints it
+    rng = random.Random(seed)
+    game = random_game(rng)
+    f = random_formula(rng, game, ("s1", "s2"), ("p", "q"), depth)
+    out = expand(f, game)
+    assert str(out) == _tree_text(out) == str(oracle.expand_sugar(f, game))
 
 
 class TestExpandedLength:

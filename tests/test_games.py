@@ -7,6 +7,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -42,6 +43,7 @@ from oracle import (
 )
 
 F = Fraction
+BENCH_DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
 
 
 def test_profile_keys_round_trip(cycle_game):
@@ -440,6 +442,37 @@ def test_solve_ce_returns_the_integer_vertex_lp_certifies(monkeypatch):
         d, x, y = vertices[-1]
         assert all(type(v) is int for v in (d, *x, *y))
         assert dist == Distribution.from_numerators(dict(zip(game.profiles(), x)), d)
+
+
+def _frozen_solves():
+    """Every solved (game, objective, optimal value) that `bench/data`
+    keeps: 400 `solve` lines, 5 solves on each of the 16 `device` games and
+    the 6 `cli` 2x2 solves.  A game has players 1..n with actions a1..ak and
+    one payoff vector a profile in profile order; an objective is [profile
+    index, weight] pairs."""
+    for name in ("solve", "device", "cli"):
+        with open(BENCH_DATA / f"{name}.jsonl", encoding="utf-8") as fh:
+            for entry in map(json.loads, fh):
+                if entry.get("kind") == "device":  # a `cli` device's inputs
+                    continue
+                players = [str(k + 1) for k in range(len(entry["shape"]))]
+                actions = {p: [f"a{k + 1}" for k in range(m)] for p, m in zip(players, entry["shape"])}
+                profiles = list(itertools.product(*actions.values()))
+                game = Game(players, actions, dict(zip(profiles, (tuple(map(Fraction, v)) for v in entry["payoffs"]))))
+                for solve in entry.get("solves", [entry]):
+                    objective = {profiles[k]: Fraction(w) for k, w in solve["objective"]}
+                    yield name, game, objective, Fraction(solve["value"])
+
+
+def test_solve_ce_reaches_every_frozen_optimum():
+    # the optimum is unique even where the vertex is not
+    counts = collections.Counter()
+    for name, game, objective, value in _frozen_solves():
+        dist = solve_ce(game, objective)
+        assert naive_is_objective_ce(game, dist)
+        assert sum(w * dist.weight(a) for a, w in objective.items()) == value
+        counts[name] += 1
+    assert counts == {"solve": 400, "device": 80, "cli": 6}
 
 
 def test_solve_ce_reads_each_payoff_vector_once():

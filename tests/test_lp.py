@@ -1,6 +1,7 @@
 """Exact simplex: known optima, failure modes, degenerate inputs."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from helpers import random_game, random_objective
 from oracle import naive_certificate_holds, naive_lp
 
 F = Fraction
+_PIVOT = lp._pivot
 
 
 def _general(c, rows):
@@ -272,33 +274,49 @@ def test_every_solve_stops_within_a_pivot_budget(monkeypatch):
     assert pivots > 0
 
 
+def _full_start(c, rows, col):
+    """[tab, basis, nonbasic, objs, d] of the full tableau, every row negated
+    so that its surplus is basic, after the artificial's pivot on (0, col)."""
+    n, art = len(c), len(c) + len(rows)
+    full = [[[1] * (n + 1), *([-v for v in a] + [0] for a in rows)], [art, *range(n, art)], list(range(n)), [[*c, 0]], 1]
+    full[4] = _PIVOT(*full, 0, col)
+    return full
+
+
 def test_dual_pivots_start_at_the_best_profile_then_follow_dantzig_or_bland(monkeypatch):
-    # The CE LPs as `solve_ce` passes them take the dual path.  The first
-    # pivot takes row 0, the simplex row, out at the largest cost: the first
-    # tied column that no row blocks (a positive entry; every other rhs is
-    # 0), else the smallest tied label.  Then the most negative rhs leaves,
-    # or right after a pivot whose entering reduced cost is 0 the negative
-    # row with the smallest basic label, and the column minimizing obj/row
-    # over the row's negative entries enters, ties going to the smallest
-    # label; artificials never enter.  The leaving row reaches `_pivot`
-    # negated, so that its pivot is positive.
+    # The CE LPs as `solve_ce` passes them take the dual path.  It starts at
+    # the largest cost: the first tied column that no row blocks (a negative
+    # entry), else the smallest tied label, on the tableau that the
+    # artificial's pivot there, on the full tableau with every row negated,
+    # leaves, less each row whose rhs is then at least 0.  Then the most
+    # negative rhs leaves, the earlier row among ties, or right after a pivot
+    # whose entering reduced cost is 0 the negative row with the smallest
+    # basic label, and the column minimizing obj/row over the row's negative
+    # entries enters, ties going to the smallest label; artificials never
+    # enter.  The leaving row reaches `_pivot` negated, so that its pivot is
+    # positive.
     problems = _degenerate_ce_lps(monkeypatch, 200)
-    real = lp._pivot
+    real_dual, real = lp._dual, lp._pivot
     state = dict.fromkeys(["nash", "label", "dantzig", "bland", "ratio", "tie"], 0)
+
+    def started(rows, tab, basis, nonbasic, objs):
+        c = state["c"]
+        top = max(c)
+        tied = [j for j, v in enumerate(c) if v == top]
+        unblocked = [j for j in tied if all(a[j] >= 0 for a in rows)]
+        full, full_basis, full_nonbasic, full_objs, d = _full_start(c, rows, (unblocked or tied)[0])
+        assert d == 1
+        kept = [i for i, row in enumerate(full) if i == 0 or row[-1] < 0]
+        assert tab == [full[i] for i in kept] and basis == [full_basis[i] for i in kept]
+        assert (nonbasic, objs) == (full_nonbasic, full_objs)
+        if unblocked and unblocked[0] != tied[0]:
+            state["nash"] += 1
+        elif not unblocked and len(tied) > 1:
+            state["label"] += 1
+        return real_dual(rows, tab, basis, nonbasic, objs)
 
     def checked(tab, basis, nonbasic, objs, d, r, col):
         obj = objs[0]
-        if state["start"]:
-            top = max(obj[:-1])
-            tied = [j for j, v in enumerate(obj[:-1]) if v == top]
-            unblocked = [j for j in tied if all(row[j] <= 0 for row in tab[1:])]
-            assert (r, col) == (0, (unblocked or tied)[0])
-            if unblocked and unblocked[0] != tied[0]:
-                state["nash"] += 1
-            elif not unblocked and len(tied) > 1:
-                state["label"] += 1
-            state["start"] = False
-            return real(tab, basis, nonbasic, objs, d, r, col)
         entering = [var < state["art0"] for var in nonbasic]
         assert all(v <= 0 for v, e in zip(obj, entering) if e)  # dual feasible
         rows = [[-v for v in row] if i == r else row for i, row in enumerate(tab)]
@@ -320,12 +338,103 @@ def test_dual_pivots_start_at_the_best_profile_then_follow_dantzig_or_bland(monk
         state["degenerate"] = obj[col] == 0
         return real(tab, basis, nonbasic, objs, d, r, col)
 
+    monkeypatch.setattr(lp, "_dual", started)
     monkeypatch.setattr(lp, "_pivot", checked)
     for c, rows in problems:
-        state.update(start=True, degenerate=False, art0=len(c) + len(rows))
+        state.update(c=c, degenerate=False, art0=len(c) + len(rows))
         maximize(c, rows)
     # each branch was put to the test where it disagrees with the others
     assert all(state[k] > 0 for k in ("nash", "label", "dantzig", "bland", "ratio", "tie")), state
+
+
+def _traced_solves(monkeypatch, problems, check=None):
+    """Solve each (c, rows), calling check(tab, basis, nonbasic, objs, d, r,
+    col, run) before every pivot.  `run` holds the solve's c, rows and
+    pivots so far, the rows the tableau holds (each written row's surplus
+    label, n + k, is basic or nonbasic), the rows violated at some vertex
+    met before the pivot, and the rows the first pivot saw.  Returns each
+    solve's (d, x, y) and its last `run`."""
+    real = lp._pivot
+    runs = []
+
+    def traced(tab, basis, nonbasic, objs, d, r, col):
+        run = runs[-1]
+        n = len(run["c"])
+        labels = {var - n for var in (*basis, *nonbasic)}
+        run["held"] = {k for k in range(len(run["rows"])) if k in labels}
+        # the vertex: tab[r] arrives negated
+        x = [0] * n
+        for i, (row, var) in enumerate(zip(tab, basis)):
+            if var < n:
+                x[var] = -row[-1] if i == r else row[-1]
+        run["violated"] |= {k for k, a in enumerate(run["rows"]) if sum(map(operator.mul, a, x)) < 0}
+        run.setdefault("start", run["held"])
+        if check:
+            check(tab, basis, nonbasic, objs, d, r, col, run)
+        run["pivots"] += 1
+        return real(tab, basis, nonbasic, objs, d, r, col)
+
+    monkeypatch.setattr(lp, "_pivot", traced)
+    solved = []
+    for c, rows in problems:
+        runs.append(dict(c=c, rows=rows, pivots=0, held=set(), violated=set()))
+        solved.append(maximize(c, rows))
+    return list(zip(solved, runs))
+
+
+def test_a_row_enters_the_tableau_only_once_a_vertex_violates_it(monkeypatch):
+    # The start holds the rows that x = e_col violates; a row enters later
+    # only where no rhs held is negative and the vertex violates it
+    def check(tab, basis, nonbasic, objs, d, r, col, run):
+        assert run["held"] <= run["violated"]
+
+    runs = [run for _, run in _traced_solves(monkeypatch, _degenerate_ce_lps(monkeypatch, 200), check)]
+    assert any(run["pivots"] and len(run["held"]) < len(run["rows"]) for run in runs)
+
+
+def test_a_row_written_mid_solve_is_the_full_tableau_row(monkeypatch):
+    # The same pivots on the full tableau, every row negated and the
+    # artificial pivoted out at the start column, hold every row the lazy
+    # tableau holds, in row order and with the same integers, the rows
+    # written mid-solve included; so each fraction-free update
+    # (p*a - f*b) / d, and p*a / d where f is 0, still divides exactly
+    mid = 0
+
+    def check(tab, basis, nonbasic, objs, d, r, col, run):
+        nonlocal mid
+        c, rows = run["c"], run["rows"]
+        if "full" not in run:
+            run["full"] = _full_start(c, rows, nonbasic.index(len(c) + len(rows)))
+        ftab, fbasis, fnonbasic, fobjs, fd = full = run["full"]
+        kept = [0, *(k + 1 for k in sorted(run["held"]))]
+        assert [[-v for v in row] if i == r else row for i, row in enumerate(tab)] == [ftab[i] for i in kept]
+        assert basis == [fbasis[i] for i in kept]
+        assert (nonbasic, objs, d) == (fnonbasic, fobjs, fd)
+        prow = tab[r]
+        p = prow[col]
+        for row in (*tab, *objs):
+            if row is not prow:
+                assert all((p * a - row[col] * b) % d == 0 for a, b in zip(row, prow))
+        mid += bool(run["held"] - run["start"])
+        # the same pivot on the full tableau, as `_dual` makes it
+        fr = fbasis.index(basis[r])
+        ftab[fr] = [-v for v in ftab[fr]]
+        full[4] = _PIVOT(*full, fr, col)
+        for row in (*ftab, *fobjs):
+            row[col] = -row[col]
+
+    _traced_solves(monkeypatch, _degenerate_ce_lps(monkeypatch, 200), check)
+    assert mid > 0
+
+
+def test_a_row_never_written_has_dual_zero(monkeypatch):
+    # its surplus stays basic, as in the full tableau, so its dual is 0
+    never = 0
+    for (d, x, y), run in _traced_solves(monkeypatch, _degenerate_ce_lps(monkeypatch, 200)):
+        for k in set(range(len(run["rows"]))) - run["held"]:
+            assert y[k + 1] == 0
+            never += 1
+    assert never > 0
 
 
 def _is_pure_nash(game, a):
@@ -358,19 +467,19 @@ def _ce_pivots(monkeypatch, game, objective):
     return pivots, dist
 
 
-def test_a_pure_nash_profile_solves_in_one_pivot(monkeypatch):
+def test_a_pure_nash_profile_solves_with_no_dual_pivot(monkeypatch):
     # With no objective every column ties for the start, and the first one
     # that no incentive row blocks is a pure Nash profile: a profile's column
-    # is positive in a zero-rhs incentive row exactly where its player gains
-    # by deviating.  The simplex row's artificial leaves there, no
-    # right-hand side is then negative, and the solve ends.
+    # is negative in an incentive row exactly where its player gains by
+    # deviating.  The solve starts there, every row holds at that vertex, so
+    # none is written in, and the solve ends with no dual pivot.
     rng = random.Random(11)
     seen = {2: 0, 3: 0}
     for _ in range(80):
         game = random_game(rng)
         if _has_pure_nash(game):
             pivots, dist = _ce_pivots(monkeypatch, game, {})
-            assert pivots == 1
+            assert pivots == 0
             (profile,) = dist.support()
             assert _is_pure_nash(game, profile)
             seen[game.n] += 1
