@@ -26,7 +26,6 @@ from .errors import PreconditionError, SchemaError
 from .formulas import expand
 from .games import Distribution, Game, load_objective, solve_ce
 from .parser import ParseError, parse_formula
-from .reports import Report
 from .semantics import holds
 from .structures import EpistemicStructure
 
@@ -108,14 +107,12 @@ def _cmd_validate(args) -> int:
     all_ok = True
     for label, outcome in run_audits(m, strategy, labels):
         label = label.replace(" ", "-")
-        ok = isinstance(outcome, Report) and outcome.ok
-        all_ok = all_ok and ok
-        if not isinstance(outcome, Report):
-            reason = "structural checks failed" if outcome is None else outcome
-            print(f"{label}: skipped ({reason})")
+        all_ok = all_ok and outcome is not None and outcome.ok
+        if outcome is None:
+            print(f"{label}: skipped (structural checks failed)")
             continue
-        print(f"{label}: {'pass' if ok else 'fail'}")
-        if not ok:
+        print(f"{label}: {'pass' if outcome.ok else 'fail'}")
+        if not outcome.ok:
             for line in (*outcome.failures, *outcome.notes):
                 print(f"  {label}: {line}", file=sys.stderr)
     return 0 if all_ok else 1
@@ -129,8 +126,6 @@ def _cmd_induce(args) -> int:
     # first failure is refused, named by its label
     gate = ("signal uniqueness", "partition consistency", "action uniqueness", "strategy validity")
     for label, outcome in run_audits(m, strategy, gate):
-        if isinstance(outcome, PreconditionError):
-            raise outcome
         if not outcome.ok:
             raise PreconditionError(label)
     if args.player:

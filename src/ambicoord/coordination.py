@@ -1,16 +1,18 @@
 """Coordination strategies: signal-contingent playbooks and their evaluation.
 
-A strategy is a total table (player, signal) -> action.  Rendered as formulas
-it reads "if i received sigma then i plays a"; validity means every player
-deems every such instruction true at every state.  Self-enforcement adds that
-each player, at each state, actually plays her recommended action and deems
-it optimal.  Induced distributions collect the prior mass of the full action
-profiles a viewer sees across states.
+A strategy is a table (player, signal) -> action over exactly its players and
+signals.  Rendered as formulas it reads "if i received sigma then i plays a";
+validity means every player deems every such instruction true at every
+state.  Self-enforcement adds that each player, at each state, actually
+plays her recommended action and deems it optimal.  Both read the strategy
+through `read_strategy`, which refuses one the structure cannot read; as
+`run_audits` reads it before its first step, its steps yield only reports.
+Induced distributions collect the prior mass of the full action profiles a
+viewer sees across states.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence
 
@@ -40,11 +42,12 @@ class CoordinationStrategy:
     def __init__(self, players: Sequence[str], signals: Sequence[str], table: Mapping[str, Mapping[str, str]]):
         self.players = tuple(players)
         self.signals = tuple(signals)
-        self.table = {p: dict(table.get(p, {})) for p in self.players}
-        for p in self.players:
-            missing = [s for s in self.signals if s not in self.table[p]]
-            if missing:
-                raise SchemaError(f"strategy: player {p!r} has no action for signals {missing}")
+        if set(table) != set(self.players):
+            raise SchemaError("strategy: keys must be exactly the players")
+        self.table = {p: dict(table[p]) for p in self.players}
+        for p, row in self.table.items():
+            if set(row) != set(self.signals):
+                raise SchemaError(f"strategy: player {p!r} must map exactly the declared signals")
 
     def action(self, player: str, signal: str) -> str:
         try:
@@ -55,11 +58,7 @@ class CoordinationStrategy:
     def __eq__(self, other):
         if not isinstance(other, CoordinationStrategy):
             return NotImplemented
-        return (
-            self.players == other.players
-            and self.signals == other.signals
-            and self.table == other.table
-        )
+        return (self.players, self.signals, self.table) == (other.players, other.signals, other.table)
 
     def __repr__(self):
         return f"CoordinationStrategy(players={self.players!r}, signals={self.signals!r})"
@@ -68,17 +67,15 @@ class CoordinationStrategy:
     def from_dict(cls, data: dict, game: Game, signals: Sequence[str]) -> "CoordinationStrategy":
         if not isinstance(data, dict):
             raise SchemaError("strategy: expected an object")
-        if set(data) != set(game.players):
-            raise SchemaError("strategy: keys must be exactly the players")
         for p, row in data.items():
             if not isinstance(row, dict):
                 raise SchemaError(f"strategy: entry for player {p!r} must be an object")
-            if set(row) != set(signals):
-                raise SchemaError(f"strategy: player {p!r} must map exactly the declared signals")
-            for s, a in row.items():
+        strategy = cls(game.players, signals, data)
+        for p, row in strategy.table.items():
+            for a in row.values():
                 if a not in game.actions_of(p):
                     raise SchemaError(f"strategy: {a!r} is not an action of player {p!r}")
-        return cls(game.players, signals, data)
+        return strategy
 
     def to_dict(self) -> dict:
         return {p: {s: self.table[p][s] for s in self.signals} for p in self.players}
@@ -89,6 +86,26 @@ def as_formulas(c: CoordinationStrategy) -> tuple[Formula, ...]:
     return tuple(
         Implies(Receive(p, s), Play(p, c.action(p, s))) for p in c.players for s in c.signals
     )
+
+
+def read_strategy(m: EpistemicStructure, c: CoordinationStrategy) -> dict[str, list[tuple[str, str, int, int]]]:
+    """Each player's (signal, action, position of rec(p, s), position of pl(p, a))
+    for each declared signal.  Refuses, over the strategy's own (player, signal)
+    pairs, a player the game lacks (KeyError) or a signal the structure lacks;
+    then, player by player and signal by signal, a missing entry or an action
+    the player lacks.  All but the KeyError are PreconditionError."""
+    for p in c.players:
+        for s in c.signals:
+            m.receipt_at(p, s)  # refuses an unknown player or an undeclared signal
+    reads = {p: [] for p in m.game.players}
+    for p, read in reads.items():
+        for s in m.signals:
+            try:
+                a = c.action(p, s)
+            except KeyError as exc:
+                raise PreconditionError(exc.args[0]) from None
+            read.append((s, a, m.receipt_at(p, s), m.play_at(p, a)))
+    return reads
 
 
 @dataclass(frozen=True)
@@ -104,10 +121,8 @@ def check_strategy_valid(m: EpistemicStructure, c: CoordinationStrategy) -> Repo
     An instruction fails for a viewer where she sees the receipt and not the
     play, read off her row; its formula is built only to name a failure."""
     failures = []
-    for p in c.players:
-        for s in c.signals:
-            a = c.action(p, s)
-            receipt, play = m.receipt_at(p, s), m.play_at(p, a)
+    for p, reads in read_strategy(m, c).items():
+        for s, a, receipt, play in reads:
             for viewer in m.game.players:
                 row = m.rows[viewer]
                 bad = row[receipt] & ~row[play]
@@ -132,42 +147,23 @@ def check_self_enforcing(m: EpistemicStructure, c: CoordinationStrategy) -> Repo
     """At each state every player follows her recommendation and deems it optimal."""
     ev = m.evaluator()
     failures = []
-    for p in m.game.players:
+    for p, reads in read_strategy(m, c).items():
         row = m.rows[p]
-        receipts = m.receipts(p, p)
-        seen, dup = fold(receipts)
+        seen, dup = fold(m.receipts(p, p))
         unique = seen & ~dup
-        regions = {s: receipt & unique for s, receipt in zip(m.signals, receipts)}
-        # Look up each signal's action, its plays mask and its optimality
-        # mask at the first state that needs them, so that whatever raises
-        # first, state by state, raises here too.
-        action, plays, optimal = {}, {}, {}
-        steps = [(low_state(r), 0, s) for s, r in regions.items() if r]
-        heapq.heapify(steps)
-        while steps:
-            _, step, s = heapq.heappop(steps)
-            if step == 0:
-                try:
-                    action[s] = c.action(p, s)
-                except KeyError as exc:  # a strategy over other signals
-                    raise PreconditionError(exc.args[0]) from None
-                plays[s] = row[m.play_at(p, action[s])]
-                if regions[s] & plays[s]:
-                    heapq.heappush(steps, (low_state(regions[s] & plays[s]), 1, s))
-            else:
-                optimal[s] = ev.intension_mask(p, Optimal(p, action[s]))
         bad = m.full ^ unique
-        for s in action:
-            bad |= regions[s] & ~(plays[s] & optimal.get(s, 0))
+        regions = []
+        for s, a, receipt, play in reads:
+            region, plays = row[receipt] & unique, row[play]
+            # opt_p(a) only if some state needs it; a zero-mass cell of p is refused
+            optimal = ev.intension_mask(p, Optimal(p, a)) if region & plays else 0
+            bad |= region & ~(plays & optimal)
+            regions.append((region, s, a, plays))
         for k in states_in(m, bad):
-            state = m.states[k]
-            s = next((s for s in action if (regions[s] >> k) & 1), None)
-            if s is None:
-                failures.append(EnforcementIssue(p, state, None, None, "signal"))
-            elif not (plays[s] >> k) & 1:
-                failures.append(EnforcementIssue(p, state, s, action[s], "plays"))
-            else:
-                failures.append(EnforcementIssue(p, state, s, action[s], "optimal"))
+            # the one signal she uniquely receives there, if any
+            s, a, plays = next((r[1:] for r in regions if r[0] >> k & 1), (None, None, 0))
+            conjunct = "signal" if s is None else "optimal" if plays >> k & 1 else "plays"
+            failures.append(EnforcementIssue(p, m.states[k], s, a, conjunct))
     return Report(not failures, tuple(failures))
 
 
@@ -236,28 +232,31 @@ AUDITS = (
     AuditStep("self-enforcement", check_self_enforcing, STRUCTURAL),
 )
 
-AuditOutcome = Report | PreconditionError | None
-
 
 def run_audits(
     m: EpistemicStructure, c: Optional[CoordinationStrategy], labels: Collection[str]
-) -> Iterator[tuple[str, AuditOutcome]]:
+) -> Iterator[tuple[str, Optional[Report]]]:
     """Run the steps of AUDITS named in `labels`, in order, lazily.
 
-    Yields (label, outcome): the step's Report, the PreconditionError its
-    check raised, or None when a step it needs ran and did not pass.
+    Yields (label, outcome): the step's Report, or None when a step it needs
+    ran and did not pass.  A strategy the structure cannot read is refused
+    once, by `read_strategy`, before the first step.  After that no step
+    whose needs pass raises: signal uniqueness and cell positivity rule out
+    the refusals of `_derive` and `_positive_cells`; partition consistency
+    and cell positivity catch their own; `_install` makes every signal
+    definition a boolean formula over declared atoms; and strategy validity
+    reads no cells, which is why the `induce` gate may run it without cell
+    positivity.  A step run without its needs in `labels`, on a structure
+    that breaks them, may raise.
     """
+    if c is not None:
+        read_strategy(m, c)
     passed: dict[str, bool] = {}
     for step in AUDITS:
         if step.label not in labels:
             continue
-        outcome: AuditOutcome = None
-        if all(passed.get(need, True) for need in step.needs):
-            try:
-                outcome = step.check(m, c)
-            except PreconditionError as exc:
-                outcome = exc
-        passed[step.label] = isinstance(outcome, Report) and outcome.ok
+        outcome = step.check(m, c) if all(passed.get(need, True) for need in step.needs) else None
+        passed[step.label] = outcome is not None and outcome.ok
         yield step.label, outcome
 
 
@@ -266,7 +265,7 @@ class VerifyResult:
     """Outcome of verify_induced_equilibrium.
 
     `kind` is "objective" for common-interpretation structures (one shared
-    distribution) and "subjective" otherwise (one per player).  Precondition
+    distribution) and "subjective" otherwise (one per player).  Structural
     problems are reported, not raised; `ok` requires a clean run and a true
     equilibrium verdict.  `ce_ok` is None when distributions could not be
     computed at all.
@@ -282,16 +281,9 @@ class VerifyResult:
 
 def verify_induced_equilibrium(m: EpistemicStructure, c: CoordinationStrategy) -> VerifyResult:
     """Induce per-player distributions and check the matching CE notion."""
-    problems = []
-    skipped = False
-    for label, outcome in run_audits(m, c, STRUCTURAL + ("rationality", "strategy validity")):
-        if isinstance(outcome, PreconditionError):
-            raise outcome
-        if outcome is None:
-            skipped = True
-        elif not outcome.ok:
-            problems.append(f"{label} fails ({len(outcome.failures) or 1} issue(s))")
-    if skipped:
+    outcomes = list(run_audits(m, c, STRUCTURAL + ("rationality", "strategy validity")))
+    problems = [f"{label} fails ({len(o.failures) or 1} issue(s))" for label, o in outcomes if o is not None and not o.ok]
+    if any(o is None for _, o in outcomes):
         problems.append("rationality and strategy checks skipped")
 
     try:

@@ -136,21 +136,18 @@ class Game:
         players = data.get("players")
         if not isinstance(players, list) or not all(isinstance(p, str) for p in players):
             raise SchemaError("game: 'players' must be a list of strings")
-        for k, p in enumerate(players):
-            if p in players[:k]:
-                raise SchemaError(f"game: duplicate player name {p!r}")
         actions = data.get("actions")
         if not isinstance(actions, dict):
             raise SchemaError("game: 'actions' must be an object")
-        if set(actions) != set(players):
-            raise SchemaError("game: 'actions' keys must be exactly the players")
         for p, acts in actions.items():
             if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
                 raise SchemaError(f"game: actions of player {p!r} must be a list of strings")
+        actions = {p: tuple(a) for p, a in actions.items()}
+        if problems := _roster_problems(players, actions):  # before a payoff key is read against them
+            raise SchemaError("game: " + "; ".join(problems))
         payoffs_raw = data.get("payoffs")
         if not isinstance(payoffs_raw, dict):
             raise SchemaError("game: 'payoffs' must be an object")
-        actions = {p: tuple(a) for p, a in actions.items()}
         payoffs = {}
         for key, values in payoffs_raw.items():
             profile = _profile(key, players, actions)
@@ -160,7 +157,10 @@ class Game:
                 payoffs[profile] = tuple(parse_rational(v) for v in values)
             except ValueError as exc:
                 raise SchemaError(f"game: payoff for {key!r}: {exc}") from None
-        return cls(players, actions, payoffs)
+        try:
+            return cls(players, actions, payoffs)
+        except SchemaError as exc:
+            raise SchemaError(f"game: {exc}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -190,28 +190,27 @@ def _profile(key: str, players: Sequence[str], actions: Mapping[str, Sequence[st
     return parts
 
 
-def validate_game(game: Game) -> Report:
-    """The problems for which `Game(...)` refuses a game, so every `Game`
-    passes: at least two players, each named by an identifier or by her
-    1-based position, each with distinct identifier actions, actions for no
-    other name, and a vector of one payoff per player at every action
-    profile and at no other."""
-    problems = []
-    if game.n < 2:
-        problems.append(f"need at least 2 players, got {game.n}")
+def _roster_problems(players: Sequence[str], actions: Mapping[str, Sequence[str]]) -> list[str]:
+    """The problems of a game's players: at least two, each named by an
+    identifier or by her 1-based position, once; and only if those are
+    sound, of their actions: distinct identifiers, given for no other name."""
+    problems = [] if len(players) >= 2 else [f"need at least 2 players, got {len(players)}"]
+    by_position = {str(k): p for k, p in enumerate(players, 1)}
     seen = set()
-    for k, p in enumerate(game.players):
+    for k, p in enumerate(players):
         if not p:
             problems.append("empty player name")
         elif p in seen:
             problems.append(f"duplicate player name {p!r}")
-        elif game.player_named(p) != p:
+        elif NUMERAL_RE.fullmatch(p) and by_position.get(p.lstrip("0")) != p:
             problems.append(f"numeric player name {p!r} must equal its position {k + 1}")
         elif not NUMERAL_RE.fullmatch(p) and NAME_RE.fullmatch(p) is None:
             problems.append(f"player name {p!r} is not an identifier")
         seen.add(p)
-    for p in game.players:
-        acts = game.actions.get(p, ())
+    if problems:
+        return problems
+    for p in players:
+        acts = actions.get(p, ())
         if not acts:
             problems.append(f"player {p!r} has no actions")
         if len(set(acts)) != len(acts):
@@ -219,7 +218,14 @@ def validate_game(game: Game) -> Report:
         for a in acts:
             if NAME_RE.fullmatch(a) is None:
                 problems.append(f"action name {a!r} of player {p!r} is not an identifier")
-    problems += [f"actions given for unknown player {p!r}" for p in game.actions if p not in seen]
+    return problems + [f"actions given for unknown player {p!r}" for p in actions if p not in seen]
+
+
+def validate_game(game: Game) -> Report:
+    """The problems for which `Game(...)` refuses a game, so every `Game`
+    passes: those of its players and their actions, then (only if none) a
+    vector of one payoff per player at every action profile and no other."""
+    problems = _roster_problems(game.players, game.actions)
     if not problems:
         expected = set(game.profiles())
         if game.payoffs.keys() != expected:  # sorted only when they differ

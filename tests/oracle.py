@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 
 from ambicoord.construct import ConstructionResult
-from ambicoord.coordination import CoordinationStrategy, EnforcementIssue, ValidityIssue, VerifyResult, as_formulas
+from ambicoord.coordination import CoordinationStrategy, EnforcementIssue, ValidityIssue, VerifyResult
 from ambicoord.errors import PreconditionError, SchemaError
 from ambicoord.formulas import (
     And,
@@ -213,8 +213,9 @@ def naive_cb_set(m, arg: Formula) -> frozenset:
 
 def naive_game_problems(players, actions, payoffs) -> list:
     """What is wrong with the parts of a game, in the order `Game` names it:
-    the players, then their actions, then (only if those are sound) the
-    payoff entries, missing and unknown profiles each in sorted order."""
+    the players, then (only if they are sound) their actions, then (only if
+    those are sound) the payoff entries, missing and unknown profiles each in
+    sorted order."""
     identifier = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
     numeral = re.compile(r"[0-9]+")
     players = list(players)
@@ -231,6 +232,8 @@ def naive_game_problems(players, actions, payoffs) -> list:
             problems.append(f"numeric player name {p!r} must equal its position {k + 1}")
         elif not numeral.fullmatch(p) and not identifier.fullmatch(p):
             problems.append(f"player name {p!r} is not an identifier")
+    if problems:
+        return problems
     for p in players:
         acts = list(actions[p]) if p in actions else []
         if not acts:
@@ -549,9 +552,29 @@ def naive_check_rationality(m) -> Report:
     return Report(not failures, tuple(failures))
 
 
+def naive_read_strategy(m, c) -> None:
+    """Refuse, as `read_strategy` does, a strategy the structure cannot read:
+    a player the game lacks or a signal it does not declare, then for each
+    player and each declared signal a missing entry or an action that player
+    lacks."""
+    for p in c.players:
+        for s in c.signals:
+            if p not in m.game.players:
+                raise KeyError(f"unknown player {p!r}")
+            if s not in m.signals:
+                raise PreconditionError(f"formula references undeclared signal {s!r}")
+    for p in m.game.players:
+        for s in m.signals:
+            if s not in c.table.get(p, {}):
+                raise PreconditionError(f"strategy has no entry for ({p!r}, {s!r})")
+            if c.table[p][s] not in m.game.actions_of(p):
+                raise PreconditionError(f"{c.table[p][s]!r} is not an action of player {p!r}")
+
+
 def naive_check_strategy_valid(m, c) -> Report:
+    naive_read_strategy(m, c)
     failures = []
-    for f in as_formulas(c):
+    for f in [Implies(Receive(p, s), Play(p, c.action(p, s))) for p in m.game.players for s in m.signals]:
         for viewer in m.game.players:
             for state in m.states:
                 if not holds(m, state, viewer, f):
@@ -560,6 +583,7 @@ def naive_check_strategy_valid(m, c) -> Report:
 
 
 def naive_check_self_enforcing(m, c) -> Report:
+    naive_read_strategy(m, c)
     failures = []
     for p in m.game.players:
         for state in m.states:
@@ -568,10 +592,7 @@ def naive_check_self_enforcing(m, c) -> Report:
             except PreconditionError:
                 failures.append(EnforcementIssue(p, state, None, None, "signal"))
                 continue
-            try:
-                action = c.action(p, signal)
-            except KeyError as exc:
-                raise PreconditionError(exc.args[0]) from None
+            action = c.action(p, signal)
             if not holds(m, state, p, Play(p, action)):
                 failures.append(EnforcementIssue(p, state, signal, action, "plays"))
             elif not holds(m, state, p, Optimal(p, action)):
@@ -603,6 +624,7 @@ def naive_is_common_interpretation(m) -> bool:
 
 
 def naive_verify_induced_equilibrium(m, c) -> VerifyResult:
+    naive_read_strategy(m, c)
     problems = []
     named_checks = (
         ("signal uniqueness", naive_check_signal_uniqueness),
@@ -648,20 +670,12 @@ def naive_verify_induced_equilibrium(m, c) -> VerifyResult:
 # ------------------------------------------------------- command-line chains
 
 
-def _guarded(check, *args):
-    try:
-        return check(*args)
-    except PreconditionError as exc:
-        return f"skipped ({exc})"
-
-
 def naive_validate(m, strategy=None) -> tuple[list, list, int]:
     """`ambicoord validate`: its stdout lines, stderr lines and exit code.
 
     The four structural audits always run, the signal definitions only when
     some signal has one; rationality and the strategy audits are skipped
-    when a structural audit fails.  A dependent audit that raises a
-    PreconditionError prints as skipped, naming why.
+    when a structural audit fails.
     """
     rows = []
     basic_ok = True
@@ -675,15 +689,15 @@ def naive_validate(m, strategy=None) -> tuple[list, list, int]:
         basic_ok = basic_ok and report.ok
         rows.append((label, report))
     if any(df is not None for df in m.signal_defs.values()):
-        rows.append(("signal-definitions", _guarded(naive_check_signal_definitions, m)))
+        rows.append(("signal-definitions", naive_check_signal_definitions(m)))
     skipped = "skipped (structural checks failed)"
-    rows.append(("rationality", _guarded(naive_check_rationality, m) if basic_ok else skipped))
+    rows.append(("rationality", naive_check_rationality(m) if basic_ok else skipped))
     if strategy is not None:
         for label, check in (
             ("strategy-validity", naive_check_strategy_valid),
             ("self-enforcement", naive_check_self_enforcing),
         ):
-            rows.append((label, _guarded(check, m, strategy) if basic_ok else skipped))
+            rows.append((label, check(m, strategy) if basic_ok else skipped))
     out, err = [], []
     for label, outcome in rows:
         if isinstance(outcome, str):
@@ -710,11 +724,7 @@ def naive_gate(m, strategy) -> tuple[list, list, int]:
         ("action uniqueness", naive_check_action_uniqueness),
         ("strategy validity", lambda m: naive_check_strategy_valid(m, strategy)),
     ):
-        try:
-            ok = check(m).ok
-        except PreconditionError as exc:
-            return [], [f"precondition violated: {exc}"], 3
-        if not ok:
+        if not check(m).ok:
             return [], [f"precondition violated: {label}"], 3
     return [], [], 0
 

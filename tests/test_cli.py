@@ -504,7 +504,7 @@ class TestHostileFiles:
         game = tmp_path / "game.json"
         game.write_text(json.dumps(data))
         assert main(["parse", "--game", str(game), "p"]) == 2
-        assert capsys.readouterr().err == f"error: {game}: player name {name!r} is not an identifier\n"
+        assert capsys.readouterr().err == f"error: {game}: game: player name {name!r} is not an identifier\n"
 
     def test_duplicate_player_name_is_named(self, capsys, tmp_path):
         data = json.loads(Path(WG).read_text())

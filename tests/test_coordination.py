@@ -1,6 +1,7 @@
 """Coordination strategies: validity, self-enforcement, induced play."""
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -22,7 +23,9 @@ from ambicoord import (
     induce,
     verify_induced_equilibrium,
 )
-from ambicoord.coordination import run_audits
+from ambicoord.coordination import AUDITS, run_audits
+from ambicoord.reports import Report
+from test_audit_oracle import DAMAGES, _damaged, devices  # noqa: F401 (a fixture)
 
 F = Fraction
 
@@ -68,6 +71,24 @@ class TestStrategyObject:
     def test_table_must_be_total(self):
         with pytest.raises(SchemaError):
             CoordinationStrategy(("1", "2"), ("s", "sp"), {"1": {"s": "U"}, "2": {}})
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (
+                {"1": {"s": "U", "t": "D"}, "2": {"s": "L"}, "3": {"s": "X"}},
+                "strategy: keys must be exactly the players",
+            ),
+            ({"1": {"s": "U", "t": "D"}, "2": {"s": "L"}}, "strategy: player '1' must map exactly the declared signals"),
+            ({"1": {"s": "U"}, "2": {}}, "strategy: player '2' must map exactly the declared signals"),
+        ],
+        ids=["extra-player", "extra-signal", "missing-signal"],
+    )
+    def test_table_maps_exactly_the_players_and_signals(self, table, message):
+        """An entry the strategy does not declare is refused, not kept."""
+        with pytest.raises(SchemaError) as exc:
+            CoordinationStrategy(("1", "2"), ("s",), table)
+        assert exc.value.args == (message,)
 
     def test_serialization(self, coord_game, coord_strategy):
         data = coord_strategy.to_dict()
@@ -173,33 +194,60 @@ class TestSelfEnforcement:
 
 
 class TestStrategyErrors:
-    """A strategy the structure cannot read is refused with PreconditionError,
-    so that `run_audits` reports it as the step's outcome."""
+    """A strategy the structure cannot read is refused once, with
+    PreconditionError and one text, by both strategy audits, by
+    `verify_induced_equilibrium`, and by `run_audits` before its first step."""
 
-    AUDITS = (check_strategy_valid, check_self_enforcing, verify_induced_equilibrium)
+    READERS = (check_strategy_valid, check_self_enforcing, verify_induced_equilibrium)
+
+    def _refused(self, m, strategy, message):
+        for audit in self.READERS:
+            with pytest.raises(PreconditionError) as exc:
+                audit(m, strategy)
+            assert str(exc.value) == message, audit.__name__
+        yielded = []
+        with pytest.raises(PreconditionError) as exc:
+            for label, _ in run_audits(m, strategy, [step.label for step in AUDITS]):
+                yielded.append(label)
+        assert str(exc.value) == message and yielded == []
 
     def test_a_signal_the_strategy_does_not_map(self, coord):
+        # the undeclared signal is refused before player 1's missing s
         strategy = CoordinationStrategy(("1", "2"), ("zz",), {"1": {"zz": "U"}, "2": {"zz": "L"}})
-        for audit in (check_strategy_valid, verify_induced_equilibrium):
-            with pytest.raises(PreconditionError) as exc:
-                audit(coord, strategy)
-            assert str(exc.value) == "formula references undeclared signal 'zz'"
-        # self-enforcement meets player 1's signal s at state w first
-        with pytest.raises(PreconditionError) as exc:
-            check_self_enforcing(coord, strategy)
-        assert str(exc.value) == "strategy has no entry for ('1', 's')"
-        [(label, outcome)] = run_audits(coord, strategy, ("self-enforcement",))
-        assert label == "self-enforcement" and isinstance(outcome, PreconditionError)
-        assert str(outcome) == "strategy has no entry for ('1', 's')"
+        self._refused(coord, strategy, "formula references undeclared signal 'zz'")
 
     def test_an_undeclared_action(self, coord):
         strategy = CoordinationStrategy(
             ("1", "2"), ("s", "sp"), {"1": {"s": "nope", "sp": "D"}, "2": {"s": "L", "sp": "R"}}
         )
-        for audit in self.AUDITS:
-            with pytest.raises(PreconditionError) as exc:
+        self._refused(coord, strategy, "'nope' is not an action of player '1'")
+
+    def test_a_player_the_game_lacks(self, coord):
+        table = {"1": {"s": "U", "sp": "D"}, "2": {"s": "L", "sp": "R"}, "3": {"s": "X", "sp": "Y"}}
+        strategy = CoordinationStrategy(("1", "2", "3"), ("s", "sp"), table)
+        for audit in (*self.READERS, lambda m, c: list(run_audits(m, c, [step.label for step in AUDITS]))):
+            with pytest.raises(KeyError) as exc:
                 audit(coord, strategy)
-            assert str(exc.value) == "'nope' is not an action of player '1'"
+            assert exc.value.args == ("unknown player '3'",)
+
+    @pytest.mark.parametrize(
+        "signals, table, message",
+        [
+            (
+                ("s", "zz"),
+                {"1": {"s": "nope", "zz": "U"}, "2": {"s": "L", "zz": "L"}},
+                "formula references undeclared signal 'zz'",
+            ),
+            (("s",), {"1": {"s": "nope"}, "2": {"s": "L"}}, "'nope' is not an action of player '1'"),
+            (("s",), {"1": {"s": "U"}, "2": {"s": "nope"}}, "strategy has no entry for ('1', 'sp')"),
+            (("sp",), {"1": {"sp": "D"}, "2": {"sp": "R"}}, "strategy has no entry for ('1', 's')"),
+        ],
+        ids=["undeclared-signal-first", "signal-s-before-sp", "player-1-before-player-2", "missing-entry"],
+    )
+    def test_refusals_come_in_a_fixed_order(self, coord, signals, table, message):
+        """Undeclared signals first, then player by player in game order and
+        signal by signal in declared order, whatever the states say."""
+        self._refused(coord, CoordinationStrategy(("1", "2"), signals, table), message)
 
 
 class TestInduce:
@@ -260,3 +308,23 @@ class TestVerify:
         assert not result.ok
         assert result.problems
         assert any("signal uniqueness" in p for p in result.problems)
+
+
+class TestAuditChain:
+    def test_a_readable_strategy_meets_only_reports_and_skips(self, devices):
+        """What `run_audits` no longer guards against: over every device,
+        fixture and damage of the oracle tests, with the strategy read by
+        `from_dict` as the command line reads it, every step of AUDITS
+        yields a Report, or None when a step it needs failed."""
+        rng = random.Random(4242)
+        outcomes = set()
+        for label, game, data, strategy in devices:
+            for kind, case in [("intact", data)] + [(kind, _damaged(data, kind, rng)) for kind in DAMAGES]:
+                if case is None:
+                    continue
+                m = EpistemicStructure.from_dict(case, game)
+                c = CoordinationStrategy.from_dict(strategy.to_dict(), game, m.signals)
+                for step, outcome in run_audits(m, c, [step.label for step in AUDITS]):
+                    assert outcome is None or isinstance(outcome, Report), (label, kind, step)
+                    outcomes.add(None if outcome is None else outcome.ok)
+        assert outcomes == {None, True, False}

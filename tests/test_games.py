@@ -146,6 +146,26 @@ def test_game_from_dict_names_a_duplicate_player(cycle_game):
         Game.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["actions"].pop("2"), "game: player '2' has no actions"),
+        (lambda d: d["actions"].update(C=["c"]), "game: actions given for unknown player 'C'"),
+        (lambda d: d.update(players=["1", "1"], actions={"1": ["T"]}), "game: duplicate player name '1'"),
+        (lambda d: d["payoffs"].pop("M,C"), "game: missing payoff entry for profile 'M,C'"),
+    ],
+    ids=["no-actions", "unknown-player", "duplicate-only", "missing-payoff"],
+)
+def test_game_from_dict_refuses_as_game_does(cycle_game, edit, message):
+    """`Game(...)` is the one home of these refusals; `from_dict` names the
+    players' and actions' problems before it reads a payoff key against them."""
+    data = cycle_game.to_dict()
+    edit(data)
+    with pytest.raises(SchemaError) as err:
+        Game.from_dict(data)
+    assert err.value.args == (message,)
+
+
 class TestReadOnlyGame:
     def test_tables_cannot_be_changed(self, cycle_game):
         with pytest.raises(TypeError):
