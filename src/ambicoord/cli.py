@@ -147,9 +147,8 @@ def _cmd_verify(args) -> int:
             print(f"player {p}: {json.dumps(result.distributions[p].to_dict(game))}")
     if result.kind is not None:
         print(f"{result.kind} CE: {'true' if result.ce_ok else 'false'}")
-    for problem in result.problems:
-        print(f"precondition violated: {problem}", file=sys.stderr)
     if result.problems:
+        print(f"precondition violated: {'; '.join(result.problems)}", file=sys.stderr)
         return 3
     return 0 if result.ok else 1
 

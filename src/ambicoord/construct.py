@@ -122,7 +122,7 @@ def _device(
     view's mask goes to the receipt and play positions of its actions."""
     signals, to_signal, strategy_table = _signal_scheme(game)
     players = game.players
-    receipts, plays, _ = row_layout(game, len(signals))
+    _, _, receipts, plays = row_layout(game, signals)
     # a player's k-th action is told by the k-th signal
     spots = {
         (q, a): (receipts[q][k], plays[q][k]) for q in players for k, a in enumerate(game.actions_of(q))

@@ -7,12 +7,12 @@ action names in player order; their JSON key form joins the names with ",".
 
 from __future__ import annotations
 
-import collections.abc
 import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -268,10 +268,12 @@ class Distribution:
         self.denom = denom // common
         self.num = {a: w // common for a, w in num.items() if w}
 
-    @property
+    @cached_property
     def weights(self) -> Mapping[Profile, Fraction]:
-        """The nonzero weights by profile, in order, as a read-only view."""
-        return _Weights(self.num, self.denom)
+        """The nonzero weights by profile, in order, read-only, built when
+        first read."""
+        denom = self.denom
+        return MappingProxyType({a: Fraction(w, denom) for a, w in self.num.items()})
 
     def weight(self, profile: Sequence[str]) -> Fraction:
         return Fraction(self.num.get(tuple(profile), 0), self.denom)
@@ -306,30 +308,6 @@ class Distribution:
         num = self.num
         ordered = {profile_key(a): ratio_text(num[a], self.denom) for a in game.profiles() if a in num}
         return {"weights": ordered}
-
-
-class _Weights(collections.abc.Mapping):
-    """A distribution's weights as Fractions, each built when it is read."""
-
-    __slots__ = ("_num", "_denom")
-
-    def __init__(self, num: Mapping[Profile, int], denom: int):
-        self._num, self._denom = num, denom
-
-    def __getitem__(self, profile: Profile) -> Fraction:
-        return Fraction(self._num[profile], self._denom)
-
-    def __contains__(self, profile) -> bool:
-        return profile in self._num
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __len__(self) -> int:
-        return len(self._num)
-
-    def __repr__(self):
-        return repr(dict(self.items()))
 
 
 def _ratios_from_dict(data: dict, game: Game, what: str) -> dict[Profile, tuple[int, int]]:

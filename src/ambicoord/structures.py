@@ -6,9 +6,11 @@ own truth assignment for every primitive proposition (generic atoms, "j plays
 a", "j received sigma").  Information partitions are either stored explicitly
 or derived from each player's own received-signal atoms.
 
-Structures are immutable once built.  The constructor compiles the
-interpretation to bitmasks at row positions, which `from_masks` takes
-directly, and both run the same checks on them.  The masks are the one
+Structures are immutable once built, by one path: index the states, lay
+out the row (`row_layout`), place each truth-table entry at its row
+position, and only then compile the state names to bitmasks through the one
+state index.  `from_masks` takes the masks directly and joins the path at
+the layout; every entry point runs the same checks.  The masks are the one
 stored form: state k is bit k, each player has one row of int masks, one per
 primitive proposition at the fixed position `row_layout` gives it, of the
 states where she deems it true, stored partitions are
@@ -21,9 +23,10 @@ her alone, and the evaluator's memo of intensions.  Beside the compiled form
 a structure answers by name only for single lookups: a state's index and
 prior, a mask's states and a proposition's truth set.
 
-`to_dict` writes each primitive proposition's canonical key; `from_dict`
-takes each key to its row position by a table of them (the grammar reads only
-a key the table lacks) and refuses bad shapes before any state name lookup.
+`to_dict` writes each primitive proposition's canonical key, as `row_layout`
+spells it; `from_dict` takes each key to its row position by a table of them
+(the grammar reads only a key the table lacks) and refuses bad shapes before
+any state name lookup.
 """
 
 from __future__ import annotations
@@ -80,64 +83,29 @@ def fold(masks: Iterable[int]) -> tuple[int, int]:
     return seen, dup
 
 
-def _compile(states, prior: Mapping, truth: Mapping, partitions: Optional[Mapping], name=str):
-    """(states, prior numerators in state order, their denominator, masks,
-    cell masks) of a structure whose prior, truth sets and cells name their
-    states, each list by one C-level pass over a name -> bit table.  `prior`
-    maps names to (numerator, denominator); an error calls a key `name(key)`."""
-    states = tuple(states)
-    bit = {s: 1 << k for k, s in enumerate(states)}
-    denom = math.lcm(*(q for _, q in prior.values()))
-    num = [0] * len(states)
-    for s, (p, q) in prior.items():
-        if s not in bit:
-            raise SchemaError(f"structure: prior names unknown state {s!r}")
-        num[bit[s].bit_length() - 1] = p * (denom // q)
-    masks = {}
-    for p, table in truth.items():
-        row = masks[p] = {}
-        for key, names in table.items():
-            names = tuple(names)  # a failed compile reads them again
-            try:
-                row[key] = reduce(or_, map(bit.__getitem__, names), 0)
-            except (KeyError, TypeError):
-                bad = sorted({s for s in names if s not in bit})
-                raise SchemaError(f"structure: unknown states {bad} for {name(key)}") from None
-    cells = None
-    if partitions is not None:
-        cells = {}
-        for p, named in partitions.items():
-            try:
-                cells[p] = [reduce(or_, map(bit.__getitem__, c), 0) for c in named]
-            except (KeyError, TypeError):
-                raise SchemaError(f"structure: cells of player {p!r} do not partition the states") from None
-    return states, num, denom, masks, cells
-
-
-def _propositions(players, actions_of, signals, atoms):
-    """Each primitive proposition's canonical key, the text `str` prints for
-    its node, in row order: the atoms, then each player's receipt of each
-    signal, then each player's play of each of her actions."""
-    yield from atoms
-    yield from (f"rec({p},{s})" for p in players for s in signals)
-    yield from (f"pl({p},{a})" for p in players for a in actions_of(p))
-
-
-def row_layout(game: Game, n_signals: int, n_atoms: int = 0) -> tuple[dict[str, range], dict[str, range], int]:
-    """(receipts, plays, width): where each proposition sits in a row of
-    `width` masks.  The atoms come first, at 0 .. n_atoms - 1; then each
-    player's receipt of the k-th signal, at receipts[player][k]; then each
-    player's play of her k-th declared action, at plays[player][k]."""
-    at = n_atoms
+def row_layout(
+    game: Game, signals: Iterable[str], atoms: Iterable[str] = ()
+) -> tuple[tuple[str, ...], range, dict[str, range], dict[str, range]]:
+    """(keys, atoms, receipts, plays): where each primitive proposition sits
+    in a row of len(keys) masks.  keys[k] is the canonical key of the
+    proposition at position k, the text `str` prints for its node.  The
+    atoms sit at the positions of the range `atoms`, each player's receipt
+    of the k-th signal at receipts[player][k], and each player's play of her
+    k-th declared action at plays[player][k]: the atoms, then every receipt,
+    then every play, each group in declared order."""
+    keys = list(atoms)
+    at_atoms = range(len(keys))
+    signals = tuple(signals)
     receipts, plays = {}, {}
     for p in game.players:
-        receipts[p] = range(at, at + n_signals)
-        at += n_signals
+        at = len(keys)
+        keys += [f"rec({p},{s})" for s in signals]
+        receipts[p] = range(at, len(keys))
     for p in game.players:
-        n_actions = len(game.actions_of(p))
-        plays[p] = range(at, at + n_actions)
-        at += n_actions
-    return receipts, plays, at
+        at = len(keys)
+        keys += [f"pl({p},{a})" for a in game.actions_of(p)]
+        plays[p] = range(at, len(keys))
+    return tuple(keys), at_atoms, receipts, plays
 
 
 def _key_table(game: Game, signals: Iterable[str], atoms: Iterable[str], at: Mapping[str, int]) -> dict[str, int]:
@@ -146,7 +114,7 @@ def _key_table(game: Game, signals: Iterable[str], atoms: Iterable[str], at: Map
     usable atoms, and of signals that are one token each (a game's players
     and actions always are)."""
     signals = [s for s in signals if NAME_RE.fullmatch(s)]
-    return {key: at[key] for key in _propositions(game.players, game.actions_of, signals, filter(usable_name, atoms))}
+    return {key: at[key] for key in row_layout(game, signals, filter(usable_name, atoms))[0]}
 
 
 class EpistemicStructure:
@@ -175,12 +143,22 @@ class EpistemicStructure:
         partitions: Optional[Mapping[str, Iterable[Iterable[str]]]] = None,
         signal_defs: Optional[Mapping[str, Optional[Formula]]] = None,
     ):
-        """The structure whose prior, truth sets and cells name their states;
-        they are compiled to the positioned masks that `from_masks` takes."""
+        """The structure whose prior, truth sets and cells name their states:
+        each node goes to its row position by `position`, and only then are
+        the names compiled to the masks that `from_masks` takes."""
         prior = {s: Fraction(w).as_integer_ratio() for s, w in prior.items()}
-        states, num, denom, masks, cells = _compile(states, prior, truth or {}, partitions)
-        positioned = {p: self._positioned(table) for p, table in masks.items()}
-        self._install(game, states, num, denom, signals, atoms, positioned, cells, signal_defs)
+        self._index(states)
+        self._lay_out(game, signals, atoms)
+        placed = {}
+        for p, table in (truth or {}).items():
+            row = placed[p] = {}
+            for node, names in table.items():
+                try:
+                    k = self.position(node)
+                except (KeyError, PreconditionError, TypeError):
+                    raise self._instance_error(node) from None
+                row[k] = tuple(names)  # a failed compile reads them again
+        self._compile(prior, placed, partitions, signal_defs)
 
     @classmethod
     def from_masks(
@@ -200,22 +178,70 @@ class EpistemicStructure:
         (absent positions are false everywhere).  It is checked as `__init__`
         checks it."""
         m = cls.__new__(cls)
-        positioned = {p: row.items() for p, row in masks.items()}
-        m._install(game, states, prior_num, prior_denom, signals, (), positioned, cells, None)
+        m._index(states)
+        m._lay_out(game, signals, ())
+        m._install(prior_num, prior_denom, masks, cells, None)
         return m
 
-    def _install(self, game, states, prior_num, prior_denom, signals, atoms, masks, cells, signal_defs) -> None:
-        """Check the compiled form and store it, the prior reduced to lowest
-        terms; `masks[viewer]` yields (row position, mask) pairs."""
-        self.game = game
+    # -- the construction path: index, lay out, place, compile ----------------
+
+    def _index(self, states) -> None:
+        """Index the states, refusing none or a repeated name."""
         self.states = tuple(states)
         if not self.states:
             raise SchemaError("structure: needs at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise SchemaError("structure: duplicate state names")
         self._state_index = {s: k for k, s in enumerate(self.states)}
+        if len(self._state_index) != len(self.states):
+            raise SchemaError("structure: duplicate state names")
         self.full = (1 << len(self.states)) - 1
 
+    def _lay_out(self, game, signals, atoms) -> None:
+        """Lay out the row: the tables `position` reads.  It refuses nothing;
+        `_install` checks the signal and atom names."""
+        self.game = game
+        self.signals = tuple(signals)
+        self.atoms = tuple(atoms)
+        self._keys, atoms_at, self._receipts_at, plays_at = row_layout(game, self.signals, self.atoms)
+        self._atom_at = dict(zip(self.atoms, atoms_at))
+        self._signal_at = {s: k for k, s in enumerate(self.signals)}
+        self._plays_at = {p: (at, {a: k for k, a in enumerate(game.actions_of(p))}) for p, at in plays_at.items()}
+
+    def _compile(self, prior: Mapping, placed: Mapping, partitions: Optional[Mapping], signal_defs) -> None:
+        """Compile the prior's (numerator, denominator) pairs, each placed
+        {position: state names} table and the named cells through the state
+        index, a list to the OR of `1 << index` over its names, then check
+        and store them as `from_masks` does."""
+        index = self._state_index
+        get, bit = index.__getitem__, (1).__lshift__
+        denom = math.lcm(*(q for _, q in prior.values()))
+        num = [0] * len(self.states)
+        for s, (p, q) in prior.items():
+            k = index.get(s)
+            if k is None:
+                raise SchemaError(f"structure: prior names unknown state {s!r}")
+            num[k] = p * (denom // q)
+        masks = {}
+        for p, table in placed.items():
+            row = masks[p] = {}
+            for k, names in table.items():
+                try:
+                    row[k] = reduce(or_, map(bit, map(get, names)), 0)
+                except (KeyError, TypeError):
+                    bad = sorted({s for s in names if s not in index})
+                    raise SchemaError(f"structure: unknown states {bad} for {self._keys[k]}") from None
+        cells = None
+        if partitions is not None:
+            cells = {}
+            for p, named in partitions.items():
+                try:
+                    cells[p] = [reduce(or_, map(bit, map(get, c)), 0) for c in named]
+                except (KeyError, TypeError):
+                    raise SchemaError(f"structure: cells of player {p!r} do not partition the states") from None
+        self._install(num, denom, masks, cells, signal_defs)
+
+    def _install(self, prior_num, prior_denom, masks, cells, signal_defs) -> None:
+        """Check the compiled form and store it, the prior reduced to lowest
+        terms; `masks[viewer]` is a {row position: mask} table."""
         num = tuple(prior_num)
         if len(num) != len(self.states) or prior_denom < 1:
             raise SchemaError("structure: the prior needs one numerator per state and a positive denominator")
@@ -227,26 +253,21 @@ class EpistemicStructure:
         self.prior_denom = prior_denom // common
         self.prior_num = tuple(w // common for w in num)
 
-        self.signals = tuple(signals)
         if len(set(self.signals)) != len(self.signals):
             raise SchemaError("structure: duplicate signal names")
-        self.atoms = tuple(atoms)
         if len(set(self.atoms)) != len(self.atoms):
             raise SchemaError("structure: duplicate atom names")
         for name in (*self.signals, *self.atoms):
             if not usable_name(name):
                 raise SchemaError(f"structure: {name!r} is not a usable signal/atom name")
 
-        self._atom_at = {a: k for k, a in enumerate(self.atoms)}
-        self._signal_at = {s: k for k, s in enumerate(self.signals)}
-        self._receipts_at, plays_at, width = row_layout(game, len(self.signals), len(self.atoms))
-        self._plays_at = {p: (at, {a: k for k, a in enumerate(game.actions_of(p))}) for p, at in plays_at.items()}
-        rows = {p: [0] * width for p in game.players}
-        for p, pairs in masks.items():
+        width = len(self._keys)
+        rows = {p: [0] * width for p in self.game.players}
+        for p, table in masks.items():
             row = rows.get(p)
             if row is None:
                 raise SchemaError(f"structure: interpretation for unknown player {p!r}")
-            for k, mask in pairs:
+            for k, mask in table.items():
                 if not 0 <= k < width:
                     raise SchemaError(f"structure: row position {k} holds no primitive proposition")
                 if not 0 <= mask <= self.full:
@@ -266,7 +287,7 @@ class EpistemicStructure:
                 seen, dup = fold(row)
                 if dup or seen != self.full:
                     raise SchemaError(f"structure: cells of player {p!r} do not partition the states")
-            if self.stored_cells.keys() != set(game.players):
+            if self.stored_cells.keys() != set(self.game.players):
                 raise SchemaError("structure: partitions must cover every player")
 
         self.signal_defs: dict[str, Optional[Formula]] = {s: None for s in self.signals}
@@ -281,16 +302,6 @@ class EpistemicStructure:
         # evaluator's memo, (viewer or None, formula) -> intension mask
         self._cells: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.intensions: dict = {}
-
-    def _positioned(self, table: Mapping[Formula, int]):
-        """(position, mask) for each (node, mask) of a node-keyed table, each
-        node checked as it is reached: `_install` reads it after the layout."""
-        for node, mask in table.items():
-            try:
-                k = self.position(node)
-            except (KeyError, PreconditionError, TypeError):
-                raise self._instance_error(node) from None
-            yield k, mask
 
     def _instance_error(self, node) -> SchemaError:
         """Why an interpretation table may not hold a node `position` refuses."""
@@ -430,8 +441,9 @@ class EpistemicStructure:
     @classmethod
     def from_dict(cls, data: dict, game: Game) -> "EpistemicStructure":
         """The structure a JSON object describes, checked as `__init__` checks
-        it: one reading pass takes each key to its row position and checks each
-        shape, then the state names are compiled to masks by position."""
+        it.  The row is laid out first, and one reading pass takes each key to
+        its row position by the layout's keys and checks each shape; then the
+        states are indexed and the placed state names compiled to masks."""
         if not isinstance(data, dict):
             raise SchemaError("structure: expected an object")
         allowed = {"states", "prior", "signals", "atoms", "interpretation", "partitions"}
@@ -471,8 +483,9 @@ class EpistemicStructure:
         interp_raw = data.get("interpretation")
         if not isinstance(interp_raw, dict):
             raise SchemaError("structure: 'interpretation' must be an object")
-        keys = list(_propositions(game.players, game.actions_of, signal_names, atoms))
-        at = {key: k for k, key in enumerate(keys)}
+        m = cls.__new__(cls)
+        m._lay_out(game, signal_names, atoms)
+        at = {key: k for k, key in enumerate(m._keys)}
         table = _key_table(game, signal_names, atoms, at)  # then each key the grammar reads, for every table
         truth = {}
         for p, entries in interp_raw.items():
@@ -502,16 +515,15 @@ class EpistemicStructure:
             for p, named in partitions.items():
                 if not isinstance(named, list) or not all(map(_strings, named)):
                     raise SchemaError(f"structure: partition of player {p!r} must be a list of lists of states")
-        states, num, denom, masks, cells = _compile(states, prior, truth, partitions, keys.__getitem__)
-        m = cls.__new__(cls)
-        positioned = {p: row.items() for p, row in masks.items()}
-        m._install(game, states, num, denom, signal_names, atoms, positioned, cells, signal_defs)
+        m._index(states)
+        m._compile(prior, truth, partitions, signal_defs)
         return m
 
     def to_dict(self) -> dict:
-        players = self.game.players
-        keys = list(_propositions(players, self.game.actions_of, self.signals, self.atoms))
-        interp = {p: {key: list(self._names(mask)) for key, mask in zip(keys, self.rows[p]) if mask} for p in players}
+        interp = {
+            p: {key: list(self._names(mask)) for key, mask in zip(self._keys, self.rows[p]) if mask}
+            for p in self.game.players
+        }
         partitions = None
         if self.stored_cells is not None:
             partitions = {

@@ -273,7 +273,7 @@ def _expected_verify(m, strategy):
     ]
     if result.kind is not None:
         out.append(f"{result.kind} CE: {'true' if result.ce_ok else 'false'}")
-    err = [f"precondition violated: {problem}" for problem in result.problems]
+    err = [f"precondition violated: {'; '.join(result.problems)}"] if result.problems else []
     return out, err, 3 if result.problems else 0 if result.ok else 1
 
 
@@ -308,12 +308,16 @@ def test_command_line_audit_chains_match_the_references(devices, tmp_path, capsy
                 assert got == tuple(expected), (label, kind, argv[0])
                 seen.add((argv[0], code))
                 seen.update(line for line in got[0] + got[1] if "skipped" in line)
-                seen.update(line for line in got[1] if line.startswith("precondition violated: "))
+                if argv[0] == "verify" and code == 3:
+                    # one line, its problems joined by "; "
+                    seen.update(got[1][0].removeprefix("precondition violated: ").split("; "))
+                else:
+                    seen.update(line for line in got[1] if line.startswith("precondition violated: "))
             if not oracle.naive_check_cell_positivity(m).ok and oracle.naive_gate(m, strategy)[2] == 0:
                 seen.add("gate passes a zero-mass cell")
     assert {("validate", 0), ("validate", 1), ("induce", 0), ("induce", 3), ("verify", 0), ("verify", 3)} <= seen
     assert "rationality: skipped (structural checks failed)" in seen
     assert "self-enforcement: skipped (structural checks failed)" in seen
-    assert "precondition violated: rationality and strategy checks skipped" in seen
+    assert "rationality and strategy checks skipped" in seen
     assert "precondition violated: strategy validity" in seen
     assert "gate passes a zero-mass cell" in seen

@@ -367,7 +367,10 @@ class TestVerify:
         bad.write_text(json.dumps(data))
         code = main(["verify", "--game", GG, "--structure", str(bad), "--strategy", GST])
         assert code == 3
-        assert "precondition violated" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "precondition violated: signal uniqueness fails (1 issue(s)); "
+            "partition consistency fails (1 issue(s)); rationality and strategy checks skipped\n"
+        )
 
 
 class TestConstruct:

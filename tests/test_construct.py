@@ -410,9 +410,10 @@ class TestFromMasks:
         assert m.stored_cells == {"1": (0b01, 0b10), "2": (0b11,)}
         assert m.true_set("2", Play("1", "U")) == frozenset({"x", "y"})
         assert m.true_set("1", Receive("1", "t")) == frozenset({"y"})
-        receipts, plays, width = row_layout(coord_game, 2)
-        assert receipts == {"1": range(0, 2), "2": range(2, 4)}
-        assert (plays, width) == ({"1": range(4, 6), "2": range(6, 8)}, 8)
+        keys, atoms, receipts, plays = row_layout(coord_game, ["s", "t"])
+        assert keys == ("rec(1,s)", "rec(1,t)", "rec(2,s)", "rec(2,t)", "pl(1,U)", "pl(1,D)", "pl(2,L)", "pl(2,R)")
+        assert (atoms, receipts) == (range(0), {"1": range(0, 2), "2": range(2, 4)})
+        assert plays == {"1": range(4, 6), "2": range(6, 8)}
 
     @pytest.mark.parametrize(
         "overrides",

@@ -40,13 +40,9 @@ def run(argv):
 
 
 def assert_contract(argv, code, err):
-    """Exit 2 or 3 is one stderr line; `verify` alone may list several
-    precondition problems, one a line."""
+    """Exit 2 or 3 is one stderr line."""
     assert code in (0, 1, 2, 3)
-    if code == 3 and argv[0] == "verify":
-        lines = err.splitlines()
-        assert lines and all(line.startswith("precondition violated: ") for line in lines), err[:300]
-    elif code in (2, 3):
+    if code in (2, 3):
         assert err.count("\n") == 1 and err.endswith("\n"), err[:300]
 
 

@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -380,3 +381,59 @@ def test_games_whose_keys_the_grammar_would_misread_are_refused(players, actions
     with pytest.raises(SchemaError) as err:
         Game(players, actions, payoffs)
     assert err.value.args == ("; ".join(problems),)
+
+
+# ------------------------------------------------------------------ memory
+
+
+def large_structure(n_states: int, seed: int) -> tuple[Game, dict]:
+    """A game and the JSON form of a structure of `n_states` states, as
+    `json.loads` gives it: 2 players with 2 actions each, 4 signals, and for
+    each (viewer, player, state) one random signal received and one random
+    action played."""
+    rng = random.Random(seed)
+    players, actions, signals = ("A", "B"), ("x", "y"), ("s0", "s1", "s2", "s3")
+    game = Game(players, dict.fromkeys(players, actions), dict.fromkeys(itertools.product(actions, actions), (0, 0)))
+    states = [f"w{k}" for k in range(n_states)]
+    interpretation = {}
+    for viewer in players:
+        table = interpretation[viewer] = {}
+        for p in players:
+            for kind, names in (("rec", signals), ("pl", actions)):
+                listed = {f"{kind}({p},{name})": [] for name in names}
+                for s in states:
+                    listed[f"{kind}({p},{rng.choice(names)})"].append(s)
+                table.update(listed)
+    data = {
+        "states": states,
+        "prior": dict.fromkeys(states, f"1/{n_states}"),
+        "signals": dict.fromkeys(signals),
+        "atoms": [],
+        "interpretation": interpretation,
+        "partitions": None,
+    }
+    return game, json.loads(json.dumps(data))
+
+
+def traced(call):
+    """(result, peak, kept): what the call returns, the peak of the memory
+    traced while it runs, and the memory its result keeps."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
+
+
+def test_a_large_structure_loads_and_writes_in_memory_linear_in_its_states():
+    """Loading 10 000 states peaks at a small multiple of what the structure
+    keeps, as writing it back peaks at a small multiple of what it writes: no
+    table of one int per state as wide as the state space is built."""
+    game, data = large_structure(10_000, seed=30)
+    m, peak, kept = traced(lambda: EpistemicStructure.from_dict(data, game))
+    assert peak <= 4 * kept, (peak, kept)
+    written, peak, kept = traced(m.to_dict)
+    assert peak <= 4 * kept, (peak, kept)
+    assert written == data

@@ -1,8 +1,10 @@
 """Structure loading, derived information cells and the structural checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambicoord import (
     EpistemicStructure,
@@ -22,6 +24,7 @@ from ambicoord import (
     is_common_interpretation,
 )
 from conftest import load_fixture
+from helpers import random_game, random_structure
 
 F = Fraction
 
@@ -106,6 +109,23 @@ class TestConstruction:
             with pytest.raises(SchemaError) as exc:
                 rebuild(weather_game, truth={"A": {node: {"w1"}}, "B": {}})
             assert str(exc.value) == f"structure: {node} names unknown player 'Z'"
+        # a node is placed by `position`, not by the text it prints
+        with pytest.raises(SchemaError) as exc:
+            rebuild(weather_game, truth={"A": {Prim("pl(A,stay)"): {"w1"}}, "B": {}})
+        assert str(exc.value) == "structure: undeclared atom 'pl(A,stay)'"
+
+    def test_a_node_is_placed_before_any_state_name_is_looked_up(self, weather_game):
+        """As `from_dict` refuses a key before it looks up any state, the
+        constructor refuses a node it cannot place before an unknown state."""
+        with pytest.raises(SchemaError) as exc:
+            rebuild(weather_game, truth={"A": {Prim("p"): {"nowhere"}, Prim("zz"): {"nowhere"}}, "B": {}})
+        assert str(exc.value) == "structure: undeclared atom 'zz'"
+
+    def test_state_names_are_checked_before_any_is_looked_up(self, weather_game):
+        for states, message in (([], "needs at least one state"), (["w1", "w1"], "duplicate state names")):
+            with pytest.raises(SchemaError) as exc:
+                rebuild(weather_game, states=states, truth={"A": {Prim("p"): {"nowhere"}}, "B": {}})
+            assert str(exc.value) == f"structure: {message}"
 
     def test_unknown_states_are_named_from_a_one_shot_iterable(self, weather_game):
         with pytest.raises(SchemaError) as exc:
@@ -126,6 +146,18 @@ class TestConstruction:
         data["surprise"] = True
         with pytest.raises(SchemaError):
             EpistemicStructure.from_dict(data, weather_game)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.booleans(), st.booleans())
+def test_the_constructor_and_the_loader_build_one_compiled_form(seed, own_game, stored, doubled):
+    """A structure built from nodes and one loaded from its JSON form, atoms
+    and stored partitions included, hold the same rows, cells and prior."""
+    rng = random.Random(seed)
+    m = random_structure(rng, random_game(rng) if own_game else None, stored=stored, doubled=doubled)
+    loaded = EpistemicStructure.from_dict(m.to_dict(), m.game)
+    assert (loaded.rows, loaded.stored_cells) == (m.rows, m.stored_cells)
+    assert (loaded.prior_num, loaded.prior_denom) == (m.prior_num, m.prior_denom)
 
 
 def cell_sets(m, player):
