@@ -122,11 +122,9 @@ def _device(
     view's mask goes to the receipt and play positions of its actions."""
     signals, to_signal, strategy_table = _signal_scheme(game)
     players = game.players
-    _, _, receipts, plays = row_layout(game, signals)
+    layout = _, _, receipts, plays = row_layout(game, signals)
     # a player's k-th action is told by the k-th signal
-    spots = {
-        (q, a): (receipts[q][k], plays[q][k]) for q in players for k, a in enumerate(game.actions_of(q))
-    }
+    spots = {(q, a): (receipts[q][k], plays[q][k]) for q in players for k, a in enumerate(game.actions_of(q))}
     rows, cells = {}, {}
     for i, p in enumerate(players):
         by_view: dict[Profile, int] = {}
@@ -142,6 +140,6 @@ def _device(
             own[mine[i]] = own.get(mine[i], 0) | mask
         rows[p] = row
         cells[p] = tuple(own.values())
-    structure = EpistemicStructure.from_masks(game, names, num, denom, signals, rows, cells)
+    structure = EpistemicStructure.from_masks(game, names, num, denom, signals, rows, cells, layout)
     strategy = CoordinationStrategy(game.players, signals, strategy_table)
     return ConstructionResult(structure, strategy, to_signal)

@@ -6,7 +6,7 @@ validity means every player deems every such instruction true at every
 state.  Self-enforcement adds that each player, at each state, actually
 plays her recommended action and deems it optimal.  Both read the strategy
 through `read_strategy`, which refuses one the structure cannot read; as
-`run_audits` reads it before its first step, its steps yield only reports.
+`run_audits` reads it once, before its first step, its steps yield only reports.
 Induced distributions collect the prior mass of the full action profiles a
 viewer sees across states.
 """
@@ -34,6 +34,8 @@ from .structures import (
     mask_mass,
     states_in,
 )
+
+StrategyRead = dict[str, list[tuple[str, str, int, int]]]  # what `read_strategy` returns
 
 
 class CoordinationStrategy:
@@ -83,12 +85,10 @@ class CoordinationStrategy:
 
 def as_formulas(c: CoordinationStrategy) -> tuple[Formula, ...]:
     """The strategy's instructions, player-major then signal order."""
-    return tuple(
-        Implies(Receive(p, s), Play(p, c.action(p, s))) for p in c.players for s in c.signals
-    )
+    return tuple(Implies(Receive(p, s), Play(p, c.action(p, s))) for p in c.players for s in c.signals)
 
 
-def read_strategy(m: EpistemicStructure, c: CoordinationStrategy) -> dict[str, list[tuple[str, str, int, int]]]:
+def read_strategy(m: EpistemicStructure, c: CoordinationStrategy) -> StrategyRead:
     """Each player's (signal, action, position of rec(p, s), position of pl(p, a))
     for each declared signal.  Refuses, over the strategy's own (player, signal)
     pairs, a player the game lacks (KeyError) or a signal the structure lacks;
@@ -120,8 +120,12 @@ def check_strategy_valid(m: EpistemicStructure, c: CoordinationStrategy) -> Repo
 
     An instruction fails for a viewer where she sees the receipt and not the
     play, read off her row; its formula is built only to name a failure."""
+    return _strategy_valid(m, read_strategy(m, c))
+
+
+def _strategy_valid(m: EpistemicStructure, read: StrategyRead) -> Report:
     failures = []
-    for p, reads in read_strategy(m, c).items():
+    for p, reads in read.items():
         for s, a, receipt, play in reads:
             for viewer in m.game.players:
                 row = m.rows[viewer]
@@ -145,9 +149,13 @@ class EnforcementIssue:
 
 def check_self_enforcing(m: EpistemicStructure, c: CoordinationStrategy) -> Report:
     """At each state every player follows her recommendation and deems it optimal."""
+    return _self_enforcing(m, read_strategy(m, c))
+
+
+def _self_enforcing(m: EpistemicStructure, read: StrategyRead) -> Report:
     ev = m.evaluator()
     failures = []
-    for p, reads in read_strategy(m, c).items():
+    for p, reads in read.items():
         row = m.rows[p]
         seen, dup = fold(m.receipts(p, p))
         unique = seen & ~dup
@@ -209,11 +217,11 @@ def induce(m: EpistemicStructure, viewer: str) -> Distribution:
 
 @dataclass(frozen=True)
 class AuditStep:
-    """One audit of a structure (and strategy): its label, its check, and
-    the labels of the earlier steps that must pass for it to run."""
+    """One audit of a structure (and a strategy's read): its label, its
+    check, and the labels of the earlier steps that must pass for it to run."""
 
     label: str
-    check: Callable[[EpistemicStructure, Optional[CoordinationStrategy]], Report]
+    check: Callable[[EpistemicStructure, Optional[StrategyRead]], Report]
     needs: tuple[str, ...] = ()
 
 
@@ -222,14 +230,14 @@ STRUCTURAL = ("signal uniqueness", "partition consistency", "action uniqueness",
 # The audit order, declared once: `validate`, the `induce` gate and
 # `verify_induced_equilibrium` pick their steps from it by label.
 AUDITS = (
-    AuditStep("signal uniqueness", lambda m, c: check_signal_uniqueness(m)),
-    AuditStep("partition consistency", lambda m, c: check_partition_consistency(m)),
-    AuditStep("action uniqueness", lambda m, c: check_action_uniqueness(m)),
-    AuditStep("cell positivity", lambda m, c: check_cell_positivity(m)),
-    AuditStep("signal definitions", lambda m, c: check_signal_definitions(m)),
-    AuditStep("rationality", lambda m, c: check_rationality(m), STRUCTURAL),
-    AuditStep("strategy validity", check_strategy_valid, STRUCTURAL),
-    AuditStep("self-enforcement", check_self_enforcing, STRUCTURAL),
+    AuditStep("signal uniqueness", lambda m, read: check_signal_uniqueness(m)),
+    AuditStep("partition consistency", lambda m, read: check_partition_consistency(m)),
+    AuditStep("action uniqueness", lambda m, read: check_action_uniqueness(m)),
+    AuditStep("cell positivity", lambda m, read: check_cell_positivity(m)),
+    AuditStep("signal definitions", lambda m, read: check_signal_definitions(m)),
+    AuditStep("rationality", lambda m, read: check_rationality(m), STRUCTURAL),
+    AuditStep("strategy validity", _strategy_valid, STRUCTURAL),
+    AuditStep("self-enforcement", _self_enforcing, STRUCTURAL),
 )
 
 
@@ -239,23 +247,22 @@ def run_audits(
     """Run the steps of AUDITS named in `labels`, in order, lazily.
 
     Yields (label, outcome): the step's Report, or None when a step it needs
-    ran and did not pass.  A strategy the structure cannot read is refused
-    once, by `read_strategy`, before the first step.  After that no step
-    whose needs pass raises: signal uniqueness and cell positivity rule out
-    the refusals of `_derive` and `_positive_cells`; partition consistency
-    and cell positivity catch their own; `_install` makes every signal
-    definition a boolean formula over declared atoms; and strategy validity
-    reads no cells, which is why the `induce` gate may run it without cell
-    positivity.  A step run without its needs in `labels`, on a structure
-    that breaks them, may raise.
+    ran and did not pass.  `read_strategy` reads the strategy once, for every
+    step, before the first, refusing one the structure cannot read.  After
+    that no step whose needs pass raises: signal uniqueness and cell
+    positivity rule out the refusals of `_derive` and `_positive_cells`;
+    partition consistency and cell positivity catch their own; `_install`
+    makes every signal definition a boolean formula over declared atoms; and
+    strategy validity reads no cells, which is why the `induce` gate may run
+    it without cell positivity.  A step run without its needs in `labels`,
+    on a structure that breaks them, may raise.
     """
-    if c is not None:
-        read_strategy(m, c)
+    read = None if c is None else read_strategy(m, c)
     passed: dict[str, bool] = {}
     for step in AUDITS:
         if step.label not in labels:
             continue
-        outcome = step.check(m, c) if all(passed.get(need, True) for need in step.needs) else None
+        outcome = step.check(m, read) if all(passed.get(need, True) for need in step.needs) else None
         passed[step.label] = outcome is not None and outcome.ok
         yield step.label, outcome
 

@@ -11,10 +11,12 @@ condensed (a dictionary, as in lrs): a basic column is a multiple of a unit
 vector, so only the nonbasic columns and the right-hand side are stored, with
 a `nonbasic` label list next to `basis`.  Pivots are fraction-free (Edmonds
 1967, Bareiss 1968): every entry is an integer over one positive denominator
-`d`, the previous pivot.  A pivot on (r, s) with pivot p turns every other
-row, the reduced-cost row included, into `(p*a - f*b) // d`, which divides
-exactly, with `-f` in column s; the pivot row gets `d` in column s; and
-`basis[r]` and `nonbasic[s]` swap labels.
+`d`, the previous pivot.  A dual pivot on (r, s) has p < 0: with q = -p,
+every other row, the reduced-cost row included, becomes `(q*a + f*b) // d`,
+which divides exactly, with `f` in column s; row r its own negation, with
+`-d` in column s; and `basis[r]` and `nonbasic[s]` swap labels.  That is the
+textbook `(p*a - f*b) / d` on row r negated, then column s negated, which
+keep `d` positive and each column's sign, in one walk of the tableau.
 
 Row 0 is the simplex row.  With an artificial basic there and every row
 a.x >= 0 negated, so that its surplus starts basic at level 0, the pivot
@@ -27,20 +29,19 @@ the reduced costs c_j - c_max, with -c_max at col and as rhs; and each row
 with a_col < 0 as a_col - a_j, with a_col at col and as rhs.  A row with
 a_col >= 0 holds at e_col and is left out: a row enters the tableau only
 once a vertex violates it.  The dual simplex (Lemke 1954) runs on the rows
-held, in row order.  While some right-hand side is negative, the most
-negative one leaves, but right after a dual-degenerate pivot (entering
-reduced cost 0) the negative row with the smallest basic label leaves
-(Bland).  The column minimizing obj/row over the row's negative entries
-enters, ties going to the smallest label, so every reduced cost stays at
-most 0; with none, the row cannot reach 0 and the LP is infeasible.  The
-pivot is negative, so the row is negated first and the pivot column after
-`_pivot`: `d` stays positive and every column keeps its variable's sign.
-The artificial never enters.  When no rhs is negative, each left-out row is
-evaluated at the vertex, a.x over x's support, and every violated one is
-written in at the current basis: the sum over basic x_j of a_j times x_j's
-row, less d*a_j at each nonbasic x_j.  These are the integers the full
-tableau holds at that basis, so every later division stays exact.  With no
-row violated, the vertex is optimal.
+held, in row order.  While some right-hand side is negative, one sweep over
+them picks the leaving row: the most negative, the earlier among ties, but
+right after a dual-degenerate pivot (entering reduced cost 0) the negative
+row with the smallest basic label (Bland).  One walk of that row finds the
+column minimizing obj/row over its negative entries, ties going to the
+smallest label, so every reduced cost stays at most 0; with none, the row
+cannot reach 0 and the LP is infeasible.  The artificial never enters, so
+the walk skips its column, the start column.  When no rhs is negative, each
+left-out row is evaluated at the vertex, a.x over x's support, and every
+violated one is written in at the current basis: the sum over basic x_j of
+a_j times x_j's row, less d*a_j at each nonbasic x_j.  These are the
+integers the full tableau holds at that basis, so every later division stays
+exact.  With no row violated, the vertex is optimal.
 
 This terminates.  Each writing of rows adds at least one of finitely many, and
 keeps the basis dual feasible: each written surplus enters the basis with
@@ -145,8 +146,8 @@ def _simplex(c, rows) -> tuple[int, list[int], list[int]]:
             basis.append(n + k)
     art = n + len(rows)
     nonbasic = [art if j == col else j for j in range(n)]
-    objs = [[-top if j == col else v - top for j, v in enumerate(c)] + [-top]]
-    d = _dual(rows, tab, basis, nonbasic, objs)
+    obj = [-top if j == col else v - top for j, v in enumerate(c)] + [-top]
+    d = _dual(rows, tab, basis, nonbasic, obj)
 
     x = [0] * n
     for row, var in zip(tab, basis):
@@ -156,7 +157,7 @@ def _simplex(c, rows) -> tuple[int, list[int], list[int]]:
     # -y, and y in a negated row; the artificial never enters, so it is
     # nonbasic, and a basic or never written surplus has the dual 0
     y = [0] * (len(rows) + 1)
-    for v, var in zip(objs[0], nonbasic):
+    for v, var in zip(obj, nonbasic):
         if var == art:
             y[0] = -v
         elif var >= n:
@@ -164,19 +165,27 @@ def _simplex(c, rows) -> tuple[int, list[int], list[int]]:
     return d, x, y
 
 
-def _dual(rows, tab, basis, nonbasic, objs):
+def _dual(rows, tab, basis, nonbasic, obj):
     """Dual simplex from the built start at x = e_basis[0], on the rows held
     in `rows` order: Dantzig's leaving row, or Bland's after a degenerate
     pivot, and the ratio test; with no rhs negative, every left-out row the
     vertex violates is written in.  Returns the denominator."""
     n = len(nonbasic)
-    art = n + len(rows)
+    start = basis[0]  # the artificial's column ever after: it never enters
     held = [-1, *(var - n for var in basis[1:])]  # tab[i] is rows[held[i]]
-    out = [k for k, a in enumerate(rows) if a[basis[0]] >= 0]
+    out = [k for k, a in enumerate(rows) if a[start] >= 0]
     d, bland = 1, False
     while True:
-        negative = [i for i, row in enumerate(tab) if row[-1] < 0]
-        if not negative:
+        r, least = -1, 0  # the leaving row, in one sweep
+        if bland:  # the negative row with the smallest basic label
+            for i, row in enumerate(tab):
+                if row[-1] < 0 and (r < 0 or basis[i] < basis[r]):
+                    r = i
+        else:  # the most negative, the earlier row among ties
+            for i, row in enumerate(tab):
+                if row[-1] < least:
+                    r, least = i, row[-1]
+        if r < 0:
             # a.x over x's support, for each row left out
             basic = [(j, row) for j, row in zip(basis, tab) if j < n]
             support = [(j, row[-1]) for j, row in basic if row[-1]]
@@ -201,46 +210,37 @@ def _dual(rows, tab, basis, nonbasic, objs):
                 tab.insert(i, row)
                 basis.insert(i, n + k)
             continue
-        if bland:
-            r = min(negative, key=basis.__getitem__)
-        else:
-            r = min(negative, key=lambda i: tab[i][-1])
-        row, obj = tab[r], objs[0]
-        col = -1
-        for j, (v, var) in enumerate(zip(row, nonbasic)):
-            if v < 0 and var != art:
+        row, col = tab[r], -1
+        for j, v in zip(range(n), row):
+            if v < 0 and j != start:
                 if col < 0:
-                    col = j
+                    col, p, o = j, v, obj[j]
                     continue
-                # obj[j]/v against obj[col]/row[col]: both denominators < 0
-                lhs, rhs = obj[j] * row[col], obj[col] * v
-                if lhs < rhs or lhs == rhs and var < nonbasic[col]:
-                    col = j
+                # obj[j]/v against o/p: both denominators < 0
+                lhs, rhs = obj[j] * p, o * v
+                if lhs < rhs or lhs == rhs and nonbasic[j] < nonbasic[col]:
+                    col, p, o = j, v, obj[j]
         if col < 0:
             raise Infeasible
-        bland = obj[col] == 0
-        # negating the row makes the pivot positive and its basic variable
-        # -basis[r]; negating the column afterwards turns that back
-        tab[r] = [-v for v in row]
-        d = _pivot(tab, basis, nonbasic, objs, d, r, col)
-        for row in (*tab, *objs):
-            row[col] = -row[col]
+        bland = o == 0
+        d = _pivot(tab, basis, nonbasic, obj, d, r, col)
 
 
-def _pivot(tab, basis, nonbasic, objs, d, r, col):
-    """Fraction-free pivot on tab[r][col] > 0; returns the new denominator."""
+def _pivot(tab, basis, nonbasic, obj, d, r, col):
+    """Fraction-free dual pivot on tab[r][col] < 0 (see above); returns the new denominator."""
     prow = tab[r]
-    p = prow[col]
-    for rows in (tab, objs):
-        for i, row in enumerate(rows):
-            if row is prow:
-                continue
-            f = row[col]
-            if f:
-                row = rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-                row[col] = -f
-            elif p != d:
-                rows[i] = [p * a // d for a in row]
-    prow[col] = d
+    q = -prow[col]
+    tab.append(obj)  # obj is updated as one more row
+    for i, row in enumerate(tab):
+        f = row[col]
+        if i == r:
+            row = tab[i] = [-v for v in row]
+            row[col] = -d
+        elif f:
+            row = tab[i] = [(q * a + f * b) // d for a, b in zip(row, prow)]
+            row[col] = f
+        elif q != d:
+            tab[i] = [q * a // d for a in row]
+    obj[:] = tab.pop()
     basis[r], nonbasic[col] = nonbasic[col], basis[r]
-    return p
+    return q

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import mul, or_
 from typing import Iterable, Mapping, Optional
 
@@ -108,13 +108,13 @@ def row_layout(
     return tuple(keys), at_atoms, receipts, plays
 
 
-def _key_table(game: Game, signals: Iterable[str], atoms: Iterable[str], at: Mapping[str, int]) -> dict[str, int]:
-    """{key: position} for each canonical key the grammar reads back to its
-    proposition, `at` giving every canonical key's position: the keys of
-    usable atoms, and of signals that are one token each (a game's players
-    and actions always are)."""
-    signals = [s for s in signals if NAME_RE.fullmatch(s)]
-    return {key: at[key] for key in row_layout(game, signals, filter(usable_name, atoms))[0]}
+def _key_table(m: "EpistemicStructure", at: Mapping[str, int]) -> dict[str, int]:
+    """{key: position} for each canonical key of m's laid-out row that the
+    grammar reads back to its proposition, `at` giving every canonical key's
+    position: the keys of usable atoms, of signals that are one token each,
+    and of every play (a game's players and actions always are)."""
+    receipts = [NAME_RE.fullmatch(s) is not None for s in m.signals] * m.game.n
+    return {key: at[key] for key in compress(m._keys, chain(map(usable_name, m.atoms), receipts, repeat(True)))}
 
 
 class EpistemicStructure:
@@ -170,16 +170,17 @@ class EpistemicStructure:
         signals: Iterable[str],
         masks: Mapping[str, Mapping[int, int]],
         cells: Optional[Mapping[str, Iterable[int]]] = None,
+        layout: Optional[tuple] = None,
     ) -> "EpistemicStructure":
         """The structure, without atoms, given by masks: state k of `states`
         is bit k of every mask, and has prior `prior_num[k] / prior_denom`;
         `masks[viewer][k]` is the mask of the states where the viewer deems
-        the primitive proposition at row position k (`row_layout`) true
-        (absent positions are false everywhere).  It is checked as `__init__`
-        checks it."""
+        the primitive proposition at row position k of `layout`, the
+        `row_layout(game, signals)` made here if not given, true (absent
+        positions are false everywhere).  It is checked as `__init__` does."""
         m = cls.__new__(cls)
         m._index(states)
-        m._lay_out(game, signals, ())
+        m._lay_out(game, signals, (), layout)
         m._install(prior_num, prior_denom, masks, cells, None)
         return m
 
@@ -195,13 +196,13 @@ class EpistemicStructure:
             raise SchemaError("structure: duplicate state names")
         self.full = (1 << len(self.states)) - 1
 
-    def _lay_out(self, game, signals, atoms) -> None:
-        """Lay out the row: the tables `position` reads.  It refuses nothing;
-        `_install` checks the signal and atom names."""
+    def _lay_out(self, game, signals, atoms, layout=None) -> None:
+        """Lay out the row (or take the given `row_layout`): the tables `position`
+        reads.  It refuses nothing; `_install` checks the signal and atom names."""
         self.game = game
         self.signals = tuple(signals)
         self.atoms = tuple(atoms)
-        self._keys, atoms_at, self._receipts_at, plays_at = row_layout(game, self.signals, self.atoms)
+        self._keys, atoms_at, self._receipts_at, plays_at = layout or row_layout(game, self.signals, self.atoms)
         self._atom_at = dict(zip(self.atoms, atoms_at))
         self._signal_at = {s: k for k, s in enumerate(self.signals)}
         self._plays_at = {p: (at, {a: k for k, a in enumerate(game.actions_of(p))}) for p, at in plays_at.items()}
@@ -486,7 +487,7 @@ class EpistemicStructure:
         m = cls.__new__(cls)
         m._lay_out(game, signal_names, atoms)
         at = {key: k for k, key in enumerate(m._keys)}
-        table = _key_table(game, signal_names, atoms, at)  # then each key the grammar reads, for every table
+        table = _key_table(m, at)  # then each key the grammar reads, for every table
         truth = {}
         for p, entries in interp_raw.items():
             if not isinstance(entries, dict):
@@ -526,9 +527,7 @@ class EpistemicStructure:
         }
         partitions = None
         if self.stored_cells is not None:
-            partitions = {
-                p: [list(self._names(c)) for c in cells] for p, cells in self.stored_cells.items()
-            }
+            partitions = {p: [list(self._names(c)) for c in cells] for p, cells in self.stored_cells.items()}
         return {
             "states": list(self.states),
             "prior": {s: ratio_text(w, self.prior_denom) for s, w in zip(self.states, self.prior_num)},
@@ -660,9 +659,7 @@ def check_action_uniqueness(m: EpistemicStructure) -> Report:
             for p in players:
                 seen, dup = folds[p]
                 if (dup >> k) & 1:
-                    acts = tuple(
-                        a for a, row in zip(m.game.actions_of(p), rows[p]) if (row >> k) & 1
-                    )
+                    acts = tuple(a for a, row in zip(m.game.actions_of(p), rows[p]) if (row >> k) & 1)
                     failures.append(ActionIssue(viewer, state, p, acts))
                 elif not (seen >> k) & 1:
                     notes.append(f"viewer {viewer!r} sees no action for player {p!r} at {state!r}")
@@ -675,9 +672,7 @@ def check_cell_positivity(m: EpistemicStructure) -> Report:
         cells = [(p, *m.cells(p)) for p in m.game.players]
     except PreconditionError as exc:
         return Report(False, notes=(f"cannot derive partitions: {exc}",))
-    failures = [
-        CellIssue(p, m._names(c)) for p, masks, sums in cells for c, w in zip(masks, sums) if w == 0
-    ]
+    failures = [CellIssue(p, m._names(c)) for p, masks, sums in cells for c, w in zip(masks, sums) if w == 0]
     return Report(not failures, tuple(failures))
 
 

@@ -33,7 +33,7 @@ from ambicoord import (
     solve_ce,
     verify_induced_equilibrium,
 )
-from ambicoord import games
+from ambicoord import construct, games, structures
 from ambicoord.coordination import STRUCTURAL, run_audits
 from ambicoord.structures import row_layout
 from conftest import load_fixture
@@ -354,6 +354,30 @@ def test_constructions_write_row_positions(
         naive = naive_objective_device(game, dists[0]) if len(dists) == 1 else naive_subjective_device(game, dists)
         assert out.structure.to_dict() == naive.structure.to_dict()
         assert out.strategy.to_dict() == naive.strategy.to_dict()
+
+
+def test_a_constructed_device_lays_its_row_out_once(monkeypatch, cycle_game, cycle_ce, coord_game):
+    """`_device` places its masks at the positions of one `row_layout`,
+    which `from_masks` keeps, and builds what it built by two."""
+    dists = [solve_ce(coord_game, {a: F(k)}) for k, a in enumerate(coord_game.profiles(), 1)][:2]
+    builds = [
+        lambda: from_objective_ce(cycle_game, cycle_ce),
+        lambda: from_subjective_ce(cycle_game, [cycle_ce, solve_ce(cycle_game)]),
+        lambda: from_subjective_ce(coord_game, dists),
+    ]
+    expected = [build().structure.to_dict() for build in builds]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return row_layout(*args)
+
+    monkeypatch.setattr(structures, "row_layout", counted)
+    monkeypatch.setattr(construct, "row_layout", counted)
+    for build, written in zip(builds, expected):
+        calls.clear()
+        assert build().structure.to_dict() == written
+        assert len(calls) == 1
 
 
 @st.composite

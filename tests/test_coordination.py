@@ -23,6 +23,7 @@ from ambicoord import (
     induce,
     verify_induced_equilibrium,
 )
+from ambicoord import coordination
 from ambicoord.coordination import AUDITS, run_audits
 from ambicoord.reports import Report
 from test_audit_oracle import DAMAGES, _damaged, devices  # noqa: F401 (a fixture)
@@ -283,6 +284,17 @@ class TestVerify:
         assert result.kind == "subjective"
         assert result.ce_ok is True
         assert result.distributions["2"] == Distribution({("U", "L"): F(1)})
+
+    def test_the_strategy_is_read_once_per_call(self, monkeypatch, cycle, cycle_strategy, coord, coord_strategy):
+        # verify hands its audit chain's one read to both strategy steps;
+        # each public strategy audit reads for itself
+        reads, real = [], coordination.read_strategy
+        monkeypatch.setattr(coordination, "read_strategy", lambda m, c: reads.append(c) or real(m, c))
+        for m, strategy in ((cycle, cycle_strategy), (coord, coord_strategy)):
+            for audit in (verify_induced_equilibrium, check_strategy_valid, check_self_enforcing):
+                reads.clear()
+                audit(m, strategy)
+                assert reads == [strategy]
 
     def test_an_audited_structure_is_freed_by_reference_counting(self, cycle_game, cycle_ce):
         # the structure keeps the evaluators' memo but holds no evaluator,

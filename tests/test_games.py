@@ -495,6 +495,22 @@ def test_solve_ce_reaches_every_frozen_optimum():
     assert counts == {"solve": 400, "device": 80, "cli": 6}
 
 
+def test_frozen_solves_take_their_pinned_dual_pivots(monkeypatch):
+    # a change to the dual simplex's kernel or pivot rules that keeps every
+    # optimum can still move its path: the pivots per corpus are pinned
+    pivots, real = collections.Counter(), lp._pivot
+    name = None
+
+    def counted(*args):
+        pivots[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    for name, game, objective, value in _frozen_solves():
+        solve_ce(game, objective)
+    assert pivots == {"solve": 1685, "device": 382, "cli": 1}
+
+
 def test_solve_ce_reads_each_payoff_vector_once():
     rng = random.Random(5)
     for _ in range(20):

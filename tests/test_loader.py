@@ -361,6 +361,18 @@ def test_interpretation_keys_load_as_the_grammar_reads_them(game, signals, atoms
     assert_fails_alike(one_state(game, tables, signals, atoms), game)
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+def test_a_structure_loads_with_one_row_layout(monkeypatch, name):
+    """`from_dict` lays the row out once and reads its key table off that
+    layout's keys."""
+    data, game = load_fixture(f"{name}_structure.json"), GAMES[name]
+    expected = compiled(EpistemicStructure.from_dict(data, game))
+    calls, real = [], structures.row_layout
+    monkeypatch.setattr(structures, "row_layout", lambda *args: calls.append(args) or real(*args))
+    assert compiled(EpistemicStructure.from_dict(data, game)) == expected
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "players, actions, problems",
     [

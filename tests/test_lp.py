@@ -15,7 +15,41 @@ from helpers import random_game, random_objective
 from oracle import naive_certificate_holds, naive_lp
 
 F = Fraction
-_PIVOT = lp._pivot
+
+
+def _textbook_pivot(tab, basis, nonbasic, obj, d, r, col):
+    """The fraction-free pivot of the textbook (Edmonds 1967, Bareiss 1968)
+    on a condensed tableau, kept apart from `lp._pivot` as its reference.
+    With p = tab[r][col] > 0, every other row, obj included, becomes
+    (p*a - f*b) / d, which must divide exactly, with -f in column col; the
+    pivot row gets d in column col; basis[r] and nonbasic[col] swap labels.
+    Every row is written in place.  Returns p, the new denominator."""
+    prow = tab[r]
+    p = prow[col]
+    assert p > 0
+    for row in (*tab, obj):
+        if row is prow:
+            continue
+        f = row[col]
+        for j, (a, b) in enumerate(zip(row, prow)):
+            q, rest = divmod(p * a - f * b, d)
+            assert rest == 0
+            row[j] = q
+        row[col] = -f
+    prow[col] = d
+    basis[r], nonbasic[col] = nonbasic[col], basis[r]
+    return p
+
+
+def _textbook_dual_pivot(tab, basis, nonbasic, obj, d, r, col):
+    """The dual simplex's pivot on tab[r][col] < 0 by the textbook update:
+    negate row r, so that its pivot is positive and its basic variable reads
+    -basis[r], pivot, and negate column col, which turns that back."""
+    tab[r] = [-v for v in tab[r]]
+    d = _textbook_pivot(tab, basis, nonbasic, obj, d, r, col)
+    for row in (*tab, obj):
+        row[col] = -row[col]
+    return d
 
 
 def _general(c, rows):
@@ -275,11 +309,12 @@ def test_every_solve_stops_within_a_pivot_budget(monkeypatch):
 
 
 def _full_start(c, rows, col):
-    """[tab, basis, nonbasic, objs, d] of the full tableau, every row negated
-    so that its surplus is basic, after the artificial's pivot on (0, col)."""
+    """[tab, basis, nonbasic, obj, d] of the full tableau, every row negated
+    so that its surplus is basic, after the artificial's pivot on (0, col),
+    made by the textbook pivot."""
     n, art = len(c), len(c) + len(rows)
-    full = [[[1] * (n + 1), *([-v for v in a] + [0] for a in rows)], [art, *range(n, art)], list(range(n)), [[*c, 0]], 1]
-    full[4] = _PIVOT(*full, 0, col)
+    full = [[[1] * (n + 1), *([-v for v in a] + [0] for a in rows)], [art, *range(n, art)], list(range(n)), [*c, 0], 1]
+    full[4] = _textbook_pivot(*full, 0, col)
     return full
 
 
@@ -293,40 +328,38 @@ def test_dual_pivots_start_at_the_best_profile_then_follow_dantzig_or_bland(monk
     # whose entering reduced cost is 0 the negative row with the smallest
     # basic label, and the column minimizing obj/row over the row's negative
     # entries enters, ties going to the smallest label; artificials never
-    # enter.  The leaving row reaches `_pivot` negated, so that its pivot is
-    # positive.
+    # enter.  The leaving row reaches `_pivot` as it stands, its pivot
+    # negative.
     problems = _degenerate_ce_lps(monkeypatch, 200)
     real_dual, real = lp._dual, lp._pivot
     state = dict.fromkeys(["nash", "label", "dantzig", "bland", "ratio", "tie"], 0)
 
-    def started(rows, tab, basis, nonbasic, objs):
+    def started(rows, tab, basis, nonbasic, obj):
         c = state["c"]
         top = max(c)
         tied = [j for j, v in enumerate(c) if v == top]
         unblocked = [j for j in tied if all(a[j] >= 0 for a in rows)]
-        full, full_basis, full_nonbasic, full_objs, d = _full_start(c, rows, (unblocked or tied)[0])
+        full, full_basis, full_nonbasic, full_obj, d = _full_start(c, rows, (unblocked or tied)[0])
         assert d == 1
         kept = [i for i, row in enumerate(full) if i == 0 or row[-1] < 0]
         assert tab == [full[i] for i in kept] and basis == [full_basis[i] for i in kept]
-        assert (nonbasic, objs) == (full_nonbasic, full_objs)
+        assert (nonbasic, obj) == (full_nonbasic, full_obj)
         if unblocked and unblocked[0] != tied[0]:
             state["nash"] += 1
         elif not unblocked and len(tied) > 1:
             state["label"] += 1
-        return real_dual(rows, tab, basis, nonbasic, objs)
+        return real_dual(rows, tab, basis, nonbasic, obj)
 
-    def checked(tab, basis, nonbasic, objs, d, r, col):
-        obj = objs[0]
+    def checked(tab, basis, nonbasic, obj, d, r, col):
         entering = [var < state["art0"] for var in nonbasic]
         assert all(v <= 0 for v, e in zip(obj, entering) if e)  # dual feasible
-        rows = [[-v for v in row] if i == r else row for i, row in enumerate(tab)]
-        negative = [i for i, row in enumerate(rows) if row[-1] < 0]
-        choices = {"dantzig": min(negative, key=lambda i: rows[i][-1]), "bland": min(negative, key=basis.__getitem__)}
+        negative = [i for i, row in enumerate(tab) if row[-1] < 0]
+        choices = {"dantzig": min(negative, key=lambda i: tab[i][-1]), "bland": min(negative, key=basis.__getitem__)}
         rule = "bland" if state["degenerate"] else "dantzig"
         assert r == choices[rule]
         if choices["dantzig"] != choices["bland"]:
             state[rule] += 1
-        row = rows[r]
+        row = tab[r]
         eligible = [j for j, (v, e) in enumerate(zip(row[:-1], entering)) if v < 0 and e]
         least = min(F(obj[j], row[j]) for j in eligible)
         ties = [j for j in eligible if F(obj[j], row[j]) == least]
@@ -336,7 +369,7 @@ def test_dual_pivots_start_at_the_best_profile_then_follow_dantzig_or_bland(monk
         if col != ties[0]:
             state["tie"] += 1
         state["degenerate"] = obj[col] == 0
-        return real(tab, basis, nonbasic, objs, d, r, col)
+        return real(tab, basis, nonbasic, obj, d, r, col)
 
     monkeypatch.setattr(lp, "_dual", started)
     monkeypatch.setattr(lp, "_pivot", checked)
@@ -348,7 +381,7 @@ def test_dual_pivots_start_at_the_best_profile_then_follow_dantzig_or_bland(monk
 
 
 def _traced_solves(monkeypatch, problems, check=None):
-    """Solve each (c, rows), calling check(tab, basis, nonbasic, objs, d, r,
+    """Solve each (c, rows), calling check(tab, basis, nonbasic, obj, d, r,
     col, run) before every pivot.  `run` holds the solve's c, rows and
     pivots so far, the rows the tableau holds (each written row's surplus
     label, n + k, is basic or nonbasic), the rows violated at some vertex
@@ -357,22 +390,22 @@ def _traced_solves(monkeypatch, problems, check=None):
     real = lp._pivot
     runs = []
 
-    def traced(tab, basis, nonbasic, objs, d, r, col):
+    def traced(tab, basis, nonbasic, obj, d, r, col):
         run = runs[-1]
         n = len(run["c"])
         labels = {var - n for var in (*basis, *nonbasic)}
         run["held"] = {k for k in range(len(run["rows"])) if k in labels}
-        # the vertex: tab[r] arrives negated
+        # the vertex: every row, tab[r] included, arrives as it stands
         x = [0] * n
-        for i, (row, var) in enumerate(zip(tab, basis)):
+        for row, var in zip(tab, basis):
             if var < n:
-                x[var] = -row[-1] if i == r else row[-1]
+                x[var] = row[-1]
         run["violated"] |= {k for k, a in enumerate(run["rows"]) if sum(map(operator.mul, a, x)) < 0}
         run.setdefault("start", run["held"])
         if check:
-            check(tab, basis, nonbasic, objs, d, r, col, run)
+            check(tab, basis, nonbasic, obj, d, r, col, run)
         run["pivots"] += 1
-        return real(tab, basis, nonbasic, objs, d, r, col)
+        return real(tab, basis, nonbasic, obj, d, r, col)
 
     monkeypatch.setattr(lp, "_pivot", traced)
     solved = []
@@ -385,7 +418,7 @@ def _traced_solves(monkeypatch, problems, check=None):
 def test_a_row_enters_the_tableau_only_once_a_vertex_violates_it(monkeypatch):
     # The start holds the rows that x = e_col violates; a row enters later
     # only where no rhs held is negative and the vertex violates it
-    def check(tab, basis, nonbasic, objs, d, r, col, run):
+    def check(tab, basis, nonbasic, obj, d, r, col, run):
         assert run["held"] <= run["violated"]
 
     runs = [run for _, run in _traced_solves(monkeypatch, _degenerate_ce_lps(monkeypatch, 200), check)]
@@ -394,34 +427,31 @@ def test_a_row_enters_the_tableau_only_once_a_vertex_violates_it(monkeypatch):
 
 def test_a_row_written_mid_solve_is_the_full_tableau_row(monkeypatch):
     # The same pivots on the full tableau, every row negated and the
-    # artificial pivoted out at the start column, hold every row the lazy
-    # tableau holds, in row order and with the same integers, the rows
-    # written mid-solve included; so each fraction-free update
-    # (p*a - f*b) / d, and p*a / d where f is 0, still divides exactly
+    # artificial pivoted out at the start column, each made by the textbook
+    # update rather than by `lp._pivot`, hold every row the lazy tableau
+    # holds, in row order and with the same integers, the rows written
+    # mid-solve included; so each folded update (q*a + f*b) / d, with q the
+    # negated pivot, and q*a / d where f is 0, still divides exactly
     mid = 0
 
-    def check(tab, basis, nonbasic, objs, d, r, col, run):
+    def check(tab, basis, nonbasic, obj, d, r, col, run):
         nonlocal mid
         c, rows = run["c"], run["rows"]
         if "full" not in run:
             run["full"] = _full_start(c, rows, nonbasic.index(len(c) + len(rows)))
-        ftab, fbasis, fnonbasic, fobjs, fd = full = run["full"]
+        ftab, fbasis, fnonbasic, fobj, fd = full = run["full"]
         kept = [0, *(k + 1 for k in sorted(run["held"]))]
-        assert [[-v for v in row] if i == r else row for i, row in enumerate(tab)] == [ftab[i] for i in kept]
+        assert tab == [ftab[i] for i in kept]
         assert basis == [fbasis[i] for i in kept]
-        assert (nonbasic, objs, d) == (fnonbasic, fobjs, fd)
+        assert (nonbasic, obj, d) == (fnonbasic, fobj, fd)
         prow = tab[r]
-        p = prow[col]
-        for row in (*tab, *objs):
+        q = -prow[col]
+        for row in (*tab, obj):
             if row is not prow:
-                assert all((p * a - row[col] * b) % d == 0 for a, b in zip(row, prow))
+                assert all((q * a + row[col] * b) % d == 0 for a, b in zip(row, prow))
         mid += bool(run["held"] - run["start"])
-        # the same pivot on the full tableau, as `_dual` makes it
-        fr = fbasis.index(basis[r])
-        ftab[fr] = [-v for v in ftab[fr]]
-        full[4] = _PIVOT(*full, fr, col)
-        for row in (*ftab, *fobjs):
-            row[col] = -row[col]
+        # the same pivot on the full tableau, by the textbook update
+        full[4] = _textbook_dual_pivot(*full, fbasis.index(basis[r]), col)
 
     _traced_solves(monkeypatch, _degenerate_ce_lps(monkeypatch, 200), check)
     assert mid > 0
