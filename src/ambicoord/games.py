@@ -43,8 +43,9 @@ def profile_key(profile: Sequence[str]) -> str:
 class Game:
     """n-player normal-form game with named players and actions.
 
-    Every `Game` is valid: the constructor refuses, with SchemaError, a game
-    in which `validate_game` finds a problem, its problems joined by "; ".
+    Every `Game` is valid, checked only here: the constructor refuses, with
+    SchemaError, a game in which `validate_game` finds a problem, its problems
+    joined by "; "; so a profile of the game is one that `payoffs` holds.
     Its tables are read-only, so each player's table of incentive gains,
     which the CE checks, `opt_i(a)`, its printed core and the rationality
     gap read, is built once per game and kept.  `solve_ce` keeps nothing.
@@ -142,19 +143,15 @@ class Game:
         for p, acts in actions.items():
             if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
                 raise SchemaError(f"game: actions of player {p!r} must be a list of strings")
-        actions = {p: tuple(a) for p, a in actions.items()}
-        if problems := _roster_problems(players, actions):  # before a payoff key is read against them
-            raise SchemaError("game: " + "; ".join(problems))
         payoffs_raw = data.get("payoffs")
         if not isinstance(payoffs_raw, dict):
             raise SchemaError("game: 'payoffs' must be an object")
         payoffs = {}
         for key, values in payoffs_raw.items():
-            profile = _profile(key, players, actions)
-            if not isinstance(values, list) or len(values) != len(players):
+            if not isinstance(values, list):
                 raise SchemaError(f"game: payoff vector for {key!r} must list one value per player")
             try:
-                payoffs[profile] = tuple(parse_rational(v) for v in values)
+                payoffs[tuple(key.split(","))] = tuple(parse_rational(v) for v in values)
             except ValueError as exc:
                 raise SchemaError(f"game: payoff for {key!r}: {exc}") from None
         try:
@@ -174,20 +171,24 @@ class Game:
 
 
 def parse_profile_key(key: str, game: Game) -> Profile:
-    """Split "a1,a2,..." and validate each action against the game."""
-    return _profile(key, game.players, game.actions)
-
-
-def _profile(key: str, players: Sequence[str], actions: Mapping[str, Sequence[str]]) -> Profile:
+    """The profile "a1,a2,..." names; SchemaError, with `_not_a_profile`'s reason, if none."""
     if not isinstance(key, str):
         raise SchemaError(f"profile key must be a string, got {key!r}")
     parts = tuple(key.split(","))
-    if len(parts) != len(players):
-        raise SchemaError(f"profile key {key!r} must name {len(players)} actions")
-    for p, a in zip(players, parts):
-        if a not in actions.get(p, ()):
-            raise SchemaError(f"profile key {key!r}: {a!r} is not an action of player {p!r}")
+    if parts not in game.payoffs:  # a game has a payoff at every profile and no other
+        raise SchemaError(f"profile key {key!r}: {_not_a_profile(game, parts)}")
     return parts
+
+
+def _not_a_profile(game: Game, parts: Sequence[str]) -> Optional[str]:
+    """Why `parts` is no action profile of the game: the wrong count of
+    actions, or the first action its player lacks; None if it is one."""
+    if len(parts) != game.n:
+        return f"expected {game.n} actions, got {len(parts)}"
+    for p, a in zip(game.players, parts):
+        if a not in game.actions[p]:
+            return f"{a!r} is not an action of player {p!r}"
+    return None
 
 
 def _roster_problems(players: Sequence[str], actions: Mapping[str, Sequence[str]]) -> list[str]:
@@ -224,18 +225,24 @@ def _roster_problems(players: Sequence[str], actions: Mapping[str, Sequence[str]
 def validate_game(game: Game) -> Report:
     """The problems for which `Game(...)` refuses a game, so every `Game`
     passes: those of its players and their actions, then (only if none) a
-    vector of one payoff per player at every action profile and no other."""
+    vector of one payoff per player at every action profile and no other, in
+    time and message size linear in the table: the missing profiles by the
+    first in sorted order and a count, each unknown one with its reason."""
     problems = _roster_problems(game.players, game.actions)
     if not problems:
-        expected = set(game.profiles())
-        if game.payoffs.keys() != expected:  # sorted only when they differ
-            have = set(game.payoffs)
-            problems += [f"missing payoff entry for profile {profile_key(a)!r}" for a in sorted(expected - have)]
-            problems += [f"payoff entry for unknown profile {profile_key(a)!r}" for a in sorted(have - expected)]
-        n = game.n
+        payoffs, n, actions = game.payoffs, game.n, [game.actions[p] for p in game.players]
+        size = math.prod(map(len, actions))
+        if len(payoffs) != size or not all(map(payoffs.__contains__, itertools.product(*actions))):
+            unknown = sorted((a, why) for a in payoffs if (why := _not_a_profile(game, a)))
+            missing = size - (len(payoffs) - len(unknown))
+            if missing:
+                first = next(a for a in itertools.product(*map(sorted, actions)) if a not in payoffs)
+                more = f" and {missing - 1} more" if missing > 1 else ""
+                problems.append(f"missing payoff entry for profile {profile_key(first)!r}{more}")
+            problems += [f"payoff entry for unknown profile {profile_key(a)!r}: {why}" for a, why in unknown]
         problems += [
             f"payoff vector for {profile_key(a)!r} has length {len(values)}"
-            for a, values in game.payoffs.items()
+            for a, values in payoffs.items()
             if len(values) != n
         ]
     return Report(not problems, tuple(problems))
@@ -452,20 +459,13 @@ def check_objective_ce(game: Game, dist: Distribution) -> Report:
 
 
 def check_subjective_ce(game: Game, dists: Sequence[Distribution]) -> Report:
-    """Each player's inequalities are checked against her own distribution."""
+    """Each player's inequalities are checked against her own distribution;
+    a support profile not in `game.payoffs` is refused with `_not_a_profile`'s reason."""
     if len(dists) != game.n:
         raise PreconditionError(f"need one distribution per player, got {len(dists)} for {game.n}")
-    actions = {p: set(game.actions_of(p)) for p in game.players}
     for profile in (a for d in dists for a in d.support()):
-        if len(profile) != game.n:
-            raise PreconditionError(
-                f"distribution profile {profile_key(profile)!r} has {len(profile)} entries for a {game.n}-player game"
-            )
-        for p, a in zip(game.players, profile):
-            if a not in actions[p]:
-                raise PreconditionError(
-                    f"distribution profile {profile_key(profile)!r}: {a!r} is not an action of player {p!r}"
-                )
+        if profile not in game.payoffs:  # a game has a payoff at every profile and no other
+            raise PreconditionError(f"distribution profile {profile_key(profile)!r}: {_not_a_profile(game, profile)}")
     failures = []
     for (p, pairs), d in zip(_deviations(game), dists):
         gains, denom = _expected_gains(game, p, pairs, d)

@@ -214,8 +214,9 @@ def naive_cb_set(m, arg: Formula) -> frozenset:
 def naive_game_problems(players, actions, payoffs) -> list:
     """What is wrong with the parts of a game, in the order `Game` names it:
     the players, then (only if they are sound) their actions, then (only if
-    those are sound) the payoff entries, missing and unknown profiles each in
-    sorted order."""
+    those are sound) the payoff entries: the first missing profile in sorted
+    order with the count of the rest, then each unknown profile in sorted
+    order with the reason it is none."""
     identifier = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
     numeral = re.compile(r"[0-9]+")
     players = list(players)
@@ -250,10 +251,16 @@ def naive_game_problems(players, actions, payoffs) -> list:
         return problems
     expected = list(itertools.product(*(actions[p] for p in players)))
     have = [tuple(a) for a in payoffs]
-    for a in sorted(set(expected) - set(have)):
-        problems.append(f"missing payoff entry for profile {','.join(a)!r}")
+    missing = sorted(set(expected) - set(have))
+    if missing:
+        more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
+        problems.append(f"missing payoff entry for profile {','.join(missing[0])!r}{more}")
     for a in sorted(set(have) - set(expected)):
-        problems.append(f"payoff entry for unknown profile {','.join(a)!r}")
+        if len(a) != len(players):
+            why = f"expected {len(players)} actions, got {len(a)}"
+        else:
+            why = next(f"{x!r} is not an action of player {p!r}" for p, x in zip(players, a) if x not in actions[p])
+        problems.append(f"payoff entry for unknown profile {','.join(a)!r}: {why}")
     for a, values in payoffs.items():
         if len(values) != len(players):
             problems.append(f"payoff vector for {','.join(a)!r} has length {len(values)}")

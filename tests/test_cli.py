@@ -525,7 +525,8 @@ class TestHostileFiles:
                 WG,
                 lambda d: d["payoffs"].update({"zz,stay": d["payoffs"].pop("stay,stay")}),
                 ["validate", "--game", "{bad}", "--structure", WS],
-                "profile key 'zz,stay': 'zz' is not an action of player 'A'",
+                "game: missing payoff entry for profile 'stay,stay'; "
+                "payoff entry for unknown profile 'zz,stay': 'zz' is not an action of player 'A'",
             ),
             (
                 "game",
@@ -583,6 +584,25 @@ class TestHostileFiles:
         assert captured.out == ""
         assert captured.err == f"error: {bad}: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_a_game_missing_most_payoffs_is_refused_at_once(self, capsys, tmp_path):
+        """18 two-action players and one payoff entry: the missing entries
+        are named by the first and a count, in one short line, not one by
+        one across all 2**18 profiles."""
+        players = [str(k) for k in range(1, 19)]
+        game = tmp_path / "game.json"
+        actions = {p: ["a", "b"] for p in players}
+        payoffs = {",".join(["a"] * 18): ["0"] * 18}
+        game.write_text(json.dumps({"players": players, "actions": actions, "payoffs": payoffs}))
+        start = time.perf_counter()
+        code = main(["parse", "--game", str(game), "p"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first = ",".join(["a"] * 17 + ["b"])
+        assert captured.err == f"error: {game}: game: missing payoff entry for profile {first!r} and 262142 more\n"
+        assert len(captured.err) < 1024
 
     def test_oversized_solve_ce_exits_3_at_once(self, capsys, tmp_path):
         players = ["1", "2", "3"]

@@ -30,7 +30,7 @@ from ambicoord import (
     solve_ce,
     validate_game,
 )
-from ambicoord import lp
+from ambicoord import games, lp
 from ambicoord.games import MAX_CE_PROFILES, incentive_gains
 from ambicoord.rationals import scaled
 from helpers import CountedPayoffs, random_game, random_objective
@@ -77,13 +77,14 @@ def test_game_accessors(cycle_game):
 
 def test_incentive_row_names_a_profile_without_payoffs(cycle_game):
     # a game without a payoff at some profile is refused when it is built,
-    # every missing profile named in sorted order, so no row ever lacks one
+    # the first missing profile in sorted order named with the count of the
+    # rest, so no row ever lacks one
     for dropped, named in [
         ({("T", "L")}, "missing payoff entry for profile 'T,L'"),
         ({("B", "R")}, "missing payoff entry for profile 'B,R'"),
         (
             {("M", "R"), ("B", "L")},
-            "missing payoff entry for profile 'B,L'; missing payoff entry for profile 'M,R'",
+            "missing payoff entry for profile 'B,L' and 1 more",
         ),
     ]:
         payoffs = {a: u for a, u in cycle_game.payoffs.items() if a not in dropped}
@@ -157,13 +158,24 @@ def test_game_from_dict_names_a_duplicate_player(cycle_game):
     ids=["no-actions", "unknown-player", "duplicate-only", "missing-payoff"],
 )
 def test_game_from_dict_refuses_as_game_does(cycle_game, edit, message):
-    """`Game(...)` is the one home of these refusals; `from_dict` names the
-    players' and actions' problems before it reads a payoff key against them."""
+    """`Game(...)` is the one home of these refusals; `from_dict` reads only
+    the JSON shapes and rational literals, and prefixes them `game: `."""
     data = cycle_game.to_dict()
     edit(data)
     with pytest.raises(SchemaError) as err:
         Game.from_dict(data)
     assert err.value.args == (message,)
+
+
+def test_game_from_dict_checks_a_game_once(cycle_game):
+    """One `validate_game`, so one check of the players and actions, per
+    game read."""
+    data = cycle_game.to_dict()
+    with mock.patch.object(games, "validate_game", wraps=games.validate_game) as validate, mock.patch.object(
+        games, "_roster_problems", wraps=games._roster_problems
+    ) as roster:
+        assert Game.from_dict(data) == cycle_game
+    assert (validate.call_count, roster.call_count) == (1, 1)
 
 
 class TestReadOnlyGame:
@@ -206,10 +218,21 @@ class TestValidateGame:
         _refused(
             ["x", "y"],
             {"x": ("a", "b"), "y": ("c",)},
-            {("a", "c"): (0, 0), ("a", "d"): (0, 0)},
+            {("a", "c"): (0, 0), ("a", "d"): (0, 0), ("a", "c", "e"): (0, 0)},
             "missing payoff entry for profile 'b,c'",
-            "payoff entry for unknown profile 'a,d'",
+            "payoff entry for unknown profile 'a,c,e': expected 2 actions, got 3",
+            "payoff entry for unknown profile 'a,d': 'd' is not an action of player 'y'",
         )
+
+    def test_a_table_far_short_of_the_profiles_is_refused_at_once(self):
+        # 2**40 profiles: a check that walked them all would never end
+        players = [f"p{k}" for k in range(40)]
+        start = time.perf_counter()
+        with pytest.raises(SchemaError) as err:
+            Game(players, {p: ("a", "b") for p in players}, {("b",) * 40: (0,) * 40})
+        assert time.perf_counter() - start < 1
+        first = profile_key(("a",) * 40)
+        assert err.value.args == (f"missing payoff entry for profile {first!r} and {2**40 - 2} more",)
 
     def test_refuses_a_repeated_player_name(self):
         actions = {"A": ("a", "b")}
@@ -319,10 +342,20 @@ class TestIncentives:
             check_subjective_ce(coord_game, [Distribution({("U", "L"): F(1)})])
 
     def test_support_must_fit_the_game(self, coord_game):
-        with pytest.raises(PreconditionError):
-            check_objective_ce(coord_game, Distribution({("U", "L", "X"): F(1)}))
-        with pytest.raises(PreconditionError):
-            check_objective_ce(coord_game, Distribution({("L", "U"): F(1)}))
+        """A profile the game lacks is refused with the reason
+        `_not_a_profile` gives, wherever it is met."""
+        for parts, why in [
+            (("U", "L", "X"), "expected 2 actions, got 3"),
+            (("L", "U"), "'L' is not an action of player '1'"),
+        ]:
+            assert games._not_a_profile(coord_game, parts) == why
+            with pytest.raises(PreconditionError) as err:
+                check_objective_ce(coord_game, Distribution({parts: F(1)}))
+            assert err.value.args == (f"distribution profile {profile_key(parts)!r}: {why}",)
+        assert games._not_a_profile(coord_game, ("U",)) == "expected 2 actions, got 1"
+        with pytest.raises(SchemaError) as err:
+            parse_profile_key("U", coord_game)
+        assert err.value.args == ("profile key 'U': expected 2 actions, got 1",)
 
     def test_checks_agree_with_the_conditional_payoff_route(self):
         rng = random.Random(99)

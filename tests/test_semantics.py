@@ -430,7 +430,7 @@ def test_optimality_kernel_matches_the_core_route(rng, stored, doubled):
         ({"A": ("a",), "B": ()}, "player 'B' has no actions"),
         (
             {"A": ("a", "b"), "B": ("b",)},
-            "missing payoff entry for profile 'a,b'; missing payoff entry for profile 'b,b'",
+            "missing payoff entry for profile 'a,b' and 1 more",
         ),
     ],
     ids=["one player", "no actions", "no opponent actions", "no payoffs"],
