@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import PreconditionError
-from .games import incentive_gains
+from .games import payoff_columns
 from .rationals import fraction
 
 if TYPE_CHECKING:
@@ -147,7 +147,7 @@ class MutualBelief(Formula):
     arg: Formula
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
+        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
             raise ValueError(f"mutual-belief order must be a positive int, got {self.order!r}")
 
 
@@ -322,17 +322,20 @@ def _everybody_believes(sub: Formula, game: Game) -> Formula:
 def optimality_core(player: str, action: str, game: Game) -> Formula:
     """Core form of "action is a best response under player's beliefs".
 
-    One inequality per alternative: the expected incentive gain
-    (`incentive_gains`) against the believed opponent play is >= 0.  The
-    alternative equal to the action itself yields the trivially true all-zero
-    inequality and is kept, so the conjunction always ranges over the
-    player's whole action set.  This is the form `expand` prints, built once
-    per `expand` call for each player and action; the evaluator decides
-    `opt_i(a)` from the same integer gains without building it.
+    One inequality per alternative: the expected gain of the action over it,
+    from the player's `payoff_columns`, against the believed opponent play
+    is >= 0.  The alternative equal to the action itself yields the
+    trivially true all-zero inequality and is kept, so the conjunction always
+    ranges over the player's whole action set.  This is the form `expand`
+    prints, built once per `expand` call for each player and action; the
+    evaluator decides `opt_i(a)` from the same integer columns without
+    building it.
     """
+    scale, _, columns = payoff_columns(game, player)
+    own = columns[action]
     others = [j for j in game.players if j != player]
     events = [conj(Play(j, b) for j, b in zip(others, combo)) for combo in game.opponent_profiles(player)]
-    scale, _, gains = incentive_gains(game, player, [(action, alt) for alt in game.actions_of(player)])
     return conj(
-        ProbGe(player, tuple((Fraction(g, scale), e) for g, e in zip(row, events)), Fraction(0)) for row in gains
+        ProbGe(player, tuple((Fraction(u - v, scale), e) for u, v, e in zip(own, column, events)), Fraction(0))
+        for column in columns.values()
     )

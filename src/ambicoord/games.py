@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -46,9 +46,9 @@ class Game:
     Every `Game` is valid, checked only here: the constructor refuses, with
     SchemaError, a game in which `validate_game` finds a problem, its problems
     joined by "; "; so a profile of the game is one that `payoffs` holds.
-    Its tables are read-only, so each player's table of incentive gains,
-    which the CE checks, `opt_i(a)`, its printed core and the rationality
-    gap read, is built once per game and kept.  `solve_ce` keeps nothing.
+    Its tables are read-only, so the players' integer payoff columns, which
+    the CE checks, `opt_i(a)`, its printed core and the rationality gap
+    read, are built once per game and kept.  `solve_ce` keeps nothing.
     """
 
     def __init__(
@@ -67,7 +67,7 @@ class Game:
         report = validate_game(self)
         if not report.ok:
             raise SchemaError("; ".join(report.failures))
-        self._gains_tables: dict[str, tuple[int, dict, dict]] = {}
+        self._payoff_columns: dict[str, tuple[int, dict, dict]] = {}
 
     @property
     def n(self) -> int:
@@ -258,7 +258,8 @@ class Distribution:
     """
 
     def __init__(self, weights: Mapping[Sequence[str], Fraction | int]):
-        nonzero = {tuple(profile): w for profile, w in weights.items() if w != 0}
+        exact = {tuple(profile): fraction(w) for profile, w in weights.items()}
+        nonzero = {a: w for a, w in exact.items() if w}
         nums, denom = scaled(list(nonzero.values()))
         self._install(dict(zip(nonzero, nums)), denom)
 
@@ -346,42 +347,51 @@ def load_objective(data: dict, game: Game) -> dict[Profile, Fraction]:
 # ---------------------------------------------------------------- CE checks
 
 
-def incentive_gains(game: Game, player: str, pairs: Sequence[tuple[str, str]]) -> tuple[int, dict, list[list[int]]]:
-    """The player's incentive rows in integers, picked from her gains table.
+def payoff_columns(game: Game, player: str) -> tuple[int, dict, dict]:
+    """The player's payoffs in integers, one column per action.
 
-    Returns (L, told, gains).  L is the lcm of the denominators of her
+    Returns (L, told, columns).  L is the lcm of the denominators of her
     payoffs; told maps each of her actions to its profiles, in
-    `opponent_profiles` order; and gains[i], for pairs[i] = (action, alt),
-    lists L * (u(profile) - u(profile with `alt` in her place)) over
-    told[action].  The CE checks, the `opt_i(a)` core and the rationality gap
-    all read these.  The table holds every ordered pair of her actions and is
-    kept on the game.  A pair with an action she lacks is refused with a
-    KeyError naming that action.
+    `opponent_profiles` order; and columns[a] lists L * u(profile) over
+    told[a].  What following a gains over b is columns[a] - columns[b], and
+    a is optimal against a belief where its mass-weighted column sum is the
+    largest.  The CE checks, `opt_i(a)`, its printed core and the
+    rationality gap all read these.  Every player's columns are built at
+    once, when one is first asked for, and kept on the game.  columns[a] for
+    an action she lacks is refused with a KeyError naming it.
     """
-    table = game._gains_tables.get(player)
-    if table is None:
-        table = game._gains_tables[player] = _gains_table(game, player)
-    scale, told, rows = table
+    tables = game._payoff_columns
+    if not tables:
+        profiles = list(game.profiles())
+        for p, (scale, spots, columns) in _payoff_tables(game).items():
+            told = {a: [profiles[q] for q in at] for a, at in spots.items()}
+            tables[p] = scale, told, _Columns(p, columns)
     try:
-        return scale, told, [rows[pair] for pair in pairs]
+        return tables[player]
     except KeyError:
-        lacked = next(a for pair in pairs for a in pair if a not in told)
-    raise KeyError(f"{lacked!r} is not an action of player {player!r}")
+        raise KeyError(f"unknown player {player!r}") from None
 
 
-def _gains_table(game: Game, player: str) -> tuple[int, dict, dict[tuple[str, str], list[int]]]:
-    """(L, told, rows): `incentive_gains` over every ordered pair of the
-    player's actions, rows[action, alt] being that pair's gains, from one
-    read of her payoffs in `Game.profiles()` order."""
-    k = game.player_index(player)
-    profiles = list(game.profiles())
-    values = [game.payoffs[a][k] for a in profiles]
-    spots = _spots(game, player)
-    acts = game.actions_of(player)
-    pairs = [(a, b) for a in acts for b in acts]
-    scale, gains = _gains(values, spots, pairs)
-    told = {a: [profiles[q] for q in at] for a, at in spots.items()}
-    return scale, told, dict(zip(pairs, gains))
+class _Columns(dict):
+    """A player's payoff columns by action; an action she lacks is refused by name."""
+
+    def __init__(self, player: str, columns: Mapping[str, list[int]]):
+        super().__init__(columns)
+        self.player = player
+
+    def __missing__(self, action):
+        raise KeyError(f"{action!r} is not an action of player {self.player!r}")
+
+
+def _payoff_tables(game: Game) -> dict[str, tuple[int, dict, dict]]:
+    """Each player's (L, spots, columns) from one read of each payoff vector:
+    `payoff_columns` with told[a] given as the positions `_spots` gives."""
+    tables = {}
+    for p, values in zip(game.players, zip(*map(game.payoffs.__getitem__, game.profiles()))):
+        values, scale = scaled(values)
+        spots = _spots(game, p)
+        tables[p] = scale, spots, {a: [values[q] for q in at] for a, at in spots.items()}
+    return tables
 
 
 def _spots(game: Game, player: str) -> dict[str, list[int]]:
@@ -401,40 +411,17 @@ def _spots(game: Game, player: str) -> dict[str, list[int]]:
     }
 
 
-def _gains(
-    values: Sequence[Fraction], spots: Mapping[str, Sequence[int]], pairs: Sequence[tuple[str, str]]
-) -> tuple[int, list[list[int]]]:
-    """(L, gains): the one home of the incentive arithmetic, for the CE
-    checks and `solve_ce`.  `values` are a player's payoffs and spots[a]
-    the positions in it of her payoffs from action a, one per opponent play
-    in `opponent_profiles` order; L is the lcm of the values' denominators,
-    and gains[i], for pairs[i] = (action, alt), lists L * (u(action) -
-    u(alt)) over the opponent plays."""
-    values, scale = scaled(values)
-    column = {a: [values[q] for q in at] for a, at in spots.items()}
-    return scale, [[u - v for u, v in zip(column[a], column[b])] for a, b in pairs]
-
-
-def _deviations(game: Game) -> Iterable[tuple[str, list[tuple[str, str]]]]:
-    """Each player with her (action, alt) pairs for every alt != action,
-    player-major: the incentive inequalities of a correlated equilibrium, in
-    order."""
-    for p in game.players:
-        acts = game.actions_of(p)
-        yield p, [(action, alt) for action in acts for alt in acts if alt != action]
-
-
 def _expected_gains(
     game: Game, player: str, pairs: Sequence[tuple[str, str]], dist: Distribution
 ) -> tuple[list[int], int]:
     """The expected gain of each (action, alt) of `pairs` under `dist`, as
     integer numerators over one positive denominator: the player's
-    `incentive_gains` weighted by the distribution's numerators (absent
-    profiles weigh 0)."""
-    scale, told, gains = incentive_gains(game, player, pairs)
+    columns[action] - columns[alt] weighted by the distribution's numerators
+    at told[action] (absent profiles weigh 0)."""
+    scale, told, columns = payoff_columns(game, player)
     num = dist.num
     at = {a: [num.get(t, 0) for t in profiles] for a, profiles in told.items()}
-    return [sum(map(mul, row, at[action])) for (action, _), row in zip(pairs, gains)], scale * dist.denom
+    return [sum(map(mul, map(sub, columns[a], columns[b]), at[a])) for a, b in pairs], scale * dist.denom
 
 
 @dataclass(frozen=True)
@@ -467,7 +454,9 @@ def check_subjective_ce(game: Game, dists: Sequence[Distribution]) -> Report:
         if profile not in game.payoffs:  # a game has a payoff at every profile and no other
             raise PreconditionError(f"distribution profile {profile_key(profile)!r}: {_not_a_profile(game, profile)}")
     failures = []
-    for (p, pairs), d in zip(_deviations(game), dists):
+    for p, d in zip(game.players, dists):
+        # her (action, alt) pairs, alt != action: her CE inequalities, in order
+        pairs = list(itertools.permutations(game.actions_of(p), 2))
         gains, denom = _expected_gains(game, p, pairs, d)
         failures += [
             DeviationIssue(p, action, alt, Fraction(gain, denom))
@@ -507,17 +496,14 @@ def solve_ce(game: Game, objective: Mapping[Profile, Fraction] | None = None) ->
     # built per call, not kept on the game: a game is often solved only
     # once; each payoff vector is read once, and a gain is placed by position
     rows = []
-    for (p, pairs), u in zip(_deviations(game), zip(*(game.payoffs[a] for a in profiles))):
-        if not pairs:
-            continue
-        spots = _spots(game, p)
-        scale, gains = _gains(u, spots, pairs)
-        for (action, _), row_gains in zip(pairs, gains):
-            g = math.gcd(scale, *row_gains)
+    for scale, spots, columns in _payoff_tables(game).values():
+        for action, alt in itertools.permutations(columns, 2):
+            gains = list(map(sub, columns[action], columns[alt]))
+            g = math.gcd(scale, *gains)
             if g != 1:
-                row_gains = [v // g for v in row_gains]
+                gains = [v // g for v in gains]
             row = [0] * size
-            for q, v in zip(spots[action], row_gains):
+            for q, v in zip(spots[action], gains):
                 row[q] = v
             rows.append(row)
     try:

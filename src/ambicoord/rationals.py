@@ -3,8 +3,9 @@
 `ratio` and `ratio_text` read and write the form as integer pairs, so a
 prior of many weights loads and saves without a Fraction per weight;
 `parse_rational` and `format_rational` are their Fraction forms.  `scaled`
-puts exact values on their least common denominator, and `fraction` makes a
-value a Fraction without copying one that already is.
+puts exact values on their least common denominator, and `fraction` is the
+one check that a value is exact: it makes an int a Fraction, keeps a
+Fraction, and refuses anything else.
 """
 
 from __future__ import annotations
@@ -46,8 +47,14 @@ def format_rational(value: Fraction) -> str:
 
 
 def fraction(value) -> Fraction:
-    """The value as a Fraction; one that is already a Fraction is kept."""
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """The value as a Fraction: one that is already a Fraction is kept, an
+    int is converted, and anything else (a float, a bool, a string) is
+    refused with a TypeError that names it."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"expected an int or a Fraction, got {value!r}")
 
 
 def scaled(values) -> tuple[list[int], int]:

@@ -10,13 +10,13 @@ arithmetic.
 Probability inequalities are evaluated per information cell of their owner
 (their truth is constant on each cell and independent of the viewer), then
 broadcast to states.  So is `opt_i(a)`, without its core formula: one pass
-over i's cells reads the integer incentive gains of all of i's actions
-against each cell's masses of the opponent plays i sees, and every
-`opt_i(b)` goes into the memo.  `rat_i` is read off the viewer's row of i's
-plays and those masks, also without its defining formula.  `EB^k` and
-common belief read one walk over the shrinking levels EB(f), EB^2(f), ...:
-`EB^k` stops at level k, common belief at the fixed point, the intersection
-of all levels.
+over i's cells weighs the integer payoff column of each of i's actions by
+the cell's masses of the opponent plays i sees, and every `opt_i(b)`, b an
+argmax of those sums, goes into the memo.  `rat_i` is read off the
+viewer's row of i's plays and those masks, also without its defining
+formula.  `EB^k` and common belief read one walk over the shrinking levels
+EB(f), EB^2(f), ...: `EB^k` stops at level k, common belief at the fixed
+point, the intersection of all levels.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .formulas import (
     Rationality,
     Receive,
 )
-from .games import incentive_gains
+from .games import payoff_columns
 from .rationals import scaled
 from .structures import mask_mass, opponent_masses
 
@@ -104,21 +104,18 @@ class Evaluator:
         """opt_player(action), decided with opt_player(b) for each action b
         of the player, all of which go into the memo.
 
-        It holds on a cell when the gain of following the action over each
-        alternative, weighted by the cell's masses of the opponent plays she
-        sees, is >= 0: `optimality_core` read in integers, refused where the
-        core is refused and with the same error."""
-        game = self.m.game
-        alts = game.actions_of(player)
-        # the action first, as in its core, so an action she lacks is named alike
-        told = (action, *(a for a in alts if a != action))
-        _, _, gains = incentive_gains(game, player, [(a, b) for a in told for b in alts])
-        n = len(alts)
-        rows = [gains[k : k + n] for k in range(0, len(gains), n)]
-        out = dict.fromkeys(told, 0)
+        It holds on a cell when the action's payoff column, weighted by the
+        cell's masses of the opponent plays she sees, has the largest sum of
+        all her actions': `optimality_core` read in integers, refused where
+        the core is refused and with the same error."""
+        _, _, columns = payoff_columns(self.m.game, player)
+        columns[action]  # an action she lacks is refused before any cell, as by its core
+        out = dict.fromkeys(columns, 0)
         for cell, _, masses in opponent_masses(self.m, player, self._positive_cells(player)):
-            for a, a_rows in zip(told, rows):
-                if all(sum(map(mul, row, masses)) >= 0 for row in a_rows):
+            sums = [sum(map(mul, column, masses)) for column in columns.values()]
+            best = max(sums)
+            for a, value in zip(columns, sums):
+                if value == best:
                     out[a] |= cell
         memo = self.m.intensions
         for a, mask in out.items():

@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import PreconditionError, SchemaError
 from .formulas import And, Formula, Implies, Not, Optimal, Play, Prim, Rationality, Receive
-from .games import NAME_RE, Game, incentive_gains
+from .games import NAME_RE, Game, payoff_columns
 from .parser import ParseError, parse_formula, parse_instance, usable_name
 from .rationals import ratio, ratio_text
 from .reports import Report
@@ -708,9 +708,10 @@ def is_common_interpretation(m: EpistemicStructure) -> bool:
 def opponent_masses(m: EpistemicStructure, player: str, cells: Iterable[tuple[int, int]]):
     """For each (cell mask, cell mass) pair of `cells`: the pair, and the
     prior mass in the cell of each opponent play the player sees, in
-    `opponent_profiles` order, as `incentive_gains` lists its gains.  Her
-    expected incentive gain in a cell is then sum(gain * mass) / mass of the
-    cell; `opt_i(a)` and the rationality gap both read it so."""
+    `opponent_profiles` order, as `payoff_columns` lists each column.  Her
+    expected payoff from an action in a cell is then sum(column * mass) /
+    (L * mass of the cell); `opt_i(a)` and the rationality gap both read it
+    so."""
     events = [m.full]
     for j in m.game.players:
         if j != player:
@@ -736,19 +737,17 @@ def check_rationality(m: EpistemicStructure) -> Report:
         acts = game.actions_of(p)
         plays = m.plays(p, p)
         optimal = [ev.intension_mask(p, Optimal(p, a)) for a in acts]
-        pairs = [(a, b) for a, play, opt in zip(acts, plays, optimal) if bad & play & ~opt for b in acts]
-        scale, _, gains = incentive_gains(game, p, pairs)
-        rows = dict(zip(pairs, gains))
+        scale, _, columns = payoff_columns(game, p)
         found = []
         suspects = ((c, w) for c, w in zip(*m.cells(p)) if c & bad)
         for cell, cell_mass, masses in opponent_masses(m, p, suspects):
+            value = {b: sum(map(mul, column, masses)) for b, column in columns.items()}
             for a, play, opt in zip(acts, plays, optimal):
                 wrong = cell & bad & play & ~opt
                 if not wrong:
                     continue
-                # what switching a -> b gains in expectation: minus what
-                # following a gains over b
-                gaps = {b: Fraction(-sum(map(mul, rows[a, b], masses)), scale * cell_mass) for b in acts}
+                # what switching a -> b gains in expectation
+                gaps = {b: Fraction(value[b] - value[a], scale * cell_mass) for b in acts}
                 better = max(gaps, key=lambda b: (gaps[b], b))
                 for k in states_in(m, wrong):
                     found.append((k, RationalityIssue(p, m.states[k], a, better, gaps[better])))

@@ -300,8 +300,9 @@ class TestCompiledConstruction:
 
 def test_the_device_path_builds_each_gains_table_once(monkeypatch):
     """Constructing a device on a fresh game, writing and loading it, and
-    auditing it build each player's gains table once, kept on the game, read
-    each payoff vector once per table and build no formula node for `rat_i`."""
+    auditing it build the players' payoff columns once, kept on the game,
+    read each payoff vector once for them and build no formula node for
+    `rat_i`."""
     rng = random.Random(11)
     cases = []
     for _ in range(6):
@@ -309,8 +310,8 @@ def test_the_device_path_builds_each_gains_table_once(monkeypatch):
         dists = [solve_ce(game, random_objective(rng, game)) for _ in game.players]
         cases.append((Game.from_dict(game.to_dict()), dists))
     builds = []
-    build = games._gains_table
-    monkeypatch.setattr(games, "_gains_table", lambda game, p: builds.append(p) or build(game, p))
+    build = games._payoff_tables
+    monkeypatch.setattr(games, "_payoff_tables", lambda game: builds.append(game) or build(game))
     for node in (Play, Receive, Implies, And):
         monkeypatch.setattr(node, "__init__", _refuse(node.__name__))
     for fresh, dists in cases:
@@ -320,8 +321,9 @@ def test_the_device_path_builds_each_gains_table_once(monkeypatch):
         m = EpistemicStructure.from_dict(built.structure.to_dict(), fresh)
         assert check_rationality(m).ok
         assert verify_induced_equilibrium(m, built.strategy).ok
-        assert builds == list(fresh.players)
-        assert counted.reads == collections.Counter({a: fresh.n for a in fresh.profiles()})
+        assert builds == [fresh]
+        assert list(fresh._payoff_columns) == list(fresh.players)
+        assert counted.reads == collections.Counter(fresh.profiles())
 
 
 def _refuse(name):

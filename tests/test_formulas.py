@@ -102,6 +102,10 @@ class TestNodes:
     def test_mutual_belief_order_must_be_positive(self):
         with pytest.raises(ValueError):
             MutualBelief(0, P)
+        # a bool is an int to Python, but no order: EB(p) would print for True
+        with pytest.raises(ValueError) as err:
+            MutualBelief(True, P)
+        assert err.value.args == ("mutual-belief order must be a positive int, got True",)
 
     def test_conj(self):
         assert conj([P]) == P

@@ -19,6 +19,8 @@ from ambicoord import (
     Game,
     Optimal,
     PreconditionError,
+    ProbGe,
+    Prim,
     SchemaError,
     check_objective_ce,
     check_subjective_ce,
@@ -31,7 +33,7 @@ from ambicoord import (
     validate_game,
 )
 from ambicoord import games, lp
-from ambicoord.games import MAX_CE_PROFILES, incentive_gains
+from ambicoord.games import MAX_CE_PROFILES, payoff_columns
 from ambicoord.rationals import scaled
 from helpers import CountedPayoffs, random_game, random_objective
 from oracle import (
@@ -91,23 +93,24 @@ def test_incentive_row_names_a_profile_without_payoffs(cycle_game):
         with pytest.raises(SchemaError) as err:
             Game(cycle_game.players, cycle_game.actions, payoffs)
         assert err.value.args == (named,)
-    scale, told, [gains] = incentive_gains(cycle_game, "2", [("C", "R")])
+    scale, told, columns = payoff_columns(cycle_game, "2")
     assert told["C"] == [("T", "C"), ("M", "C"), ("B", "C")]
-    assert [F(g, scale) for g in gains] == [
+    assert [F(u - v, scale) for u, v in zip(columns["C"], columns["R"])] == [
         cycle_game.payoff("2", a) - cycle_game.payoff("2", (a[0], "R")) for a in told["C"]
     ]
 
 
 def test_gains_the_table_lacks_are_named_by_their_profile(cycle_game, cycle_ce, cycle):
     """An action the player lacks is named as such, with the player, whether
-    or not the game keeps her gains table."""
+    or not the game keeps her payoff columns."""
     for warm in (False, True):
         game = Game.from_dict(cycle_game.to_dict())
         if warm:
             assert check_objective_ce(game, cycle_ce).ok
-            assert "1" in game._gains_tables
+            assert "1" in game._payoff_columns
         m = EpistemicStructure.from_dict(cycle.to_dict(), game)
         calls = [
+            lambda: payoff_columns(game, "1")[2]["zz"],
             lambda: deviation_slack(game, cycle_ce, "1", "zz", "T"),
             lambda: deviation_slack(game, cycle_ce, "1", "T", "zz"),
             lambda: holds(m, m.states[0], "1", Optimal("1", "zz")),
@@ -261,6 +264,24 @@ class TestValidateGame:
             {("a b", "c"): (0, 0)},
             "action name 'a b' of player 'x' is not an identifier",
         )
+
+
+def test_a_float_is_refused_where_exact_rationals_are_promised(cycle_game):
+    # a float would be stored as its binary value (0.1 as
+    # 3602879701896397/36028797018963968), so every entry point that takes
+    # numbers refuses one, naming it
+    calls = [
+        (lambda: Game(["A", "B"], {"A": ("a",), "B": ("c",)}, {("a", "c"): (0.1, 0)}), 0.1),
+        (lambda: ProbGe("A", ((0.1, Prim("p")),), F(3, 10)), 0.1),
+        (lambda: solve_ce(cycle_game, {("T", "C"): 0.1}), 0.1),
+        (lambda: Distribution({("T", "C"): 0.5, ("T", "R"): F(1, 2)}), 0.5),
+    ]
+    for call, value in calls:
+        with pytest.raises(TypeError) as err:
+            call()
+        assert err.value.args == (f"expected an int or a Fraction, got {value!r}",)
+    for exact in (3, F(3, 10)):
+        assert ProbGe("A", ((exact, Prim("p")),), 0).terms[0][0] == exact
 
 
 class TestDistribution:
@@ -419,13 +440,16 @@ class TestSolver:
     def test_a_solve_keeps_no_incentive_rows_on_the_game(self, cycle_game):
         game = Game.from_dict(cycle_game.to_dict())
         solve_ce(game, {("T", "C"): F(1)})
-        assert game._gains_tables == {}
-        # the CE check keeps one gains table per player; a solve adds nothing
+        assert game._payoff_columns == {}
+        # the CE check keeps one table of payoff columns per player; a solve
+        # adds nothing and reads none of them
         assert check_objective_ce(game, solve_ce(game)).ok
-        kept = dict(game._gains_tables)
+        kept = dict(game._payoff_columns)
         assert list(kept) == list(game.players)
-        solve_ce(game, {("T", "C"): F(1)})
-        assert game._gains_tables == kept
+        solved = solve_ce(game, {("T", "C"): F(1)})
+        assert game._payoff_columns == kept
+        game._payoff_columns.update(dict.fromkeys(game.players))
+        assert solve_ce(game, {("T", "C"): F(1)}) == solved
 
     def test_solver_output_is_always_an_equilibrium(self):
         from helpers import random_objective
@@ -556,15 +580,19 @@ def test_solve_ce_reads_each_payoff_vector_once():
 
 @settings(max_examples=100, deadline=None)
 @given(_small_games())
-def test_incentive_gains_match_the_naive_reference(case):
+def test_payoff_column_gains_match_the_naive_reference(case):
+    # what following an action gains over another, per opponent play, is the
+    # difference of the two payoff columns over the lcm
     game, _ = case
     for p in game.players:
         acts = game.actions_of(p)
         pairs = [(action, alt) for action in acts for alt in acts]
         naive = [list(naive_incentive_row(game, p, action, alt).items()) for action, alt in pairs]
-        scale, told, gains = incentive_gains(game, p, pairs)
+        scale, told, columns = payoff_columns(game, p)
+        assert list(columns) == list(told) == list(acts)
         assert [
-            list(zip(told[action], [F(g, scale) for g in row])) for (action, _), row in zip(pairs, gains)
+            list(zip(told[action], [F(u - v, scale) for u, v in zip(columns[action], columns[alt])]))
+            for action, alt in pairs
         ] == naive
         for (action, alt), row in zip(pairs, naive):
             assert alt != action or all(gain == 0 for _, gain in row)

@@ -73,6 +73,33 @@ class TestWeatherReport:
         assert not holds(weather_common, "w3", "A", CommonBelief(P))
 
 
+def test_belief_reads_its_argument_with_the_believers_interpretation(weather_game):
+    """Innermost scope (Halpern and Kets): viewer B checking B_A(p) reads p
+    as A does.  A deems p true at w0 only, B at w1 only, and A's cells are
+    the two states, so B_A(p) holds at w0 for every viewer; reading p as
+    the viewer B does throughout (outermost scope) would give w1."""
+    m = EpistemicStructure.from_dict(
+        {
+            "states": ["w0", "w1"],
+            "prior": {"w0": "1/2", "w1": "1/2"},
+            "signals": {},
+            "atoms": ["p"],
+            "interpretation": {
+                "A": {"p": ["w0"], "pl(A,stay)": ["w0", "w1"], "pl(B,stay)": ["w0", "w1"]},
+                "B": {"p": ["w1"], "pl(A,stay)": ["w0", "w1"], "pl(B,stay)": ["w0", "w1"]},
+            },
+            "partitions": {"A": [["w0"], ["w1"]], "B": [["w0", "w1"]]},
+        },
+        weather_game,
+    )
+    assert intension(m, "A", P) == frozenset({"w0"})
+    assert intension(m, "B", P) == frozenset({"w1"})
+    innermost = intension(m, "B", Belief("A", P))
+    outermost = frozenset(s for s in m.states if posterior(m, "A", intension(m, "B", P), s) == 1)
+    assert innermost == intension(m, "A", Belief("A", P)) == frozenset({"w0"})
+    assert outermost == frozenset({"w1"})
+
+
 class TestPosteriors:
     def test_posterior_of_everything_is_one(self, weather):
         for w in weather.states:
@@ -406,7 +433,7 @@ def _outcome(compute):
 def test_optimality_kernel_matches_the_core_route(rng, stored, doubled):
     """`opt_i(a)` and `rat_i` as the evaluator decides them equal the masks
     of their expansions, errors included.  The game's tables are left as
-    they were, and the gains tables it keeps equal a fresh build."""
+    they were, and the payoff columns it keeps equal a fresh build."""
     game = random_game(rng)
     m = random_structure(rng, game, stored=stored, doubled=doubled)
     formulas = [Optimal(p, a) for p in game.players for a in (*game.actions_of(p), "zz")]
@@ -418,8 +445,10 @@ def test_optimality_kernel_matches_the_core_route(rng, stored, doubled):
     for (p, f), got in direct.items():
         assert got == _outcome(lambda: Evaluator(m).intension_mask(p, expand(f, game))), (str(f), p)
     assert (game.players, dict(game.actions), dict(game.payoffs)) == kept
-    for player, table in game._gains_tables.items():
-        assert table == games._gains_table(game, player)
+    fresh = games._payoff_tables(game)
+    assert {p: (scale, columns) for p, (scale, _, columns) in game._payoff_columns.items()} == {
+        p: (scale, columns) for p, (scale, _, columns) in fresh.items()
+    }
 
 
 @pytest.mark.parametrize(
